@@ -13,7 +13,6 @@ from .cycles import (
     CycleAnswer,
     NodeCapExceeded,
     SearchBudget,
-    cycle_with_max_color,
     enumerate_simple_cycles,
     simple_cycle_with_max_color,
     strongly_connected_subsets,
@@ -55,9 +54,7 @@ from .reduction import (
     ReductionReport,
     abstract_membership,
     all_cycles_even,
-    cycle_pass,
     get_anchor,
-    pop_pass,
     rabin,
     rabin_a,
     static_compress,
@@ -96,8 +93,6 @@ __all__ = [
     "colorings_equivalent",
     "cycle_color",
     "cycle_families",
-    "cycle_pass",
-    "cycle_with_max_color",
     "enumerate_simple_cycles",
     "equivalence_witness",
     "fixpoint_violations",
@@ -115,7 +110,6 @@ __all__ = [
     "outcome_profile",
     "parse_pgsolver",
     "parse_solution",
-    "pop_pass",
     "rabin",
     "rabin_a",
     "rows_to_csv",

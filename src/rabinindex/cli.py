@@ -51,11 +51,15 @@ def _fail(category: str, message: str, code: int) -> "CliError":
     return CliError(category, message, code)
 
 
-def _load_game(path: str) -> ParityGame:
+def _read_text(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise _fail("parse", f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+
+
+def _load_game(path: str) -> ParityGame:
+    text = _read_text(path)
     try:
         return parse_pgsolver(text)
     except PGSolverError as exc:
@@ -134,10 +138,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     game = _load_game(args.file)
-    try:
-        text = Path(args.solution).read_text()
-    except OSError as exc:
-        raise _fail("parse", f"cannot read {args.solution}: {exc}", EXIT_PARSE) from exc
+    text = _read_text(args.solution)
     try:
         solution = parse_solution(text, game)
     except PGSolverError as exc:
@@ -195,10 +196,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.spec).read_text()
-    except OSError as exc:
-        raise _fail("parse", f"cannot read {args.spec}: {exc}", EXIT_PARSE) from exc
+    text = _read_text(args.spec)
     try:
         rows = bench_run(text, default_runs=args.runs)
     except ValueError as exc:

@@ -15,13 +15,11 @@ small arenas and power the equivalence oracles.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
 
-import networkx as nx
-
-from .arena import Arena, Coloring, NodeId
+from .arena import Arena, NodeId
 
 __all__ = [
     "CycleAnswer",
@@ -30,11 +28,10 @@ __all__ = [
     "NodeCapExceeded",
     "SccDecomposition",
     "tarjan_scc",
-    "scc_decompose",
+    "closed_walk_minima",
     "simple_cycle_through_with_color",
     "simple_cycle_with_max_color",
     "cycle_through_with_color",
-    "cycle_with_max_color",
     "enumerate_simple_cycles",
     "strongly_connected_subsets",
 ]
@@ -85,9 +82,18 @@ class SccDecomposition:
     members: tuple[tuple[NodeId, ...], ...]
     nontrivial: tuple[bool, ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.members)
+    def closes_walk_at(self, v: NodeId, colors: Sequence[int], gamma: int) -> bool:
+        """Does ``v`` share a nontrivial component with a ``gamma``-colored node?
+
+        On the decomposition of the color->=gamma subgraph this holds iff
+        some closed walk through ``v`` has minimal color exactly ``gamma``.
+        """
+        comp = self.component_of[v]
+        return (
+            comp >= 0
+            and self.nontrivial[comp]
+            and any(colors[u] == gamma for u in self.members[comp])
+        )
 
 
 def tarjan_scc(
@@ -159,8 +165,37 @@ def tarjan_scc(
     return SccDecomposition(tuple(component_of), tuple(members), tuple(nontrivial))
 
 
-def scc_decompose(arena: Arena, allowed: Sequence[bool] | None = None) -> SccDecomposition:
-    return tarjan_scc(arena.successors, allowed)
+def closed_walk_minima(
+    successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
+) -> list[bool]:
+    """Mark every node ``u`` on a closed walk whose minimal color is
+    ``colors[u]``.
+
+    Level by level: in each nontrivial component of the current subgraph
+    the nodes of the component's minimal color are marked, and the
+    remaining nodes of all components form the next subgraph.  A closed
+    walk through an unmarked node avoids the minimal color of its
+    component, so it stays inside what is left of that component; distinct
+    components never merge, so one decomposition per level suffices.
+    """
+    n = len(successors)
+    marked = [False] * n
+    live: list[bool] | None = None
+    while True:
+        scc = tarjan_scc(successors, live)
+        live = [False] * n
+        left = False
+        for comp, nontrivial in zip(scc.members, scc.nontrivial):
+            if not nontrivial:
+                continue
+            low = min(colors[u] for u in comp)
+            for u in comp:
+                if colors[u] == low:
+                    marked[u] = True
+                else:
+                    live[u] = left = True
+        if not left:
+            return marked
 
 
 def _check_query(coloring: Sequence[int], v: NodeId, gamma: int) -> None:
@@ -173,6 +208,15 @@ def _check_query(coloring: Sequence[int], v: NodeId, gamma: int) -> None:
             f"target color {gamma} exceeds color {coloring[v]} of node {v}; "
             "such a cycle cannot exist"
         )
+
+
+def _walk_component(
+    arena: Arena, c: Sequence[int], v: NodeId, gamma: int
+) -> tuple[NodeId, ...] | None:
+    """Component of ``v`` in the color->=gamma subgraph if a closed walk
+    through ``v`` has minimal color ``gamma``, else None."""
+    scc = tarjan_scc(arena.successors, [color >= gamma for color in c])
+    return scc.members[scc.component_of[v]] if scc.closes_walk_at(v, c, gamma) else None
 
 
 def simple_cycle_through_with_color(
@@ -192,19 +236,14 @@ def simple_cycle_through_with_color(
     """
     c = arena.colors if coloring is None else coloring
     _check_query(c, v, gamma)
-    n = arena.node_count
-    allowed = [c[w] >= gamma for w in range(n)]
-    scc = tarjan_scc(arena.successors, allowed)
-    comp = scc.component_of[v]
-    if not scc.nontrivial[comp]:
+    component = _walk_component(arena, c, v, gamma)
+    if component is None:
         return CycleAnswer.NO
     if c[v] == gamma:
         # v itself realizes the target color: the shortest closed walk
         # through v inside its component is a simple cycle of color gamma.
         return CycleAnswer.YES
-    members = set(scc.members[comp])
-    if not any(c[u] == gamma for u in members):
-        return CycleAnswer.NO
+    members = set(component)
 
     adjacency = {
         u: sorted(w for w in arena.successors[u] if w in members) for u in members
@@ -268,29 +307,7 @@ def cycle_through_with_color(
     """
     c = arena.colors if coloring is None else coloring
     _check_query(c, v, gamma)
-    if gamma not in c:
-        return False
-    allowed = [color >= gamma for color in c]
-    scc = tarjan_scc(arena.successors, allowed)
-    comp = scc.component_of[v]
-    if not scc.nontrivial[comp]:
-        return False
-    return any(c[u] == gamma for u in scc.members[comp])
-
-
-def cycle_with_max_color(arena: Arena, coloring: Sequence[int] | None = None) -> bool:
-    """Closed-walk analogue of :func:`simple_cycle_with_max_color`.
-
-    The two agree on every arena: a closed walk whose minimum equals the
-    global maximum visits max-colored nodes only, and can be shortened to a
-    simple cycle.  Both are exposed so that tests can assert the equality.
-    """
-    c = arena.colors if coloring is None else coloring
-    m = max(c)
-    return any(
-        c[v] == m and cycle_through_with_color(arena, c, v, m)
-        for v in range(arena.node_count)
-    )
+    return _walk_component(arena, c, v, gamma) is not None
 
 
 def enumerate_simple_cycles(
@@ -305,6 +322,8 @@ def enumerate_simple_cycles(
         raise NodeCapExceeded(
             f"arena has {arena.node_count} nodes, enumeration capped at {node_cap}"
         )
+    import networkx as nx  # deferred: only the brute-force oracles enumerate
+
     graph = nx.DiGraph()
     graph.add_nodes_from(range(arena.node_count))
     for v, succ in enumerate(arena.successors):

@@ -27,6 +27,7 @@ from .cycles import (
     CycleAnswer,
     SccDecomposition,
     SearchBudget,
+    closed_walk_minima,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
     tarjan_scc,
@@ -40,8 +41,6 @@ __all__ = [
     "BudgetExhausted",
     "ReductionAborted",
     "get_anchor",
-    "cycle_pass",
-    "pop_pass",
     "rabin",
     "static_compress",
     "all_cycles_even",
@@ -208,12 +207,8 @@ class _PassState:
             if self.color_count[gamma] == 0:
                 continue
             if self.mode is OracleMode.ABSTRACT:
-                scc = self.scc_at(gamma)
                 self.stats.abstract_queries += 1
-                comp = scc.component_of[v]
-                if scc.nontrivial[comp] and any(
-                    self.colors[u] == gamma for u in scc.members[comp]
-                ):
+                if self.scc_at(gamma).closes_walk_at(v, self.colors, gamma):
                     return gamma
             else:
                 budget = SearchBudget(self.budget_limit)
@@ -271,43 +266,6 @@ def get_anchor(
     colors = list(arena.colors if coloring is None else coloring)
     state = _PassState(arena, colors, _as_mode(mode), budget_limit, stats or OracleStats())
     return state.anchor(v)
-
-
-def cycle_pass(
-    arena: Arena,
-    coloring: Sequence[int] | None,
-    mode: OracleMode | str = OracleMode.EXACT,
-    order: Sequence[NodeId] | None = None,
-    budget_limit: int | None = None,
-) -> tuple[Coloring, tuple[Change, ...]]:
-    """One in-place sweep of anchor-based lowering.
-
-    Nodes are processed in ascending color order (ties by node id) unless an
-    explicit ``order`` is given; later nodes see the updated colors of
-    earlier ones.  A node with anchor ``j`` is recolored to ``j + 1``, a
-    node without one drops to its own parity.
-    """
-    colors = list(arena.colors if coloring is None else coloring)
-    state = _PassState(arena, colors, _as_mode(mode), budget_limit, OracleStats())
-    changes = state.run_cycle_pass(order)
-    return tuple(colors), changes
-
-
-def pop_pass(
-    arena: Arena,
-    coloring: Sequence[int] | None,
-    mode: OracleMode | str = OracleMode.EXACT,
-) -> tuple[Coloring, tuple[Change, ...]]:
-    """Lower the maximal color class until some cycle realizes the maximum.
-
-    The check is the polynomial max-color test in both modes, since a cycle
-    whose color equals the global maximum is monochromatic and can always
-    be taken simple.
-    """
-    colors = list(arena.colors if coloring is None else coloring)
-    state = _PassState(arena, colors, _as_mode(mode), None, OracleStats())
-    changes = state.run_pop_pass()
-    return tuple(colors), changes
 
 
 def rabin(
@@ -387,17 +345,14 @@ def static_compress(coloring: Sequence[int]) -> Coloring:
 def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool:
     """Does every cycle have even color?  Holds iff the index can reach 0.
 
-    A cycle of odd color ``d`` exists iff some node colored ``d`` lies in a
-    nontrivial strongly connected component of the color->=d subgraph.
+    A cycle of odd color ``d`` exists iff some node colored ``d`` lies on a
+    closed walk whose minimal color is its own.
     """
-    c = arena.colors if coloring is None else tuple(coloring)
-    for d in sorted({color for color in c if color % 2 == 1}):
-        allowed = [color >= d for color in c]
-        scc = tarjan_scc(arena.successors, allowed)
-        for v, color in enumerate(c):
-            if color == d and scc.nontrivial[scc.component_of[v]]:
-                return False
-    return True
+    c = arena.colors if coloring is None else coloring
+    if not any(color % 2 for color in c):
+        return True
+    marked = closed_walk_minima(arena.successors, c)
+    return not any(on_walk and color % 2 for on_walk, color in zip(marked, c))
 
 
 def rabin_a(arena: Arena, coloring: Sequence[int] | None = None) -> Coloring:
@@ -416,27 +371,35 @@ def rabin_a(arena: Arena, coloring: Sequence[int] | None = None) -> Coloring:
     c = list(arena.colors if coloring is None else coloring)
     n = arena.node_count
     out = list(c)
-    successors = arena.successors
 
-    def reduce_over(allowed: list[bool]) -> int:
-        best = 0
-        for comp in tarjan_scc(successors, allowed).members:
+    # Build the component tree top-down: each component of positive maximal
+    # color pi has the components of itself minus its pi-colored nodes as
+    # children.  Children come after their parent in ``tree``, so a reverse
+    # sweep sees every child's new color before the parent needs it.
+    tree: list[tuple[tuple[NodeId, ...], int, int]] = []  # component, pi, parent
+    pending: list[tuple[list[NodeId], int]] = [(list(range(n)), -1)]
+    while pending:
+        nodes, parent = pending.pop()
+        allowed = [False] * n
+        for u in nodes:
+            allowed[u] = True
+        for comp in tarjan_scc(arena.successors, allowed).members:
             pi = max(c[u] for u in comp)
-            if pi == 0:
-                m = 0
-            else:
-                comp_set = set(comp)
-                sub = [u in comp_set and c[u] != pi for u in range(n)]
-                m = reduce_over(sub)
-                if (pi - m) % 2 == 1:
-                    m += 1
-            for u in comp:
-                if c[u] == pi:
-                    out[u] = m
-            best = max(best, m)
-        return best
+            tree.append((comp, pi, parent))
+            if pi > 0:
+                pending.append(([u for u in comp if c[u] != pi], len(tree) - 1))
 
-    reduce_over([True] * n)
+    best = [0] * len(tree)  # largest new color among each component's children
+    for i in range(len(tree) - 1, -1, -1):
+        comp, pi, parent = tree[i]
+        m = best[i]
+        if (pi - m) % 2 == 1:
+            m += 1
+        for u in comp:
+            if c[u] == pi:
+                out[u] = m
+        if parent >= 0:
+            best[parent] = max(best[parent], m)
     return tuple(out)
 
 

@@ -17,7 +17,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .arena import NodeId, ParityGame, Solution
-from .cycles import tarjan_scc
+from .cycles import closed_walk_minima
+from .cycles import tarjan_scc  # noqa: F401  only perfbench/tracing.py uses it: it rebinds it here
 
 
 @dataclass(frozen=True)
@@ -175,9 +176,9 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
     owner's claimed region and follows real edges; both regions are closed
     (strategy moves stay inside, opponent moves cannot leave); and the
     strategy-restricted subgraph of player s's region has no cycle whose
-    minimal color has the wrong parity.  The parity check runs per color d
-    of parity 1-s: a cycle of color d exists iff some d-colored node lies
-    in a nontrivial strongly connected component of the >= d restriction.
+    minimal color has the wrong parity: no node of parity 1-s lies on a
+    closed walk whose minimal color is its own.  The smallest such color d
+    is reported, with the shortest cycle through a d-colored culprit.
     """
     arena = game.arena
     n = arena.node_count
@@ -227,7 +228,7 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
 
     for s in (0, 1):
         region = [v for v in range(n) if solution.winner[v] == s]
-        if not region:
+        if not any(colors[v] % 2 != s for v in region):
             continue
         restricted: list[tuple[NodeId, ...]] = [()] * n
         for v in region:
@@ -236,35 +237,27 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
             else:
                 restricted[v] = arena.successors[v]
         restricted_succ = tuple(restricted)
-        in_region = [False] * n
-        for v in region:
-            in_region[v] = True
-        bad_colors = sorted({colors[v] for v in region if colors[v] % 2 != s})
-        for d in bad_colors:
-            allowed = [in_region[v] and colors[v] >= d for v in range(n)]
-            decomposition = tarjan_scc(restricted_succ, allowed)
-            for comp, live in zip(decomposition.members, decomposition.nontrivial):
-                if not live:
-                    continue
-                culprit = next((v for v in comp if colors[v] == d), None)
-                if culprit is not None:
-                    cycle = _cycle_through(restricted_succ, set(comp), culprit)
-                    return _failure(
-                        f"player {s} region admits a cycle of color {d}", tuple(cycle)
-                    )
+        marked = closed_walk_minima(restricted_succ, colors)
+        bad = [v for v in region if marked[v] and colors[v] % 2 != s]
+        if bad:
+            culprit = min(bad, key=lambda v: colors[v])
+            d = colors[culprit]
+            above = {v for v in region if colors[v] >= d}
+            cycle = _cycle_through(restricted_succ, above, culprit)
+            return _failure(f"player {s} region admits a cycle of color {d}", tuple(cycle))
     return VerificationResult(ok=True)
 
 
 def _cycle_through(
-    successors: tuple[tuple[NodeId, ...], ...], component: set[NodeId], start: NodeId
+    successors: tuple[tuple[NodeId, ...], ...], nodes: set[NodeId], start: NodeId
 ) -> list[NodeId]:
-    """Shortest cycle through ``start`` inside one strongly connected component."""
+    """Shortest cycle through ``start`` inside ``nodes``, which must hold one."""
     if start in successors[start]:
         return [start]
     parent: dict[NodeId, NodeId | None] = {}
     queue = deque()
     for w in successors[start]:
-        if w in component and w not in parent:
+        if w in nodes and w not in parent:
             parent[w] = None
             queue.append(w)
     while queue:
@@ -272,7 +265,7 @@ def _cycle_through(
         if v == start:
             break
         for w in successors[v]:
-            if w in component and w not in parent:
+            if w in nodes and w not in parent:
                 parent[w] = v
                 queue.append(w)
     hops = []

@@ -7,6 +7,8 @@ import random
 from hypothesis import strategies as st
 
 from rabinindex.arena import Arena, ParityGame
+from rabinindex import cycles
+from rabinindex.cycles import closed_walk_minima
 
 
 def random_arena(
@@ -26,6 +28,40 @@ def random_arena(
         successors.append(tuple(sorted(rng.sample(population, degree))))
     colors = tuple(rng.randint(0, max_color) for _ in range(n))
     return Arena(tuple(successors), colors)
+
+
+def max_color_on_closed_walk(arena: Arena, colors=None) -> bool:
+    """Closed-walk analogue of ``simple_cycle_with_max_color``.
+
+    The two agree on every arena: a closed walk whose minimum equals the
+    global maximum visits max-colored nodes only, and can be shortened to a
+    simple cycle.
+    """
+    c = arena.colors if colors is None else colors
+    top = max(c)
+    marked = closed_walk_minima(arena.successors, c)
+    return any(on_walk and color == top for on_walk, color in zip(marked, c))
+
+
+def nested_path(n: int) -> Arena:
+    """Two-way path colored 0, 2, 4, ...: removing either end leaves one
+    shorter path, so its components nest one level per node."""
+    succ = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
+    return Arena.from_lists(succ, [2 * v for v in range(n)])
+
+
+def count_tarjan_calls(monkeypatch) -> list[int]:
+    """Count the decompositions run through ``cycles.tarjan_scc``: one
+    entry, the node count, per call."""
+    calls: list[int] = []
+    real = cycles.tarjan_scc
+
+    def counting(successors, allowed=None):
+        calls.append(len(successors))
+        return real(successors, allowed)
+
+    monkeypatch.setattr(cycles, "tarjan_scc", counting)
+    return calls
 
 
 def random_game(rng: random.Random, **kwargs) -> ParityGame:

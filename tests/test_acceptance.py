@@ -14,7 +14,6 @@ from statistics import fmean
 from rabinindex.arena import Arena, ParityGame, index
 from rabinindex.cycles import (
     cycle_through_with_color,
-    cycle_with_max_color,
     enumerate_simple_cycles,
     simple_cycle_with_max_color,
 )
@@ -31,7 +30,7 @@ from rabinindex.reduction import OracleMode, rabin, static_compress
 from rabinindex.solver import verify_solution, zielonka_solve
 
 from conftest import FIG1_TEXT
-from helpers import random_arena
+from helpers import max_color_on_closed_walk, random_arena
 
 
 def _report(capsys, tag: str, ok: bool, detail: str) -> None:
@@ -166,7 +165,7 @@ def test_a4_fixpoint_postconditions(capsys):
         if not simple_cycle_with_max_color(arena, exact):
             problems += 1
         for colors in (exact, alpha):
-            if not cycle_with_max_color(arena, colors):
+            if not max_color_on_closed_walk(arena, colors):
                 problems += 1
             for v in range(arena.node_count):
                 if colors[v] > 1 and not cycle_through_with_color(
@@ -307,7 +306,7 @@ def test_a10_max_color_checks_agree(capsys):
     disagreements = 0
     for _ in range(500):
         arena = random_arena(rng, max_nodes=40, max_color=8, max_degree=4)
-        if simple_cycle_with_max_color(arena) != cycle_with_max_color(arena):
+        if simple_cycle_with_max_color(arena) != max_color_on_closed_walk(arena):
             disagreements += 1
     _report(
         capsys,

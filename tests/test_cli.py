@@ -183,6 +183,17 @@ def test_parse_failures(tmp_path, capsys):
     assert "error: parse:" in capsys.readouterr().err
 
 
+def test_non_utf8_input_is_a_parse_error(fig1_path, tmp_path, capsys):
+    garbage = tmp_path / "garbage"
+    garbage.write_bytes(b"\xff\xfe0 1 0 1;\n")
+    assert main(["index", str(garbage)]) == 3
+    assert "error: parse:" in capsys.readouterr().err
+    assert main(["verify", str(fig1_path), str(garbage)]) == 3
+    assert "error: parse:" in capsys.readouterr().err
+    assert main(["bench", "--spec", str(garbage)]) == 3
+    assert "error: parse:" in capsys.readouterr().err
+
+
 def test_usage_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["index"])

@@ -2,16 +2,24 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rabinindex
 
 from rabinindex.arena import Arena, cycle_color
 from rabinindex.cycles import (
     CycleAnswer,
     NodeCapExceeded,
     SearchBudget,
+    closed_walk_minima,
     cycle_through_with_color,
-    cycle_with_max_color,
     enumerate_simple_cycles,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
@@ -19,7 +27,7 @@ from rabinindex.cycles import (
     tarjan_scc,
 )
 
-from helpers import arenas
+from helpers import arenas, max_color_on_closed_walk
 
 
 def test_cycle_answer_is_not_a_bool():
@@ -85,11 +93,11 @@ def test_query_validation(fig1_arena):
 
 def test_max_color_checks(fig1_arena):
     assert simple_cycle_with_max_color(fig1_arena)  # v0 v1, both color 3
-    assert cycle_with_max_color(fig1_arena)
+    assert max_color_on_closed_walk(fig1_arena)
     # On a 2-cycle colored (2, 1) the maximum 2 is on no cycle of color 2.
     lopsided = Arena(((1,), (0,)), (2, 1))
     assert not simple_cycle_with_max_color(lopsided)
-    assert not cycle_with_max_color(lopsided)
+    assert not max_color_on_closed_walk(lopsided)
 
 
 def test_cycle_through_with_color_closed_walks(aidiff_arena):
@@ -150,7 +158,36 @@ def test_simple_cycle_sets_are_strongly_connected_subsets(arena):
 @given(arenas(max_nodes=7, max_color=6, allow_self_loops=True))
 @settings(max_examples=80)
 def test_max_color_check_agreement(arena):
-    assert simple_cycle_with_max_color(arena) == cycle_with_max_color(arena)
+    assert simple_cycle_with_max_color(arena) == max_color_on_closed_walk(arena)
+
+
+@given(arenas(max_nodes=7, allow_self_loops=True), st.data())
+@settings(max_examples=100)
+def test_closed_walk_minima_matches_brute_force(arena, data):
+    n = arena.node_count
+    allowed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    c = arena.colors
+    expected = set()
+    for subset in strongly_connected_subsets(arena):
+        if all(allowed[u] for u in subset):
+            low = min(c[u] for u in subset)
+            expected |= {u for u in subset if c[u] == low}
+    induced = [
+        [w for w in succ if allowed[v] and allowed[w]] for v, succ in enumerate(arena.successors)
+    ]
+    marked = closed_walk_minima(induced, c)
+    assert {u for u in range(n) if marked[u]} == expected
+
+
+def test_import_leaves_networkx_unloaded():
+    src = str(Path(rabinindex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, rabinindex; print('networkx' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 @given(arenas(max_nodes=6, max_color=4))

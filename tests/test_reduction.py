@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -28,7 +30,7 @@ from rabinindex.cycles import enumerate_simple_cycles
 EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
-from helpers import arenas
+from helpers import arenas, count_tarjan_calls, nested_path
 
 
 # Node orders that process the running example the way a (color, node)
@@ -224,6 +226,24 @@ def test_rabin_a_properties(arena):
         before = max(arena.colors[v] for v in cycle)
         after = max(relabeled[v] for v in cycle)
         assert before % 2 == after % 2
+
+
+def test_rabin_a_deep_nesting_does_not_recurse():
+    n = 1100
+    arena = nested_path(n)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert rabin_a(arena) == (0,) * n
+    finally:
+        sys.setrecursionlimit(old_limit)
+
+
+def test_all_cycles_even_skips_the_walk_without_odd_colors(monkeypatch):
+    arena = nested_path(1100)
+    calls = count_tarjan_calls(monkeypatch)
+    assert all_cycles_even(arena)
+    assert calls == []
 
 
 def test_abstract_membership_fig1(fig1_game):

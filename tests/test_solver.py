@@ -3,15 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 
-from rabinindex.arena import Arena, ParityGame, Solution
+from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
 from rabinindex.solver import attract, verify_solution, zielonka_solve
 
-from helpers import games, random_game
+from helpers import count_tarjan_calls, games, nested_path, random_game
 
 
 def test_attract_whole_arena(fig1_game):
@@ -182,3 +183,32 @@ def test_verify_rejects_wrong_parity_claim():
     result = verify_solution(game, bogus)
     assert "cycle of color 1" in result.reason
     assert result.witness == (0,)
+
+
+@given(games(max_nodes=7, max_color=6))
+@settings(max_examples=80, deadline=None)
+def test_verify_rejects_solution_of_parity_flipped_game(game):
+    # Shifting every color by one flips the parity of every cycle, so each
+    # claimed region of the flipped game's solution holds only cycles of
+    # the wrong parity for the original game.
+    flipped = game.with_colors([c + 1 for c in game.arena.colors])
+    solution = zielonka_solve(flipped)
+    assert verify_solution(flipped, solution)
+    result = verify_solution(game, solution)
+    match = re.fullmatch(r"player (\d) region admits a cycle of color (\d+)", result.reason)
+    assert not result and match, result.reason
+    s, d = int(match[1]), int(match[2])
+    assert cycle_color(game.arena, result.witness) == d
+    assert d % 2 != s
+    assert all(solution.winner[v] == s for v in result.witness)
+
+
+def test_verify_skips_the_walk_without_wrong_parity_colors(monkeypatch):
+    # Player 1 owns every node of an all-even nested path, so player 0
+    # wins everywhere without a strategy entry; no region holds a color of
+    # the wrong parity, so no closed-walk level is computed.
+    arena = nested_path(1100)
+    game = ParityGame(arena=arena, owners=(1,) * arena.node_count)
+    calls = count_tarjan_calls(monkeypatch)
+    assert verify_solution(game, Solution((0,) * arena.node_count))
+    assert calls == []
