@@ -5,9 +5,10 @@ solving (``solve``), solution checking (``verify``), brute-force oracles
 for small games (``equiv``, ``oracle``), the polynomial membership test
 (``member``), and the CSV benchmark harness (``bench``).
 
-Exit codes: 0 success; 2 usage error; 3 unreadable or malformed input;
-4 search budget exhausted; 5 node cap exceeded; 6 a requested check did
-not hold (verification, equivalence, membership).  Failures print one
+Exit codes: 0 success; 2 usage error, including an output path that
+cannot be written; 3 unreadable or malformed input; 4 search budget
+exhausted; 5 node cap exceeded; 6 a requested check did not hold
+(verification, equivalence, membership).  Failures print one
 ``error: <category>: <message>`` line on stderr.
 """
 
@@ -58,6 +59,13 @@ def _read_text(path: str) -> str:
         raise _fail("parse", f"cannot read {path}: {exc}", EXIT_PARSE) from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _fail("usage", f"cannot write {path}: {exc}", EXIT_USAGE) from exc
+
+
 def _load_game(path: str) -> ParityGame:
     text = _read_text(path)
     try:
@@ -72,7 +80,7 @@ def _emit(text: str, out: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(out).write_text(text)
+        _write_text(out, text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -117,7 +125,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         out_game = ParityGame(
             arena=arena.with_colors(reduced), owners=game.owners, names=game.names
         )
-        Path(args.output).write_text(write_pgsolver(out_game))
+        _write_text(args.output, write_pgsolver(out_game))
     return EXIT_OK
 
 

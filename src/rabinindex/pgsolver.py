@@ -83,9 +83,12 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
         match = _RECORD_RE.match(line[:-1].strip())
         if match is None:
             raise PGSolverError(f"malformed record: {line!r}", lineno)
-        node = int(match["id"])
-        priority = int(match["priority"])
-        owner = int(match["owner"])
+        try:
+            node = int(match["id"])
+            priority = int(match["priority"])
+            owner = int(match["owner"])
+        except ValueError:  # more digits than int() accepts
+            raise PGSolverError("integer too long", lineno) from None
         if priority < 0:
             raise PGSolverError(f"negative priority {priority}", lineno)
         if priority >= _MAX_PRIORITY:
@@ -97,7 +100,10 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
         succs: list[int] = []
         seen: set[int] = set()
         for part in match["succs"].split(","):
-            w = int(part)
+            try:
+                w = int(part)
+            except ValueError:
+                raise PGSolverError("integer too long", lineno) from None
             if w < 0:
                 raise PGSolverError(f"negative successor id {w}", lineno)
             if w in seen:

@@ -68,6 +68,8 @@ class OracleStats:
     abstract_queries: int = 0
     max_color_checks: int = 0
     nodes_expanded: int = 0
+    reach_steps: int = 0  # nodes expanded by the anchor reaches
+    scc_builds: int = 0  # threshold decompositions built for anchors
 
 
 @dataclass
@@ -148,12 +150,101 @@ class ReductionAborted(BudgetExhausted):
         self.report = report
 
 
-class _PassState:
-    """Shared bookkeeping for one reduction run.
+class _Reach:
+    """Forward and backward reach from one node under a falling color threshold.
 
-    Caches SCC decompositions of color-threshold subgraphs keyed by the
-    threshold; any color change invalidates the cache.  Tracks how many
-    nodes carry each color so queries for absent target colors are free.
+    Both sets start at the node and only grow: a neighbor colored below the
+    threshold waits in a per-color bucket until the threshold drops to its
+    color, so one node's reach over all thresholds costs at most one pass
+    over the arena.  ``steps`` counts the nodes expanded so far.
+    """
+
+    def __init__(
+        self,
+        arena: Arena,
+        colors: list[int],
+        v: NodeId,
+        marks: tuple[list[int], list[int]],
+        stamp: int,
+    ):
+        # marks[side][u] == stamp: u is in this reach's forward (0) or
+        # backward (1) set; a fresh stamp empties both without clearing.
+        self.colors = colors
+        self.stamp = stamp
+        self.sides = (
+            (arena.successors, marks[0], [v], {}),
+            (arena.predecessors, marks[1], [v], {}),
+        )
+        marks[0][v] = marks[1][v] = stamp
+        self.steps = 0
+
+    def meets_at(self, gamma: int) -> bool:
+        """Lower the threshold to ``gamma``, below that of any earlier call,
+        and grow both sets, taking turns, until a ``gamma``-colored node
+        lies in both (True) or cannot.
+
+        A node is always expanded in full, so the sets stay correct for
+        the lower thresholds that exact mode may ask about next.
+        """
+        colors, stamp, sides = self.colors, self.stamp, self.sides
+        met = False
+        found = [False, False]  # the side holds a gamma-colored node
+        for side, (_, mine, stack, waiting) in enumerate(sides):
+            other = sides[1 - side][1]
+            for color in [c for c in waiting if c >= gamma]:
+                for w in waiting.pop(color):
+                    if mine[w] != stamp:
+                        mine[w] = stamp
+                        stack.append(w)
+                        if color == gamma:
+                            found[side] = True
+                            met = met or other[w] == stamp
+        if met:
+            return True
+        while True:
+            moved = False
+            for side, (links, mine, stack, waiting) in enumerate(sides):
+                if not stack:
+                    if not found[side]:
+                        return False  # closed, and holds no gamma-colored node
+                    continue
+                moved = True
+                self.steps += 1
+                other = sides[1 - side][1]
+                for w in links[stack.pop()]:
+                    if mine[w] == stamp:
+                        continue
+                    color = colors[w]
+                    if color < gamma:
+                        waiting.setdefault(color, []).append(w)
+                        continue
+                    mine[w] = stamp
+                    stack.append(w)
+                    if color == gamma:
+                        found[side] = True
+                        met = met or other[w] == stamp
+                if met:
+                    return True
+            if not moved:
+                return False
+
+
+class _PassState:
+    """Shared bookkeeping for one reduction run, and its anchor oracle.
+
+    ``v`` lies on a closed walk of minimal color gamma iff some
+    gamma-colored node is both reachable from ``v`` and reaches ``v``
+    within the color->=gamma subgraph.  :meth:`anchor` answers this for
+    descending gamma with a :class:`_Reach` from ``v`` that stops at the
+    first witness.  Where every such walk is long, reaches keep crossing
+    the same subgraph, so each threshold is charged the reach work done at
+    it; once that exceeds n + m the threshold's SCC decomposition is built
+    and cached, and answers the threshold's later queries.  Lowering a
+    color from old to new changes only the subgraphs of thresholds in
+    ``(new, old]``, so only those lose their decomposition and charge.
+    Exact mode searches for a simple cycle only where a closed walk exists.
+    Tracks how many nodes carry each color so absent target colors are
+    skipped.
     """
 
     def __init__(
@@ -170,7 +261,12 @@ class _PassState:
         self.budget_limit = budget_limit
         self.stats = stats
         self.color_count: Counter[int] = Counter(colors)
+        n = arena.node_count
+        self._size = n + sum(len(succ) for succ in arena.successors)
         self._scc_cache: dict[int, SccDecomposition] = {}
+        self._charged: Counter[int] = Counter()  # reach steps per threshold
+        self._marks = ([0] * n, [0] * n)
+        self._stamp = 0
 
     def set_color(self, v: NodeId, new: int) -> None:
         old = self.colors[v]
@@ -179,48 +275,49 @@ class _PassState:
         self.color_count[old] -= 1
         self.color_count[new] += 1
         self.colors[v] = new
-        self._scc_cache.clear()
+        low, high = min(old, new), max(old, new)
+        for cache in (self._scc_cache, self._charged):
+            for gamma in [g for g in cache if low < g <= high]:
+                del cache[gamma]
 
-    def scc_at(self, gamma: int) -> SccDecomposition:
+    def _closes_walk(self, v: NodeId, gamma: int, reach: _Reach) -> bool:
+        self.stats.abstract_queries += 1
         scc = self._scc_cache.get(gamma)
-        if scc is None:
+        if scc is None and self._charged[gamma] > self._size:
             allowed = [c >= gamma for c in self.colors]
-            scc = tarjan_scc(self.arena.successors, allowed)
-            self._scc_cache[gamma] = scc
-        return scc
+            scc = self._scc_cache[gamma] = tarjan_scc(self.arena.successors, allowed)
+            self.stats.scc_builds += 1
+        if scc is not None:
+            return scc.closes_walk_at(v, self.colors, gamma)
+        before = reach.steps
+        meets = reach.meets_at(gamma)
+        self._charged[gamma] += reach.steps - before
+        self.stats.reach_steps += reach.steps - before
+        return meets
+
+    def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
+        budget = SearchBudget(self.budget_limit)
+        answer = simple_cycle_through_with_color(self.arena, self.colors, v, gamma, budget)
+        self.stats.exact_queries += 1
+        self.stats.nodes_expanded += budget.spent
+        if answer is CycleAnswer.EXHAUSTED:
+            raise BudgetExhausted(v, gamma)
+        return answer is CycleAnswer.YES
 
     def anchor(self, v: NodeId) -> int:
         """Largest color gamma of opposite parity below c(v) such that some
         (simple, in exact mode) cycle through v has color exactly gamma; -1
         if there is none."""
         c_v = self.colors[v]
-        if c_v == 0:
-            return -1
-        gamma_min = (c_v - 1) % 2
-        # If v lies on no cycle of the >=gamma_min subgraph it lies on no
-        # cycle relevant to any probed gamma, simple or otherwise.
-        scc = self.scc_at(gamma_min)
-        self.stats.abstract_queries += 1
-        if not scc.nontrivial[scc.component_of[v]]:
-            return -1
-        for gamma in range(c_v - 1, gamma_min - 1, -2):
+        self._stamp += 1
+        reach = _Reach(self.arena, self.colors, v, self._marks, self._stamp)
+        for gamma in range(c_v - 1, -1, -2):
             if self.color_count[gamma] == 0:
                 continue
-            if self.mode is OracleMode.ABSTRACT:
-                self.stats.abstract_queries += 1
-                if self.scc_at(gamma).closes_walk_at(v, self.colors, gamma):
-                    return gamma
-            else:
-                budget = SearchBudget(self.budget_limit)
-                answer = simple_cycle_through_with_color(
-                    self.arena, self.colors, v, gamma, budget
-                )
-                self.stats.exact_queries += 1
-                self.stats.nodes_expanded += budget.spent
-                if answer is CycleAnswer.EXHAUSTED:
-                    raise BudgetExhausted(v, gamma)
-                if answer is CycleAnswer.YES:
-                    return gamma
+            if self._closes_walk(v, gamma, reach) and (
+                self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma)
+            ):
+                return gamma
         return -1
 
     def run_cycle_pass(self, order: Sequence[NodeId] | None) -> tuple[Change, ...]:

@@ -194,6 +194,26 @@ def test_non_utf8_input_is_a_parse_error(fig1_path, tmp_path, capsys):
     assert "error: parse:" in capsys.readouterr().err
 
 
+def test_oversized_integer_is_a_parse_error(tmp_path, capsys):
+    big = tmp_path / "big.gm"
+    big.write_text("0 1 0 " + "9" * 5000 + ";\n")
+    assert main(["index", str(big)]) == 3
+    assert "error: parse:" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_usage_error(fig1_path, tmp_path, capsys):
+    target = str(tmp_path / "missing" / "out.txt")
+    spec = tmp_path / "bench.txt"
+    spec.write_text("ladder 2\n")
+    for argv in (
+        ["gen", "clique", "3", "-o", target],
+        ["index", str(fig1_path), "--mode", "alpha", "-o", target],
+        ["bench", "--spec", str(spec), "--out", target],
+    ):
+        assert main(argv) == 2
+        assert f"error: usage: cannot write {target}: " in capsys.readouterr().err
+
+
 def test_usage_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["index"])

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from rabinindex.pgsolver import (
     DuplicateEdgeWarning,
@@ -16,6 +18,35 @@ from rabinindex.pgsolver import (
 from rabinindex.arena import Solution
 
 from helpers import games
+from conftest import FIG1_TEXT
+
+FIG1_GAME = parse_pgsolver(FIG1_TEXT)
+FIG1_SOLUTION = "paritysol 4;\n0 1 4;\n1 0 2;\n2 0;\n3 1 4;\n4 1;\n"
+TOO_LONG = "9" * 5000  # beyond the digits int() accepts
+
+_FRAGMENTS = st.sampled_from(
+    [";", ",", " ", "\n", "-", '"', "--", "parity 3;", "paritysol 4;", "0", "-1", TOO_LONG]
+) | st.text(max_size=6)
+
+
+@st.composite
+def mutated(draw: st.DrawFn, text: str) -> str:
+    """``text`` with a few short slices replaced by format fragments."""
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 8)))
+        text = text[:start] + draw(_FRAGMENTS) + text[stop:]
+    return text
+
+
+def _parse_or_reject(parse, data) -> None:
+    """Parsing returns a result or raises PGSolverError, nothing else."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DuplicateEdgeWarning)
+        try:
+            parse(data)
+        except PGSolverError:
+            pass
 
 
 def test_parse_fig1(fig1_text):
@@ -126,3 +157,28 @@ def test_solution_rejects_out_of_range_strategy(fig1_game):
     text = "paritysol 4;\n0 1 9;\n1 0;\n2 0;\n3 1;\n4 1;\n"
     with pytest.raises(PGSolverError, match="out of range"):
         parse_solution(text, fig1_game)
+
+
+def test_oversized_integers_are_parse_errors():
+    for text in (f"0 1 0 {TOO_LONG};", f"{TOO_LONG} 1 0 0;", f"0 {TOO_LONG} 0 0;"):
+        with pytest.raises(PGSolverError, match="line 1: integer too long"):
+            parse_pgsolver(text)
+    with pytest.raises(PGSolverError, match="malformed solution record"):
+        parse_solution(f"0 1 {TOO_LONG};", FIG1_GAME)
+
+
+@given(st.binary(max_size=300) | st.text(max_size=300))
+def test_arbitrary_input_parses_or_is_rejected(data):
+    _parse_or_reject(parse_pgsolver, data)
+    _parse_or_reject(lambda d: parse_solution(d, FIG1_GAME), data)
+
+
+@given(mutated(FIG1_TEXT))
+def test_mutated_game_parses_or_is_rejected(text):
+    _parse_or_reject(parse_pgsolver, text)
+    _parse_or_reject(parse_pgsolver, text.encode("utf-8"))
+
+
+@given(mutated(FIG1_SOLUTION))
+def test_mutated_solution_parses_or_is_rejected(text):
+    _parse_or_reject(lambda d: parse_solution(d, FIG1_GAME), text)

@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings
 
 from rabinindex.arena import Arena, cycle_color, index
-from rabinindex.cycles import NodeCapExceeded
+from rabinindex.cycles import (
+    CycleAnswer,
+    NodeCapExceeded,
+    SearchBudget,
+    cycle_through_with_color,
+    simple_cycle_through_with_color,
+    tarjan_scc,
+)
+from rabinindex.generators import gen_family
 from rabinindex.oracles import (
     brute_force_rabin_index,
     colorings_equivalent,
@@ -17,7 +26,9 @@ from rabinindex.oracles import (
 from rabinindex.reduction import (
     BudgetExhausted,
     OracleMode,
+    OracleStats,
     ReductionAborted,
+    _PassState,
     abstract_membership,
     all_cycles_even,
     get_anchor,
@@ -30,7 +41,7 @@ from rabinindex.cycles import enumerate_simple_cycles
 EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
-from helpers import arenas, count_tarjan_calls, nested_path
+from helpers import arenas, count_tarjan_calls, nested_path, random_arena
 
 
 # Node orders that process the running example the way a (color, node)
@@ -120,6 +131,86 @@ def test_get_anchor_fig1(fig1_arena):
     assert get_anchor(fig1_arena, colors, 1, mode=EXACT) == 2
     # Closed walks find a covering walk of minimum 2 through v0.
     assert get_anchor(fig1_arena, colors, 0, mode=ABSTRACT) == 2
+
+
+def test_exact_anchor_below_a_walk_that_is_no_simple_cycle():
+    # At color 3, node 4 lies on the closed walk 4 3 2 1 3 but on no simple
+    # cycle; its exact anchor is the cycle 4 3 2 5 0 of color 1, which the
+    # reach must still find after stopping at the walk.
+    arena = Arena(((2, 4), (2, 3), (1, 5), (2, 4), (3,), (0, 3)), (2, 3, 4, 5, 4, 1))
+    assert get_anchor(arena, None, 4, mode=ABSTRACT) == 3
+    assert get_anchor(arena, None, 4, mode=EXACT) == 1
+
+
+def _reference_anchor(arena, colors, v, mode):
+    """Anchor by a plain descending scan, one independent query per gamma."""
+    for gamma in range(colors[v] - 1, -1, -2):
+        if mode is ABSTRACT:
+            hit = cycle_through_with_color(arena, colors, v, gamma)
+        else:
+            budget = SearchBudget(None)
+            hit = simple_cycle_through_with_color(arena, colors, v, gamma, budget)
+            hit = hit is CycleAnswer.YES
+        if hit:
+            return gamma
+    return -1
+
+
+@pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
+def test_pass_state_anchors_survive_recoloring(mode):
+    # One state answers every anchor between random same-parity color
+    # decreases, so later answers come from reaches, from decompositions
+    # cached before a recoloring, and from ones rebuilt after it.
+    rng = random.Random(2024)
+    builds = kept = 0
+    for _ in range(60):
+        arena = random_arena(rng, max_nodes=8, max_color=9, max_degree=3)
+        colors = list(arena.colors)
+        state = _PassState(arena, colors, mode, None, OracleStats())
+        for _ in range(12):
+            for v in rng.sample(range(arena.node_count), arena.node_count):
+                assert state.anchor(v) == _reference_anchor(arena, colors, v, mode)
+            v = rng.randrange(arena.node_count)
+            if colors[v] >= 2:
+                cached = set(state._scc_cache)
+                state.set_color(v, colors[v] - 2 * rng.randint(1, colors[v] // 2))
+                kept += len(cached & set(state._scc_cache))
+            for gamma, scc in state._scc_cache.items():
+                fresh = tarjan_scc(arena.successors, [c >= gamma for c in colors])
+                assert scc == fresh, f"stale decomposition at threshold {gamma}"
+        builds += state.stats.scc_builds
+    assert builds > 0 and kept > 0
+
+
+@pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
+def test_rabin_matches_reference_anchor(mode, monkeypatch):
+    rng = random.Random(99)
+    cases = [random_arena(rng, max_nodes=9, max_color=9) for _ in range(300)]
+    results = [rabin(arena, mode=mode) for arena in cases]
+    monkeypatch.setattr(
+        _PassState,
+        "anchor",
+        lambda self, v: _reference_anchor(self.arena, self.colors, v, self.mode),
+    )
+    for arena, (colors, report) in zip(cases, results):
+        expected_colors, expected = rabin(arena, mode=mode)
+        assert colors == expected_colors
+        assert report.rank_trace == expected.rank_trace
+        assert report.iterations == expected.iterations
+
+
+def _alpha_anchor_work(layers: int) -> int:
+    arena = gen_family("ladder", (layers,)).arena
+    _, report = rabin(arena, mode=ABSTRACT)
+    size = arena.node_count + sum(len(succ) for succ in arena.successors)
+    return report.stats.reach_steps + report.stats.scc_builds * size
+
+
+def test_alpha_anchor_work_is_linear_on_ladders():
+    # Every closed walk of a ladder wraps the whole ring, so reaches alone
+    # would cost n steps per node; the decomposition they pay for keeps the
+    # anchor work linear.
+    assert _alpha_anchor_work(1000) <= 2.5 * _alpha_anchor_work(500)
 
 
 def test_report_rendering(fig1_arena):
