@@ -48,22 +48,18 @@ class CliError(Exception):
         self.code = code
 
 
-def _fail(category: str, message: str, code: int) -> "CliError":
-    return CliError(category, message, code)
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise _fail("parse", f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+        raise CliError("parse", f"cannot read {path}: {exc}", EXIT_PARSE) from exc
 
 
 def _write_text(path: str, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _fail("usage", f"cannot write {path}: {exc}", EXIT_USAGE) from exc
+        raise CliError("usage", f"cannot write {path}: {exc}", EXIT_USAGE) from exc
 
 
 def _load_game(path: str) -> ParityGame:
@@ -71,7 +67,7 @@ def _load_game(path: str) -> ParityGame:
     try:
         return parse_pgsolver(text)
     except PGSolverError as exc:
-        raise _fail("parse", f"{path}: {exc}", EXIT_PARSE) from exc
+        raise CliError("parse", f"{path}: {exc}", EXIT_PARSE) from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -86,18 +82,18 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.kind == "random":
         if len(args.params) != 1:
-            raise _fail("usage", "random takes one xx/yy/zz/cc argument", EXIT_USAGE)
+            raise CliError("usage", "random takes one xx/yy/zz/cc argument", EXIT_USAGE)
         try:
             config = RandomConfig.parse(args.params[0], seed=args.seed)
         except ValueError as exc:
-            raise _fail("usage", str(exc), EXIT_USAGE) from exc
+            raise CliError("usage", str(exc), EXIT_USAGE) from exc
         game = gen_random(config)
     else:
         try:
             params = tuple(int(p) for p in args.params)
             game = gen_family(args.kind, params)
         except ValueError as exc:
-            raise _fail("usage", str(exc), EXIT_USAGE) from exc
+            raise CliError("usage", str(exc), EXIT_USAGE) from exc
     _emit(write_pgsolver(game), args.output)
     return EXIT_OK
 
@@ -114,12 +110,11 @@ def _cmd_index(args: argparse.Namespace) -> int:
         budget = args.budget if mode is OracleMode.EXACT else None
         try:
             reduced, report = rabin(arena, mode=mode, budget_limit=budget)
-        except BudgetExhausted as exc:
-            if args.fallback == "alpha":
-                print("warning: budget exhausted, falling back to alpha", file=sys.stderr)
-                reduced, report = rabin(arena, mode=OracleMode.ABSTRACT)
-            else:
-                raise _fail("budget", str(exc), EXIT_BUDGET) from exc
+        except BudgetExhausted:
+            if args.fallback != "alpha":
+                raise
+            print("warning: budget exhausted, falling back to alpha", file=sys.stderr)
+            reduced, report = rabin(arena, mode=OracleMode.ABSTRACT)
         print(f"index: {before} -> {index(reduced)}, iterations: {report.iteration_count}")
     if args.output is not None:
         out_game = ParityGame(
@@ -150,29 +145,26 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         solution = parse_solution(text, game)
     except PGSolverError as exc:
-        raise _fail("parse", f"{args.solution}: {exc}", EXIT_PARSE) from exc
+        raise CliError("parse", f"{args.solution}: {exc}", EXIT_PARSE) from exc
     result = verify_solution(game, solution)
     if result:
         print("ok")
         return EXIT_OK
-    raise _fail("verify", result.reason, EXIT_CHECK)
+    raise CliError("verify", result.reason, EXIT_CHECK)
 
 
 def _cmd_equiv(args: argparse.Namespace) -> int:
     first = _load_game(args.first)
     second = _load_game(args.second)
     if first.arena.successors != second.arena.successors:
-        raise _fail("parse", "games have different edge structure", EXIT_PARSE)
-    try:
-        witness = equivalence_witness(
-            first.arena,
-            first.arena.colors,
-            second.arena.colors,
-            relation=args.relation,
-            node_cap=args.cap,
-        )
-    except NodeCapExceeded as exc:
-        raise _fail("cap", str(exc), EXIT_CAP) from exc
+        raise CliError("parse", "games have different edge structure", EXIT_PARSE)
+    witness = equivalence_witness(
+        first.arena,
+        first.arena.colors,
+        second.arena.colors,
+        relation=args.relation,
+        node_cap=args.cap,
+    )
     if witness is None:
         print("equivalent")
         return EXIT_OK
@@ -184,7 +176,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     game = _load_game(args.file)
     if game.arena.node_count > args.cap:
-        raise _fail(
+        raise CliError(
             "cap",
             f"game has {game.arena.node_count} nodes, oracle capped at {args.cap}",
             EXIT_CAP,
@@ -208,7 +200,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         rows = bench_run(text, default_runs=args.runs)
     except ValueError as exc:
-        raise _fail("parse", str(exc), EXIT_PARSE) from exc
+        raise CliError("parse", str(exc), EXIT_PARSE) from exc
     _emit(rows_to_csv(rows), args.out)
     return EXIT_OK
 

@@ -29,15 +29,6 @@ from dataclasses import dataclass
 
 from .arena import Arena, NodeId, ParityGame
 
-FAMILY_NAMES = (
-    "clique",
-    "ladder",
-    "jurdzinski",
-    "recursive_ladder",
-    "model_checker_ladder",
-    "tower_of_hanoi",
-)
-
 _CONFIG_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*$")
 
 
@@ -287,36 +278,29 @@ def gen_tower_of_hanoi(n: int) -> ParityGame:
     return ParityGame(arena=arena, owners=owners, names=names)
 
 
-_FAMILY_ARITY = {
-    "clique": 1,
-    "ladder": 1,
-    "jurdzinski": 2,
-    "recursive_ladder": 1,
-    "model_checker_ladder": 1,
-    "tower_of_hanoi": 1,
+_FAMILIES = {  # name: (builder, number of integer parameters)
+    "clique": (gen_clique, 1),
+    "ladder": (gen_ladder, 1),
+    "jurdzinski": (gen_jurdzinski, 2),
+    "recursive_ladder": (gen_recursive_ladder, 1),
+    "model_checker_ladder": (gen_model_checker_ladder, 1),
+    "tower_of_hanoi": (gen_tower_of_hanoi, 1),
 }
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def gen_family(name: str, params: tuple[int, ...]) -> ParityGame:
     """Dispatch to a named family; ``params`` are its integer parameters."""
-    if name not in _FAMILY_ARITY:
+    if name not in _FAMILIES:
         raise ValueError(
             f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}"
         )
+    builder, arity = _FAMILIES[name]
     params = tuple(params)
-    if len(params) != _FAMILY_ARITY[name]:
+    if len(params) != arity:
         raise ValueError(
-            f"family {name!r} takes {_FAMILY_ARITY[name]} parameter(s), "
-            f"got {len(params)}"
+            f"family {name!r} takes {arity} parameter(s), got {len(params)}"
         )
-    builder = {
-        "clique": gen_clique,
-        "ladder": gen_ladder,
-        "jurdzinski": gen_jurdzinski,
-        "recursive_ladder": gen_recursive_ladder,
-        "model_checker_ladder": gen_model_checker_ladder,
-        "tower_of_hanoi": gen_tower_of_hanoi,
-    }[name]
     return builder(*params)
 
 

@@ -18,6 +18,7 @@ arenas it serves as an index baseline, see :func:`rabin_a`).
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -243,8 +244,8 @@ class _PassState:
     color from old to new changes only the subgraphs of thresholds in
     ``(new, old]``, so only those lose their decomposition and charge.
     Exact mode searches for a simple cycle only where a closed walk exists.
-    Tracks how many nodes carry each color so absent target colors are
-    skipped.
+    Tracks how many nodes carry each color, and the sorted list of colors
+    in use, so an anchor scans only the colors present.
     """
 
     def __init__(
@@ -261,6 +262,7 @@ class _PassState:
         self.budget_limit = budget_limit
         self.stats = stats
         self.color_count: Counter[int] = Counter(colors)
+        self._present = sorted(self.color_count)
         n = arena.node_count
         self._size = n + sum(len(succ) for succ in arena.successors)
         self._scc_cache: dict[int, SccDecomposition] = {}
@@ -273,6 +275,10 @@ class _PassState:
         if new == old:
             return
         self.color_count[old] -= 1
+        if not self.color_count[old]:
+            self._present.pop(bisect_left(self._present, old))
+        if not self.color_count[new]:
+            insort(self._present, new)
         self.color_count[new] += 1
         self.colors[v] = new
         low, high = min(old, new), max(old, new)
@@ -311,8 +317,10 @@ class _PassState:
         c_v = self.colors[v]
         self._stamp += 1
         reach = _Reach(self.arena, self.colors, v, self._marks, self._stamp)
-        for gamma in range(c_v - 1, -1, -2):
-            if self.color_count[gamma] == 0:
+        present = self._present
+        for i in range(bisect_left(present, c_v) - 1, -1, -1):
+            gamma = present[i]
+            if (c_v - gamma) % 2 == 0:
                 continue
             if self._closes_walk(v, gamma, reach) and (
                 self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma)

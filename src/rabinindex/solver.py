@@ -1,10 +1,11 @@
-"""Recursive parity game solver and solution verification.
+"""Parity game solver and solution verification.
 
 The solver is Zielonka's classic recursion [Zie98] adapted to the
 min-parity winning condition used throughout this package: player 0 wins a
 play iff the minimal color occurring infinitely often is even.  The
 recursion therefore peels off the *minimal* color class instead of the
-maximal one.
+maximal one, and runs as a loop over an explicit stack of subgames, so
+its depth is not bounded by Python's recursion limit.
 
 W. Zielonka, "Infinite games on finitely coloured graphs with applications
 to automata on infinite trees", TCS 200(1-2), 1998.
@@ -12,7 +13,6 @@ to automata on infinite trees", TCS 200(1-2), 1998.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -87,13 +87,17 @@ def attract(game: ParityGame, player: int, target: set[NodeId]) -> Attractor:
 def zielonka_solve(game: ParityGame) -> Solution:
     """Solve the game: winner label per node plus positional strategies.
 
-    Recursion on the minimal color class: with p the least color in the
+    Zielonka's recursion on the minimal color class, run as one loop over
+    an explicit stack of paused subgames.  With p the least color of the
     current subgame and s = p mod 2, player s attracts to the p-colored
-    nodes and wins everything unless the opponent wins part of the
-    remainder, in which case the opponent's region is grown by attraction
-    and the rest re-solved.  Strategies are assembled from subgame
-    strategies, attractor witnesses, and (for the color-class nodes
-    themselves) the first still-active successor.
+    nodes (the head) and the rest is solved first.  If the opponent wins
+    none of it, s wins the whole subgame; otherwise the opponent's region
+    is grown by attraction into a trap, and the subgame shrinks to the
+    nodes outside it and starts over.  Every move goes into one table as
+    its region is settled: attractor witnesses, and the first in-subgame
+    successor of s's p-colored nodes.  A later write to a node comes from
+    a subgame that re-solves it, so the table ends up holding each
+    winner-owned node's move.
     """
     arena = game.arena
     n = arena.node_count
@@ -102,54 +106,46 @@ def zielonka_solve(game: ParityGame) -> Solution:
     owners = game.owners
     colors = arena.colors
 
-    limit = 3 * n + 1000
-    if sys.getrecursionlimit() < limit:
-        sys.setrecursionlimit(limit)
-
-    def solve(
-        active: frozenset[NodeId],
-    ) -> tuple[tuple[set[NodeId], set[NodeId]], tuple[dict, dict]]:
-        if not active:
-            return (set(), set()), ({}, {})
-        p = min(colors[v] for v in active)
-        s = p % 2
+    move: dict[NodeId, NodeId] = {}
+    # A paused subgame: its nodes, the regions its earlier rounds settled,
+    # and its head's player, targets and attractor witnesses.
+    stack: list[tuple[frozenset[NodeId], tuple[set, set], int, list[NodeId], dict]] = []
+    active = frozenset(range(n))
+    wins: tuple[set[NodeId], set[NodeId]] = (set(), set())
+    while True:
+        # Pause each subgame and open the one outside its head.
+        while active:
+            p = min(colors[v] for v in active)
+            s = p % 2
+            targets = sorted(v for v in active if colors[v] == p)
+            head, head_witness = _attract(successors, predecessors, owners, s, targets, active)
+            stack.append((active, wins, s, targets, head_witness))
+            active = active - head
+            wins = (set(), set())
+        if not stack:
+            break
+        sub_wins = wins
+        active, wins, s, targets, head_witness = stack.pop()
         opp = 1 - s
-        targets = sorted(v for v in active if colors[v] == p)
-
-        head, head_witness = _attract(successors, predecessors, owners, s, targets, active)
-        sub_wins, sub_strats = solve(active - head)
-
-        if not sub_wins[opp]:
-            strategy_s = dict(sub_strats[s])
-            strategy_s.update(head_witness)
+        if sub_wins[opp]:
+            trap, trap_witness = _attract(
+                successors, predecessors, owners, opp, sorted(sub_wins[opp]), active
+            )
+            move.update(trap_witness)
+            wins[opp].update(trap)
+            active = active - trap
+        else:
+            move.update(head_witness)
             for v in targets:
                 if owners[v] == s:
-                    strategy_s[v] = next(w for w in successors[v] if w in active)
-            wins = [set(), set()]
-            strats: list[dict] = [{}, {}]
-            wins[s] = set(active)
-            strats[s] = strategy_s
-            return (wins[0], wins[1]), (strats[0], strats[1])
+                    move[v] = next(w for w in successors[v] if w in active)
+            wins[s].update(active)
+            active = frozenset()  # settled: ``wins`` goes back to its opener
 
-        trap, trap_witness = _attract(
-            successors, predecessors, owners, opp, sorted(sub_wins[opp]), active
-        )
-        rest_wins, rest_strats = solve(active - trap)
-
-        strategy_opp = dict(sub_strats[opp])
-        strategy_opp.update(trap_witness)
-        strategy_opp.update(rest_strats[opp])
-        wins = [set(), set()]
-        strats = [{}, {}]
-        wins[opp] = trap | rest_wins[opp]
-        wins[s] = set(rest_wins[s])
-        strats[opp] = strategy_opp
-        strats[s] = dict(rest_strats[s])
-        return (wins[0], wins[1]), (strats[0], strats[1])
-
-    (win0, win1), (strat0, strat1) = solve(frozenset(range(n)))
-    winner = tuple(0 if v in win0 else 1 for v in range(n))
-    return Solution(winner=winner, strategy0=strat0, strategy1=strat1)
+    winner = tuple(0 if v in wins[0] else 1 for v in range(n))
+    strategy0 = {v: move[v] for v in wins[0] if owners[v] == 0}
+    strategy1 = {v: move[v] for v in wins[1] if owners[v] == 1}
+    return Solution(winner=winner, strategy0=strategy0, strategy1=strategy1)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rabinindex
+from rabinindex import cycles, reduction, solver
 
 from rabinindex.arena import Arena, cycle_color
 from rabinindex.cycles import (
@@ -201,3 +202,20 @@ def test_simple_cycle_query_matches_enumeration(arena):
             )
             answer = simple_cycle_through_with_color(arena, None, v, gamma)
             assert (answer is CycleAnswer.YES) == expected
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (reduction, "tarjan_scc"),
+        (cycles, "tarjan_scc"),
+        (solver, "tarjan_scc"),
+        (reduction, "simple_cycle_through_with_color"),
+        (reduction, "simple_cycle_with_max_color"),
+    ],
+)
+def test_traced_benchmark_rebinding_points(module, name):
+    # perfbench/tracing.py counts these calls by rebinding the name in the
+    # calling module, so each must stay a module attribute bound to the
+    # cycles function.
+    assert getattr(module, name) is getattr(cycles, name)

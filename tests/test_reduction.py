@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -197,6 +198,22 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
         assert colors == expected_colors
         assert report.rank_trace == expected.rank_trace
         assert report.iterations == expected.iterations
+
+
+@pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
+def test_huge_priorities_reduce_like_small_ones(mode):
+    # An anchor scans only the colors present, so its time does not grow
+    # with the priority values.  An even shift keeps every parity and the
+    # order of the colors, so the reduced colorings agree.
+    rng = random.Random(5)
+    cases = [random_arena(rng, max_nodes=8, max_color=6) for _ in range(20)]
+    expected = [rabin(arena, mode=mode)[0] for arena in cases]
+    start = time.perf_counter()
+    for offset in (2 * 10**7, 10**9):
+        for arena, colors in zip(cases, expected):
+            shifted = arena.with_colors(c + offset for c in arena.colors)
+            assert rabin(shifted, mode=mode)[0] == colors
+    assert time.perf_counter() - start < 2.0
 
 
 def _alpha_anchor_work(layers: int) -> int:

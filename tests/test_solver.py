@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -212,3 +213,19 @@ def test_verify_skips_the_walk_without_wrong_parity_colors(monkeypatch):
     calls = count_tarjan_calls(monkeypatch)
     assert verify_solution(game, Solution((0,) * arena.node_count))
     assert calls == []
+
+
+def test_zielonka_deep_game_keeps_recursion_limit():
+    # Player 1 owns every node of an all-even nested path: every level of
+    # the solver peels one end off, so the subgames nest 1 100 deep.
+    arena = nested_path(1100)
+    game = ParityGame(arena=arena, owners=(1,) * arena.node_count)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        solution = zielonka_solve(game)
+        assert solution.winner == (0,) * arena.node_count
+        assert verify_solution(game, solution)
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(old_limit)
