@@ -91,6 +91,12 @@ class Arena:
                 preds[w].append(v)
         return tuple(tuple(sorted(p)) for p in preds)
 
+    @cached_property
+    def sorted_successors(self) -> tuple[tuple[NodeId, ...], ...]:
+        """Successors of each node in ascending order, the order in which
+        the exact cycle search tries them."""
+        return tuple(tuple(sorted(succ)) for succ in self.successors)
+
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return v in self.successor_sets[u]
 

@@ -6,7 +6,7 @@ for small games (``equiv``, ``oracle``), the polynomial membership test
 (``member``), and the CSV benchmark harness (``bench``).
 
 Exit codes: 0 success; 2 usage error, including an output path that
-cannot be written; 3 unreadable or malformed input; 4 search budget
+cannot be written and a negative ``--budget``; 3 unreadable or malformed input; 4 search budget
 exhausted; 5 node cap exceeded; 6 a requested check did not hold
 (verification, equivalence, membership).  Failures print one
 ``error: <category>: <message>`` line on stderr.
@@ -99,6 +99,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
+    if args.budget is not None and args.budget < 0:
+        raise CliError("usage", f"--budget must be at least 0, got {args.budget}", EXIT_USAGE)
     game = _load_game(args.file)
     arena = game.arena
     before = index(arena.colors)

@@ -15,6 +15,7 @@ small arenas and power the equivalence oracles.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -219,67 +220,108 @@ def _walk_component(
     return scc.members[scc.component_of[v]] if scc.closes_walk_at(v, c, gamma) else None
 
 
+def _closes_walk_inside(
+    successors: Sequence[Sequence[NodeId]],
+    c: Sequence[int],
+    v: NodeId,
+    gamma: int,
+    inside: Sequence[bool],
+) -> bool:
+    """Does a path of one or more edges lead from ``v`` through ``inside``
+    to a gamma-colored node?  Stops at the first one found."""
+    seen = [False] * len(c)
+    stack = [v]
+    while stack:
+        for w in successors[stack.pop()]:
+            if inside[w] and not seen[w]:
+                if c[w] == gamma:
+                    return True
+                seen[w] = True
+                stack.append(w)
+    return False
+
+
 def simple_cycle_through_with_color(
     arena: Arena,
     coloring: Sequence[int] | None,
     v: NodeId,
     gamma: int,
     budget: SearchBudget | None = None,
+    *,
+    reaches_v: Sequence[bool] | None = None,
 ) -> CycleAnswer:
     """Is there a simple cycle through ``v`` whose minimal color is ``gamma``?
 
     Equivalently: a simple cycle through ``v`` that stays within nodes of
-    color >= gamma and visits a node colored exactly gamma.  The search is
-    restricted to the strongly connected component of ``v`` in the induced
-    subgraph, then backtracks over simple paths; ``EXHAUSTED`` is returned
-    when the budget runs out before an answer is certain.
+    color >= gamma and visits a node colored exactly gamma.  The search
+    backtracks over simple paths from ``v`` inside the strongly connected
+    component of ``v`` in that subgraph; ``EXHAUSTED`` is returned when the
+    budget runs out before an answer is certain.
+
+    ``reaches_v[u]``, when given, says that ``u`` reaches ``v`` in the
+    color->=gamma subgraph; it may also mark just ``v``'s component there.
+    Every node the search enters is reachable from ``v``, so either set
+    yields the pushes the component would, and the query runs no
+    decomposition of its own.  Without it, the component comes from a
+    Tarjan run.  Both ways give the same answer and spend the same budget.
     """
     c = arena.colors if coloring is None else coloring
     _check_query(c, v, gamma)
-    component = _walk_component(arena, c, v, gamma)
-    if component is None:
+    successors = arena.sorted_successors
+    # A node is blocked while it is outside the component or on the path.
+    if reaches_v is None:
+        component = _walk_component(arena, c, v, gamma)
+        if component is None:
+            return CycleAnswer.NO
+        blocked = [True] * len(c)
+        for u in component:
+            blocked[u] = False
+    elif _closes_walk_inside(successors, c, v, gamma, reaches_v):
+        blocked = [not inside for inside in reaches_v]
+    else:
         return CycleAnswer.NO
     if c[v] == gamma:
         # v itself realizes the target color: the shortest closed walk
         # through v inside its component is a simple cycle of color gamma.
         return CycleAnswer.YES
-    members = set(component)
-
-    adjacency = {
-        u: sorted(w for w in arena.successors[u] if w in members) for u in members
-    }
     if budget is None:
         budget = SearchBudget()
+    # The search counts its pushes locally and charges them on return; it
+    # gives up at the push where SearchBudget.spend would first refuse.
+    allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
+    expanded = 0
 
     # Depth-first enumeration of simple paths from v, counting how many
-    # gamma-colored nodes are on the current path.
-    on_path = {v}
+    # gamma-colored nodes are on the current path.  v stays on the path, so
+    # reaching it again is the only way to close a cycle.
+    blocked[v] = True
     gamma_on_path = 0
-    stack: list[tuple[int, Iterator[int]]] = [(v, iter(adjacency[v]))]
-    while stack:
-        node, it = stack[-1]
-        pushed = False
-        for w in it:
-            if w == v:
-                if gamma_on_path > 0:
+    path = [v]
+    branches = [iter(successors[v])]
+    while branches:
+        for w in branches[-1]:
+            if blocked[w]:
+                if w == v and gamma_on_path:
+                    budget.spent += expanded
                     return CycleAnswer.YES
                 continue
-            if w in on_path:
-                continue
-            if not budget.spend():
+            expanded += 1
+            if expanded > allowance:
+                budget.spent += expanded
                 return CycleAnswer.EXHAUSTED
-            on_path.add(w)
+            blocked[w] = True
             if c[w] == gamma:
                 gamma_on_path += 1
-            stack.append((w, iter(adjacency[w])))
-            pushed = True
+            path.append(w)
+            branches.append(iter(successors[w]))
             break
-        if not pushed:
-            stack.pop()
-            if node != v:
-                on_path.discard(node)
-                if c[node] == gamma:
-                    gamma_on_path -= 1
+        else:
+            node = path.pop()
+            blocked[node] = False
+            if c[node] == gamma:
+                gamma_on_path -= 1
+            branches.pop()
+    budget.spent += expanded
     return CycleAnswer.NO
 
 

@@ -128,25 +128,49 @@ class ReductionReport:
 
 
 class BudgetExhausted(RuntimeError):
-    """An exact simple-cycle query ran out of search budget."""
+    """An exact simple-cycle query ran out of search budget.
 
-    def __init__(self, node: NodeId, gamma: int, message: str | None = None):
+    ``spent`` and ``limit`` are the aborting query's budget; the run's
+    ``nodes_expanded`` and ``exact_queries`` so far include that query.
+    """
+
+    summary = "search budget exhausted"
+
+    def __init__(
+        self,
+        node: NodeId,
+        gamma: int,
+        spent: int,
+        limit: int | None,
+        nodes_expanded: int,
+        exact_queries: int,
+    ):
         self.node = node
         self.gamma = gamma
+        self.spent = spent
+        self.limit = limit
+        self.nodes_expanded = nodes_expanded
+        self.exact_queries = exact_queries
         super().__init__(
-            message
-            or f"search budget exhausted while probing node {node} at color {gamma}"
+            f"{self.summary} at node {node}, color {gamma} after {spent} expanded "
+            f"nodes (limit {limit}); {nodes_expanded} expanded over "
+            f"{exact_queries} exact queries"
         )
 
 
 class ReductionAborted(BudgetExhausted):
     """Exact reduction gave up; carries the partial report for inspection."""
 
-    def __init__(self, node: NodeId, gamma: int, report: ReductionReport):
+    summary = "exact reduction aborted: budget exhausted"
+
+    def __init__(self, cause: BudgetExhausted, report: ReductionReport):
         super().__init__(
-            node,
-            gamma,
-            f"exact reduction aborted: budget exhausted at node {node}, color {gamma}",
+            cause.node,
+            cause.gamma,
+            cause.spent,
+            cause.limit,
+            cause.nodes_expanded,
+            cause.exact_queries,
         )
         self.report = report
 
@@ -229,6 +253,27 @@ class _Reach:
             if not moved:
                 return False
 
+    def closed_backward(self, gamma: int) -> list[int]:
+        """Grow the backward set to closure at ``gamma``, the threshold of
+        the last :meth:`meets_at` call, and return its marks:
+        ``marks[u] == stamp`` iff ``u`` reaches the node in the
+        color->=gamma subgraph.  That call released every waiting node of
+        color >= gamma, so only the stack is left to expand."""
+        colors, stamp = self.colors, self.stamp
+        links, mine, stack, waiting = self.sides[1]
+        while stack:
+            self.steps += 1
+            for w in links[stack.pop()]:
+                if mine[w] == stamp:
+                    continue
+                color = colors[w]
+                if color < gamma:
+                    waiting.setdefault(color, []).append(w)
+                    continue
+                mine[w] = stamp
+                stack.append(w)
+        return mine
+
 
 class _PassState:
     """Shared bookkeeping for one reduction run, and its anchor oracle.
@@ -243,9 +288,15 @@ class _PassState:
     and cached, and answers the threshold's later queries.  Lowering a
     color from old to new changes only the subgraphs of thresholds in
     ``(new, old]``, so only those lose their decomposition and charge.
-    Exact mode searches for a simple cycle only where a closed walk exists.
-    Tracks how many nodes carry each color, and the sorted list of colors
-    in use, so an anchor scans only the colors present.
+
+    Exact mode searches for a simple cycle only where a closed walk exists,
+    and hands the search the nodes that reach ``v`` at gamma so that the
+    query runs no decomposition of its own: ``v``'s component from the
+    cached decomposition if there is one, else the reach's backward set
+    grown to closure at gamma (charged like the rest of the reach; it only
+    grows, so it stays within the reach's one pass).  Tracks how many nodes
+    carry each color, and the sorted list of colors in use, so an anchor
+    scans only the colors present.
     """
 
     def __init__(
@@ -256,6 +307,8 @@ class _PassState:
         budget_limit: int | None,
         stats: OracleStats,
     ):
+        if budget_limit is not None and budget_limit < 0:
+            raise ValueError(f"budget limit {budget_limit} is negative")
         self.arena = arena
         self.colors = colors
         self.mode = mode
@@ -301,13 +354,37 @@ class _PassState:
         self.stats.reach_steps += reach.steps - before
         return meets
 
-    def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
+    def _reaches_v(self, v: NodeId, gamma: int, reach: _Reach) -> list[bool]:
+        """Marks a superset of ``v``'s component in the color->=gamma
+        subgraph whose every node reaches ``v`` there."""
+        scc = self._scc_cache.get(gamma)
+        if scc is not None:
+            comp = scc.component_of[v]
+            return [c == comp for c in scc.component_of]
+        before = reach.steps
+        back = reach.closed_backward(gamma)
+        self._charged[gamma] += reach.steps - before
+        self.stats.reach_steps += reach.steps - before
+        stamp = reach.stamp
+        return [mark == stamp for mark in back]
+
+    def _simple_cycle(self, v: NodeId, gamma: int, reach: _Reach) -> bool:
         budget = SearchBudget(self.budget_limit)
-        answer = simple_cycle_through_with_color(self.arena, self.colors, v, gamma, budget)
-        self.stats.exact_queries += 1
-        self.stats.nodes_expanded += budget.spent
+        answer = simple_cycle_through_with_color(
+            self.arena,
+            self.colors,
+            v,
+            gamma,
+            budget,
+            reaches_v=self._reaches_v(v, gamma, reach),
+        )
+        stats = self.stats
+        stats.exact_queries += 1
+        stats.nodes_expanded += budget.spent
         if answer is CycleAnswer.EXHAUSTED:
-            raise BudgetExhausted(v, gamma)
+            raise BudgetExhausted(
+                v, gamma, budget.spent, budget.limit, stats.nodes_expanded, stats.exact_queries
+            )
         return answer is CycleAnswer.YES
 
     def anchor(self, v: NodeId) -> int:
@@ -323,7 +400,7 @@ class _PassState:
             if (c_v - gamma) % 2 == 0:
                 continue
             if self._closes_walk(v, gamma, reach) and (
-                self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma)
+                self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma, reach)
             ):
                 return gamma
         return -1
@@ -389,7 +466,9 @@ def rabin(
     the first cycle passes, for reproducing specific traces.
 
     Raises :class:`ReductionAborted` when an exact query exhausts its
-    budget; the exception carries the partial report.
+    budget; the exception carries the partial report.  A negative
+    ``budget_limit`` raises :class:`ValueError`; a limit of 0 answers only
+    the queries that need no search.
     """
     mode = _as_mode(mode)
     colors = list(arena.colors if coloring is None else coloring)
@@ -412,7 +491,7 @@ def rabin(
             cycle_changes = state.run_cycle_pass(order)
         except BudgetExhausted as exc:
             report.final_index = index(colors)
-            raise ReductionAborted(exc.node, exc.gamma, report) from None
+            raise ReductionAborted(exc, report) from None
         pop_changes = state.run_pop_pass()
         report.iterations.append(IterationTrace(cycle_changes, pop_changes))
         new_rank = sum(colors)

@@ -50,6 +50,19 @@ def nested_path(n: int) -> Arena:
     return Arena.from_lists(succ, [2 * v for v in range(n)])
 
 
+def threshold_reach(links, colors, v: int, gamma: int) -> set[int]:
+    """Nodes reached from ``v`` along ``links`` (successors, or predecessors
+    for the nodes that reach ``v``) through nodes colored at least gamma."""
+    found = {v}
+    frontier = [v]
+    while frontier:
+        for u in links[frontier.pop()]:
+            if u not in found and colors[u] >= gamma:
+                found.add(u)
+                frontier.append(u)
+    return found
+
+
 def count_tarjan_calls(monkeypatch) -> list[int]:
     """Count the decompositions run through ``cycles.tarjan_scc``: one
     entry, the node count, per call."""

@@ -63,6 +63,15 @@ def test_predecessors_fig1(fig1_arena):
     assert fig1_arena.predecessors == ((1,), (0, 2), (1, 3), (4,), (0, 3))
 
 
+def test_sorted_successors_are_sorted_and_computed_once():
+    arena = Arena.from_lists([[2, 0, 1], [0], [1, 0]], [0, 1, 2])
+    assert arena.successors[0] == (2, 0, 1)
+    first = arena.sorted_successors
+    assert first == ((0, 1, 2), (0,), (0, 1))
+    assert arena.sorted_successors is first
+    assert arena.with_colors((3, 4, 5)).sorted_successors == first
+
+
 @given(arenas(max_nodes=7))
 def test_predecessors_invert_successors(arena):
     for v in range(arena.node_count):

@@ -68,7 +68,20 @@ def test_index_writes_reduced_game(fig1_path, tmp_path, capsys):
 
 def test_index_budget_exhaustion(fig1_path, capsys):
     assert main(["index", str(fig1_path), "--budget", "2"]) == 4
-    assert "error: budget:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget: exact reduction aborted: budget exhausted at node ")
+    assert "after 3 expanded nodes (limit 2); " in err
+    assert " exact queries" in err
+
+
+def test_index_rejects_a_negative_budget(fig1_path, capsys):
+    assert main(["index", str(fig1_path), "--budget", "-3"]) == 2
+    assert capsys.readouterr().err == "error: usage: --budget must be at least 0, got -3\n"
+
+
+def test_index_zero_budget_is_a_budget(fig1_path, capsys):
+    assert main(["index", str(fig1_path), "--budget", "0"]) == 4
+    assert "(limit 0)" in capsys.readouterr().err
 
 
 def test_index_budget_fallback(fig1_path, capsys):

@@ -28,7 +28,7 @@ from rabinindex.cycles import (
     tarjan_scc,
 )
 
-from helpers import arenas, max_color_on_closed_walk
+from helpers import arenas, max_color_on_closed_walk, threshold_reach
 
 
 def test_cycle_answer_is_not_a_bool():
@@ -202,6 +202,59 @@ def test_simple_cycle_query_matches_enumeration(arena):
             )
             answer = simple_cycle_through_with_color(arena, None, v, gamma)
             assert (answer is CycleAnswer.YES) == expected
+
+
+def _reference_search(arena, v, gamma, budget):
+    """Backtracking over simple paths from ``v`` inside its component of
+    the color->=gamma subgraph, charging ``budget.spend()`` per push."""
+    c = arena.colors
+    if not cycle_through_with_color(arena, None, v, gamma):
+        return CycleAnswer.NO
+    if c[v] == gamma:
+        return CycleAnswer.YES
+    reach = threshold_reach(arena.predecessors, c, v, gamma)
+    path = [v]
+    branches = [iter(sorted(arena.successors[v]))]
+    while branches:
+        for w in branches[-1]:
+            if w == v and any(c[u] == gamma for u in path):
+                return CycleAnswer.YES
+            if w not in reach or w in path:
+                continue
+            if not budget.spend():
+                return CycleAnswer.EXHAUSTED
+            path.append(w)
+            branches.append(iter(sorted(arena.successors[w])))
+            break
+        else:
+            path.pop()
+            branches.pop()
+    return CycleAnswer.NO
+
+
+@given(
+    arenas(max_nodes=7, max_color=4, allow_self_loops=True),
+    st.sampled_from([0, 1, 2, 7, None]),
+    st.integers(0, 3),
+)
+@settings(max_examples=80)
+def test_supplied_reach_matches_own_prefilter(arena, limit, already_spent):
+    # The caller-supplied set of nodes reaching v and the query's own
+    # decomposition give the same answer and charge the same budget as a
+    # search that calls SearchBudget.spend per push, also when the budget
+    # arrives partly spent.
+    for v in range(arena.node_count):
+        for gamma in range(arena.colors[v] + 1):
+            reach = threshold_reach(arena.predecessors, arena.colors, v, gamma)
+            reaches_v = [u in reach for u in range(arena.node_count)]
+            budgets = [SearchBudget(limit, already_spent) for _ in range(3)]
+            supplied = simple_cycle_through_with_color(
+                arena, None, v, gamma, budgets[0], reaches_v=reaches_v
+            )
+            own = simple_cycle_through_with_color(arena, None, v, gamma, budgets[1])
+            reference = _reference_search(arena, v, gamma, budgets[2])
+            assert supplied is own is reference
+            assert budgets[0].spent == budgets[1].spent == budgets[2].spent
 
 
 @pytest.mark.parametrize(

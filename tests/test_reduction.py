@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 import sys
 import time
+from collections import Counter
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
 
+from rabinindex import reduction
 from rabinindex.arena import Arena, cycle_color, index
 from rabinindex.cycles import (
     CycleAnswer,
@@ -42,7 +45,7 @@ from rabinindex.cycles import enumerate_simple_cycles
 EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
-from helpers import arenas, count_tarjan_calls, nested_path, random_arena
+from helpers import arenas, count_tarjan_calls, nested_path, random_arena, threshold_reach
 
 
 # Node orders that process the running example the way a (color, node)
@@ -121,6 +124,39 @@ def test_rabin_budget_abort(fig1_arena):
     assert 0 <= aborted.node < 5
     assert aborted.gamma >= 0
     assert aborted.report.mode == EXACT
+    # The message names the query, its budget, and the run's work so far.
+    stats = aborted.report.stats
+    assert (aborted.spent, aborted.limit) == (3, 2)
+    assert aborted.nodes_expanded == stats.nodes_expanded >= aborted.spent
+    assert aborted.exact_queries == stats.exact_queries >= 1
+    assert str(aborted) == (
+        f"exact reduction aborted: budget exhausted at node {aborted.node}, "
+        f"color {aborted.gamma} after 3 expanded nodes (limit 2); "
+        f"{stats.nodes_expanded} expanded over {stats.exact_queries} exact queries"
+    )
+
+
+def test_rabin_rejects_a_negative_budget(fig1_arena):
+    with pytest.raises(ValueError, match="negative"):
+        rabin(fig1_arena, budget_limit=-1)
+    with pytest.raises(ValueError, match="negative"):
+        get_anchor(fig1_arena, None, 0, budget_limit=-3)
+
+
+def test_zero_budget_answers_queries_that_need_no_search():
+    # The only cycle through node 1 at color 0 is the 2-cycle 0 1: the
+    # search finds it by one push, so a budget of 0 aborts there.  The
+    # second arena's only cycles are self-loops, so no anchor needs a
+    # search and the run completes.
+    two_cycle = Arena(((1,), (0,)), (0, 1))
+    with pytest.raises(ReductionAborted) as excinfo:
+        rabin(two_cycle, budget_limit=0)
+    assert (excinfo.value.node, excinfo.value.gamma) == (1, 0)
+    assert excinfo.value.spent == 1
+    loops = Arena(((0, 1), (1,)), (3, 2))
+    colors, report = rabin(loops, budget_limit=0)
+    assert report.stats.nodes_expanded == 0
+    assert colors == rabin(loops)[0]
 
 
 def test_get_anchor_fig1(fig1_arena):
@@ -181,6 +217,68 @@ def test_pass_state_anchors_survive_recoloring(mode):
                 assert scc == fresh, f"stale decomposition at threshold {gamma}"
         builds += state.stats.scc_builds
     assert builds > 0 and kept > 0
+
+
+def test_exact_queries_get_the_nodes_that_reach_v(monkeypatch):
+    # Between random recolorings, every exact query of one state receives
+    # v's component when the threshold's decomposition is cached, and else
+    # exactly the nodes that reach v.
+    rng = random.Random(77)
+    real = reduction.simple_cycle_through_with_color
+    seen = Counter()
+
+    def checking(arena, colors, v, gamma, budget, *, reaches_v):
+        given_set = {u for u, inside in enumerate(reaches_v) if inside}
+        reaching = threshold_reach(arena.predecessors, colors, v, gamma)
+        if gamma in state._scc_cache:
+            reached = threshold_reach(arena.successors, colors, v, gamma)
+            assert given_set == reaching & reached
+            seen["component"] += 1
+        else:
+            assert given_set == reaching
+            seen["reach"] += 1
+        return real(arena, colors, v, gamma, budget, reaches_v=reaches_v)
+
+    monkeypatch.setattr(reduction, "simple_cycle_through_with_color", checking)
+    for _ in range(60):
+        arena = random_arena(rng, max_nodes=9, max_color=9, max_degree=3)
+        colors = list(arena.colors)
+        state = _PassState(arena, colors, EXACT, None, OracleStats())
+        for _ in range(10):
+            for v in rng.sample(range(arena.node_count), arena.node_count):
+                state.anchor(v)
+            v = rng.randrange(arena.node_count)
+            if colors[v] >= 2:
+                state.set_color(v, colors[v] - 2 * rng.randint(1, colors[v] // 2))
+    assert seen["component"] > 0 and seen["reach"] > 0
+
+
+def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
+    # Only the pop pass's max-color checks decompose through cycles; each
+    # exact query gets its component from the anchor oracle, and the search
+    # sorts each arena's successors once.
+    sorts = Counter()
+    plain = Arena.__dict__["sorted_successors"].func
+
+    def counting(arena):
+        sorts[id(arena)] += 1
+        return plain(arena)
+
+    counted = cached_property(counting)
+    counted.__set_name__(Arena, "sorted_successors")
+    monkeypatch.setattr(Arena, "sorted_successors", counted)
+    calls = count_tarjan_calls(monkeypatch)
+    rng = random.Random(31)
+    cases = [gen_family("clique", (30,)).arena]
+    cases += [random_arena(rng, min_nodes=6, max_nodes=14, max_color=9) for _ in range(50)]
+    queries = 0
+    for arena in cases:
+        del calls[:]
+        _, report = rabin(arena)
+        assert len(calls) == report.stats.max_color_checks
+        queries += report.stats.exact_queries
+        assert sorts[id(arena)] == (1 if report.stats.exact_queries else 0)
+    assert queries > 0
 
 
 @pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
