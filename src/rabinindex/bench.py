@@ -96,52 +96,58 @@ class BenchRow:
         }
 
 
+def _parse_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+
+
+def _parse_batch(line: str) -> BatchSpec:
+    tokens = line.split()
+    runs: int | None = None
+    seed = 0
+    while tokens and "=" in tokens[-1]:
+        key, _, value = tokens[-1].partition("=")
+        if key == "runs":
+            runs = _parse_int(key, value)
+            if runs < 1:
+                raise ValueError("runs must be positive")
+        elif key == "seed":
+            seed = _parse_int(key, value)
+        else:
+            raise ValueError(f"unknown option {tokens[-1]!r}")
+        tokens.pop()
+    if not tokens:
+        raise ValueError("no game named")
+    kind = tokens[0]
+    if kind == "random":
+        if len(tokens) != 2:
+            raise ValueError("random takes one xx/yy/zz/cc argument")
+        config = RandomConfig.parse(tokens[1], seed=seed)
+        return BatchSpec(
+            label=config.label(), kind="random", random_config=config, runs=runs, seed=seed
+        )
+    try:
+        params = tuple(int(tok) for tok in tokens[1:])
+    except ValueError:
+        raise ValueError(f"bad parameter in {line!r}") from None
+    label = f"{kind}[{' '.join(tokens[1:])}]"
+    return BatchSpec(label=label, kind="family", name=kind, params=params, runs=runs, seed=seed)
+
+
 def parse_bench_config(text: str) -> list[BatchSpec]:
-    """Parse a configuration file into batch specs; rejects malformed lines."""
+    """Parse a configuration file into batch specs; rejects malformed lines,
+    naming the line."""
     specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        runs: int | None = None
-        seed = 0
-        while tokens and "=" in tokens[-1]:
-            key, _, value = tokens[-1].partition("=")
-            if key == "runs":
-                runs = int(value)
-                if runs < 1:
-                    raise ValueError(f"line {lineno}: runs must be positive")
-            elif key == "seed":
-                seed = int(value)
-            else:
-                raise ValueError(f"line {lineno}: unknown option {tokens[-1]!r}")
-            tokens.pop()
-        if not tokens:
-            raise ValueError(f"line {lineno}: no game named")
-        kind = tokens[0]
-        if kind == "random":
-            if len(tokens) != 2:
-                raise ValueError(f"line {lineno}: random takes one xx/yy/zz/cc argument")
-            config = RandomConfig.parse(tokens[1], seed=seed)
-            specs.append(
-                BatchSpec(
-                    label=config.label(),
-                    kind="random",
-                    random_config=config,
-                    runs=runs,
-                    seed=seed,
-                )
-            )
-        else:
-            try:
-                params = tuple(int(tok) for tok in tokens[1:])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad parameter in {line!r}") from exc
-            label = f"{kind}[{' '.join(tokens[1:])}]"
-            specs.append(
-                BatchSpec(label=label, kind="family", name=kind, params=params, runs=runs, seed=seed)
-            )
+        try:
+            specs.append(_parse_batch(line))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from exc
     return specs
 
 

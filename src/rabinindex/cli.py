@@ -6,8 +6,8 @@ for small games (``equiv``, ``oracle``), the polynomial membership test
 (``member``), and the CSV benchmark harness (``bench``).
 
 Exit codes: 0 success; 2 usage error, including an output path that
-cannot be written and a negative ``--budget``; 3 unreadable or malformed input; 4 search budget
-exhausted; 5 node cap exceeded; 6 a requested check did not hold
+cannot be written, a negative ``--budget``, and a ``-k`` or ``--runs``
+below 1; 3 unreadable or malformed input; 4 search budget exhausted; 5 node cap exceeded; 6 a requested check did not hold
 (verification, equivalence, membership).  Failures print one
 ``error: <category>: <message>`` line on stderr.
 """
@@ -189,6 +189,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
+    if args.k < 1:
+        raise CliError("usage", f"-k must be at least 1, got {args.k}", EXIT_USAGE)
     game = _load_game(args.file)
     if abstract_membership(game, args.k):
         print("yes")
@@ -198,6 +200,8 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if args.runs < 1:
+        raise CliError("usage", f"--runs must be at least 1, got {args.runs}", EXIT_USAGE)
     text = _read_text(args.spec)
     try:
         rows = bench_run(text, default_runs=args.runs)

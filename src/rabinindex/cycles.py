@@ -6,7 +6,14 @@ query drive the reductions in :mod:`rabinindex.reduction`:
 * exact queries about *simple* cycles through a given node, which are
   NP-hard in general and answered by a budgeted backtracking search, and
 * abstract queries about arbitrary cycles (closed walks), which reduce to
-  strongly connected component decompositions and are polynomial.
+  reachability and strongly connected component decompositions and are
+  polynomial.
+
+:func:`simple_cycle_through_with_color` and :func:`cycle_through_with_color`
+begin with the same polynomial step: a backward reach from the node over
+the colors the query admits, and a forward walk inside it to a node of the
+target color.  The exact query searches for a simple cycle only after that
+step has found a closed walk, and only among the nodes the reach found.
 
 Enumeration helpers at the bottom provide brute-force ground truth for
 small arenas and power the equivalence oracles.
@@ -211,34 +218,37 @@ def _check_query(coloring: Sequence[int], v: NodeId, gamma: int) -> None:
         )
 
 
-def _walk_component(
+def _outside_walk_reach(
     arena: Arena, c: Sequence[int], v: NodeId, gamma: int
-) -> tuple[NodeId, ...] | None:
-    """Component of ``v`` in the color->=gamma subgraph if a closed walk
-    through ``v`` has minimal color ``gamma``, else None."""
-    scc = tarjan_scc(arena.successors, [color >= gamma for color in c])
-    return scc.members[scc.component_of[v]] if scc.closes_walk_at(v, c, gamma) else None
+) -> list[bool] | None:
+    """Mark the nodes that do not reach ``v`` in the color->=gamma
+    subgraph, if a closed walk through ``v`` has minimal color ``gamma``;
+    else None.
 
-
-def _closes_walk_inside(
-    successors: Sequence[Sequence[NodeId]],
-    c: Sequence[int],
-    v: NodeId,
-    gamma: int,
-    inside: Sequence[bool],
-) -> bool:
-    """Does a path of one or more edges lead from ``v`` through ``inside``
-    to a gamma-colored node?  Stops at the first one found."""
-    seen = [False] * len(c)
+    One backward reach from ``v``, then a forward walk from ``v`` inside
+    it that stops at the first gamma-colored node: such a node reaches
+    ``v`` and is reached from it, so it closes the walk.
+    """
+    outside = [True] * len(c)
+    outside[v] = False
     stack = [v]
+    predecessors = arena.predecessors
+    while stack:
+        for u in predecessors[stack.pop()]:
+            if outside[u] and c[u] >= gamma:
+                outside[u] = False
+                stack.append(u)
+    seen: set[NodeId] = set()
+    stack = [v]
+    successors = arena.successors
     while stack:
         for w in successors[stack.pop()]:
-            if inside[w] and not seen[w]:
+            if not outside[w] and w not in seen:
                 if c[w] == gamma:
-                    return True
-                seen[w] = True
+                    return outside
+                seen.add(w)
                 stack.append(w)
-    return False
+    return None
 
 
 def simple_cycle_through_with_color(
@@ -247,38 +257,25 @@ def simple_cycle_through_with_color(
     v: NodeId,
     gamma: int,
     budget: SearchBudget | None = None,
-    *,
-    reaches_v: Sequence[bool] | None = None,
 ) -> CycleAnswer:
     """Is there a simple cycle through ``v`` whose minimal color is ``gamma``?
 
     Equivalently: a simple cycle through ``v`` that stays within nodes of
-    color >= gamma and visits a node colored exactly gamma.  The search
-    backtracks over simple paths from ``v`` inside the strongly connected
-    component of ``v`` in that subgraph; ``EXHAUSTED`` is returned when the
-    budget runs out before an answer is certain.
-
-    ``reaches_v[u]``, when given, says that ``u`` reaches ``v`` in the
-    color->=gamma subgraph; it may also mark just ``v``'s component there.
-    Every node the search enters is reachable from ``v``, so either set
-    yields the pushes the component would, and the query runs no
-    decomposition of its own.  Without it, the component comes from a
-    Tarjan run.  Both ways give the same answer and spend the same budget.
+    color >= gamma and visits a node colored exactly gamma.  The query
+    first reaches backward from ``v`` over those nodes and answers NO,
+    spending no budget, when no closed walk of color ``gamma`` passes
+    through ``v``.  Otherwise it backtracks over simple paths from ``v``
+    inside the backward reach; every node such a path enters is also
+    reachable from ``v``, so the search stays in ``v``'s component without
+    computing it.  ``EXHAUSTED`` is returned when the budget runs out
+    before an answer is certain.
     """
     c = arena.colors if coloring is None else coloring
     _check_query(c, v, gamma)
     successors = arena.sorted_successors
-    # A node is blocked while it is outside the component or on the path.
-    if reaches_v is None:
-        component = _walk_component(arena, c, v, gamma)
-        if component is None:
-            return CycleAnswer.NO
-        blocked = [True] * len(c)
-        for u in component:
-            blocked[u] = False
-    elif _closes_walk_inside(successors, c, v, gamma, reaches_v):
-        blocked = [not inside for inside in reaches_v]
-    else:
+    # A node is blocked while it is outside the reach or on the path.
+    blocked = _outside_walk_reach(arena, c, v, gamma)
+    if blocked is None:
         return CycleAnswer.NO
     if c[v] == gamma:
         # v itself realizes the target color: the shortest closed walk
@@ -349,7 +346,7 @@ def cycle_through_with_color(
     """
     c = arena.colors if coloring is None else coloring
     _check_query(c, v, gamma)
-    return _walk_component(arena, c, v, gamma) is not None
+    return _outside_walk_reach(arena, c, v, gamma) is not None
 
 
 def enumerate_simple_cycles(

@@ -253,27 +253,6 @@ class _Reach:
             if not moved:
                 return False
 
-    def closed_backward(self, gamma: int) -> list[int]:
-        """Grow the backward set to closure at ``gamma``, the threshold of
-        the last :meth:`meets_at` call, and return its marks:
-        ``marks[u] == stamp`` iff ``u`` reaches the node in the
-        color->=gamma subgraph.  That call released every waiting node of
-        color >= gamma, so only the stack is left to expand."""
-        colors, stamp = self.colors, self.stamp
-        links, mine, stack, waiting = self.sides[1]
-        while stack:
-            self.steps += 1
-            for w in links[stack.pop()]:
-                if mine[w] == stamp:
-                    continue
-                color = colors[w]
-                if color < gamma:
-                    waiting.setdefault(color, []).append(w)
-                    continue
-                mine[w] = stamp
-                stack.append(w)
-        return mine
-
 
 class _PassState:
     """Shared bookkeeping for one reduction run, and its anchor oracle.
@@ -289,14 +268,11 @@ class _PassState:
     color from old to new changes only the subgraphs of thresholds in
     ``(new, old]``, so only those lose their decomposition and charge.
 
-    Exact mode searches for a simple cycle only where a closed walk exists,
-    and hands the search the nodes that reach ``v`` at gamma so that the
-    query runs no decomposition of its own: ``v``'s component from the
-    cached decomposition if there is one, else the reach's backward set
-    grown to closure at gamma (charged like the rest of the reach; it only
-    grows, so it stays within the reach's one pass).  Tracks how many nodes
-    carry each color, and the sorted list of colors in use, so an anchor
-    scans only the colors present.
+    Exact mode asks for a simple cycle only where a closed walk exists;
+    which nodes that search enters is up to
+    :func:`~rabinindex.cycles.simple_cycle_through_with_color` alone.
+    Tracks how many nodes carry each color, and the sorted list of colors
+    in use, so an anchor scans only the colors present.
     """
 
     def __init__(
@@ -354,30 +330,9 @@ class _PassState:
         self.stats.reach_steps += reach.steps - before
         return meets
 
-    def _reaches_v(self, v: NodeId, gamma: int, reach: _Reach) -> list[bool]:
-        """Marks a superset of ``v``'s component in the color->=gamma
-        subgraph whose every node reaches ``v`` there."""
-        scc = self._scc_cache.get(gamma)
-        if scc is not None:
-            comp = scc.component_of[v]
-            return [c == comp for c in scc.component_of]
-        before = reach.steps
-        back = reach.closed_backward(gamma)
-        self._charged[gamma] += reach.steps - before
-        self.stats.reach_steps += reach.steps - before
-        stamp = reach.stamp
-        return [mark == stamp for mark in back]
-
-    def _simple_cycle(self, v: NodeId, gamma: int, reach: _Reach) -> bool:
+    def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
         budget = SearchBudget(self.budget_limit)
-        answer = simple_cycle_through_with_color(
-            self.arena,
-            self.colors,
-            v,
-            gamma,
-            budget,
-            reaches_v=self._reaches_v(v, gamma, reach),
-        )
+        answer = simple_cycle_through_with_color(self.arena, self.colors, v, gamma, budget)
         stats = self.stats
         stats.exact_queries += 1
         stats.nodes_expanded += budget.spent
@@ -400,7 +355,7 @@ class _PassState:
             if (c_v - gamma) % 2 == 0:
                 continue
             if self._closes_walk(v, gamma, reach) and (
-                self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma, reach)
+                self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma)
             ):
                 return gamma
         return -1

@@ -45,6 +45,12 @@ def test_parse_bench_config_errors():
         parse_bench_config("runs=4")
     with pytest.raises(ValueError, match="line 3: random takes one"):
         parse_bench_config("\n\nrandom 10/1/3/5 20/1/3/5")
+    with pytest.raises(ValueError, match="line 1: runs must be an integer, got 'abc'"):
+        parse_bench_config("clique 3 runs=abc")
+    with pytest.raises(ValueError, match="line 2: seed must be an integer, got 'abc'"):
+        parse_bench_config("clique 3\nclique 3 seed=abc")
+    with pytest.raises(ValueError, match="line 1: max out-degree 9 impossible"):
+        parse_bench_config("random 5/1/9/3")
 
 
 def test_parse_bench_config_empty():

@@ -170,6 +170,21 @@ def test_member(fig1_path, capsys):
     assert capsys.readouterr().out == "no\n"
 
 
+def test_member_rejects_k_below_one(fig1_path, capsys):
+    assert main(["member", str(fig1_path), "-k", "0"]) == 2
+    assert capsys.readouterr().err == "error: usage: -k must be at least 1, got 0\n"
+
+
+def test_bench_rejects_runs_below_one(tmp_path, capsys):
+    spec = tmp_path / "bench.txt"
+    spec.write_text("ladder 2\n")
+    out = tmp_path / "out.csv"
+    for runs in ("0", "-2"):
+        assert main(["bench", "--spec", str(spec), "--runs", runs, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: usage: --runs must be at least 1, got {runs}\n"
+    assert not out.exists()
+
+
 def test_bench_csv(tmp_path, capsys):
     spec = tmp_path / "bench.txt"
     spec.write_text("ladder 2 runs=2\n")

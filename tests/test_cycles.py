@@ -204,15 +204,28 @@ def test_simple_cycle_query_matches_enumeration(arena):
             assert (answer is CycleAnswer.YES) == expected
 
 
+@given(arenas(max_nodes=6, max_color=4, allow_self_loops=True))
+@settings(max_examples=60)
+def test_closed_walk_query_matches_enumeration(arena):
+    c = arena.colors
+    walks = list(strongly_connected_subsets(arena))
+    for v in range(arena.node_count):
+        for gamma in range(c[v] + 1):
+            expected = any(v in walk and min(c[u] for u in walk) == gamma for walk in walks)
+            assert cycle_through_with_color(arena, None, v, gamma) == expected
+
+
 def _reference_search(arena, v, gamma, budget):
     """Backtracking over simple paths from ``v`` inside its component of
     the color->=gamma subgraph, charging ``budget.spend()`` per push."""
     c = arena.colors
-    if not cycle_through_with_color(arena, None, v, gamma):
+    reach = threshold_reach(arena.predecessors, c, v, gamma)
+    component = reach & threshold_reach(arena.successors, c, v, gamma)
+    on_cycle = any(u in component for u in arena.successors[v])
+    if not on_cycle or all(c[u] != gamma for u in component):
         return CycleAnswer.NO
     if c[v] == gamma:
         return CycleAnswer.YES
-    reach = threshold_reach(arena.predecessors, c, v, gamma)
     path = [v]
     branches = [iter(sorted(arena.successors[v]))]
     while branches:
@@ -238,23 +251,17 @@ def _reference_search(arena, v, gamma, budget):
     st.integers(0, 3),
 )
 @settings(max_examples=80)
-def test_supplied_reach_matches_own_prefilter(arena, limit, already_spent):
-    # The caller-supplied set of nodes reaching v and the query's own
-    # decomposition give the same answer and charge the same budget as a
-    # search that calls SearchBudget.spend per push, also when the budget
-    # arrives partly spent.
+def test_search_matches_reference_budget(arena, limit, already_spent):
+    # The query answers as a search that calls SearchBudget.spend per push
+    # and charges the same budget, also when the budget arrives partly
+    # spent.
     for v in range(arena.node_count):
         for gamma in range(arena.colors[v] + 1):
-            reach = threshold_reach(arena.predecessors, arena.colors, v, gamma)
-            reaches_v = [u in reach for u in range(arena.node_count)]
-            budgets = [SearchBudget(limit, already_spent) for _ in range(3)]
-            supplied = simple_cycle_through_with_color(
-                arena, None, v, gamma, budgets[0], reaches_v=reaches_v
-            )
-            own = simple_cycle_through_with_color(arena, None, v, gamma, budgets[1])
-            reference = _reference_search(arena, v, gamma, budgets[2])
-            assert supplied is own is reference
-            assert budgets[0].spent == budgets[1].spent == budgets[2].spent
+            budgets = [SearchBudget(limit, already_spent) for _ in range(2)]
+            answer = simple_cycle_through_with_color(arena, None, v, gamma, budgets[0])
+            reference = _reference_search(arena, v, gamma, budgets[1])
+            assert answer is reference
+            assert budgets[0].spent == budgets[1].spent
 
 
 @pytest.mark.parametrize(

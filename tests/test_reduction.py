@@ -11,7 +11,6 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings
 
-from rabinindex import reduction
 from rabinindex.arena import Arena, cycle_color, index
 from rabinindex.cycles import (
     CycleAnswer,
@@ -45,7 +44,7 @@ from rabinindex.cycles import enumerate_simple_cycles
 EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
-from helpers import arenas, count_tarjan_calls, nested_path, random_arena, threshold_reach
+from helpers import arenas, count_tarjan_calls, nested_path, random_arena
 
 
 # Node orders that process the running example the way a (color, node)
@@ -219,44 +218,10 @@ def test_pass_state_anchors_survive_recoloring(mode):
     assert builds > 0 and kept > 0
 
 
-def test_exact_queries_get_the_nodes_that_reach_v(monkeypatch):
-    # Between random recolorings, every exact query of one state receives
-    # v's component when the threshold's decomposition is cached, and else
-    # exactly the nodes that reach v.
-    rng = random.Random(77)
-    real = reduction.simple_cycle_through_with_color
-    seen = Counter()
-
-    def checking(arena, colors, v, gamma, budget, *, reaches_v):
-        given_set = {u for u, inside in enumerate(reaches_v) if inside}
-        reaching = threshold_reach(arena.predecessors, colors, v, gamma)
-        if gamma in state._scc_cache:
-            reached = threshold_reach(arena.successors, colors, v, gamma)
-            assert given_set == reaching & reached
-            seen["component"] += 1
-        else:
-            assert given_set == reaching
-            seen["reach"] += 1
-        return real(arena, colors, v, gamma, budget, reaches_v=reaches_v)
-
-    monkeypatch.setattr(reduction, "simple_cycle_through_with_color", checking)
-    for _ in range(60):
-        arena = random_arena(rng, max_nodes=9, max_color=9, max_degree=3)
-        colors = list(arena.colors)
-        state = _PassState(arena, colors, EXACT, None, OracleStats())
-        for _ in range(10):
-            for v in rng.sample(range(arena.node_count), arena.node_count):
-                state.anchor(v)
-            v = rng.randrange(arena.node_count)
-            if colors[v] >= 2:
-                state.set_color(v, colors[v] - 2 * rng.randint(1, colors[v] // 2))
-    assert seen["component"] > 0 and seen["reach"] > 0
-
-
 def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
     # Only the pop pass's max-color checks decompose through cycles; each
-    # exact query gets its component from the anchor oracle, and the search
-    # sorts each arena's successors once.
+    # exact query finds its nodes by a backward reach, and the search sorts
+    # each arena's successors once.
     sorts = Counter()
     plain = Arena.__dict__["sorted_successors"].func
 
@@ -326,6 +291,25 @@ def test_alpha_anchor_work_is_linear_on_ladders():
     # would cost n steps per node; the decomposition they pay for keeps the
     # anchor work linear.
     assert _alpha_anchor_work(1000) <= 2.5 * _alpha_anchor_work(500)
+
+
+def _disjoint_two_cycles(k: int) -> Arena:
+    succ = [(v ^ 1,) for v in range(2 * k)]
+    return Arena.from_lists(succ, [3, 2] * k)
+
+
+def test_exact_query_time_follows_its_component():
+    # Each 3-colored node asks one exact query whose component is its own
+    # 2-cycle; the queries must not each pay for the whole arena, which
+    # would make four times the pairs cost about sixteen times as much.
+    small, large = _disjoint_two_cycles(1000), _disjoint_two_cycles(4000)
+    times = {small: [], large: []}
+    for _ in range(3):
+        for arena, spent in times.items():
+            start = time.perf_counter()
+            rabin(arena)
+            spent.append(time.perf_counter() - start)
+    assert min(times[large]) < 8 * min(times[small])
 
 
 def test_report_rendering(fig1_arena):
