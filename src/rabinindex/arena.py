@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 NodeId = int
@@ -48,23 +49,25 @@ class Arena:
         n = len(self.successors)
         if n == 0:
             raise ValueError("arena must have at least one node")
-        if len(self.colors) != n:
-            raise ValueError(
-                f"coloring has {len(self.colors)} entries for {n} nodes"
-            )
-        for v, succ in enumerate(self.successors):
-            if not succ:
-                raise ValueError(f"node {v} has no successors (arena must be total)")
-            seen = set()
-            for w in succ:
-                if not 0 <= w < n:
-                    raise ValueError(f"successor {w} of node {v} out of range")
-                if w in seen:
-                    raise ValueError(f"node {v} has duplicate successor {w}")
-                seen.add(w)
-        for v, c in enumerate(self.colors):
-            if c < 0:
-                raise ValueError(f"negative color {c} at node {v}")
+        # Errors, in order: coloring length, first bad node, negative color.
+        targets = tuple(chain.from_iterable(self.successors))
+        if len(self.colors) == n and not (
+            all(self.successors)
+            and min(targets) >= 0
+            and max(targets) < n
+            and len(targets) == sum(map(len, map(set, self.successors)))
+        ):
+            for v, succ in enumerate(self.successors):
+                if not succ:
+                    raise ValueError(f"node {v} has no successors (arena must be total)")
+                seen = set()
+                for w in succ:
+                    if not 0 <= w < n:
+                        raise ValueError(f"successor {w} of node {v} out of range")
+                    if w in seen:
+                        raise ValueError(f"node {v} has duplicate successor {w}")
+                    seen.add(w)
+        _check_coloring(self.colors, n)
 
     @classmethod
     def from_lists(
@@ -85,11 +88,12 @@ class Arena:
 
     @cached_property
     def predecessors(self) -> tuple[tuple[NodeId, ...], ...]:
+        """Predecessors of each node in ascending order: ``v`` runs upward."""
         preds: list[list[NodeId]] = [[] for _ in range(self.node_count)]
         for v, succ in enumerate(self.successors):
             for w in succ:
                 preds[w].append(v)
-        return tuple(tuple(sorted(p)) for p in preds)
+        return tuple(map(tuple, preds))
 
     @cached_property
     def sorted_successors(self) -> tuple[tuple[NodeId, ...], ...]:
@@ -101,8 +105,22 @@ class Arena:
         return v in self.successor_sets[u]
 
     def with_colors(self, colors: Iterable[int]) -> "Arena":
-        """Same graph, different coloring."""
-        return Arena(self.successors, tuple(colors))
+        """Same graph, different coloring; only the coloring is checked.  The
+        new arena shares ``successors`` and every graph index computed so far
+        (``predecessors``, ``successor_sets``, ``sorted_successors``)."""
+        colors = tuple(colors)
+        _check_coloring(colors, self.node_count)
+        other = object.__new__(Arena)
+        other.__dict__.update(self.__dict__, colors=colors)
+        return other
+
+
+def _check_coloring(colors: Coloring, n: int) -> None:
+    if len(colors) != n:
+        raise ValueError(f"coloring has {len(colors)} entries for {n} nodes")
+    if min(colors) < 0:
+        v = next(v for v, c in enumerate(colors) if c < 0)
+        raise ValueError(f"negative color {colors[v]} at node {v}")
 
 
 @dataclass(frozen=True)

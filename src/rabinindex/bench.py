@@ -170,6 +170,8 @@ def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
 def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
     """Measure one batch: indices plus mean wall-clock times over its runs."""
     runs = spec.runs if spec.runs is not None else default_runs
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
     mus, mus_static, ris, iters = [], [], [], []
     t_static, t_alpha, t_solve, t_solve_static, t_solve_alpha = [], [], [], [], []
     for run in range(runs):
@@ -215,6 +217,8 @@ def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
 
 def bench_run(config_text: str, default_runs: int = 1) -> list[BenchRow]:
     """Run every batch in the configuration; failures are logged, not fatal."""
+    if default_runs < 1:
+        raise ValueError(f"runs must be at least 1, got {default_runs}")
     rows = []
     for spec in parse_bench_config(config_text):
         try:

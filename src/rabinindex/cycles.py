@@ -110,65 +110,63 @@ def tarjan_scc(
 ) -> SccDecomposition:
     """Iterative Tarjan decomposition of the subgraph induced by ``allowed``."""
     n = len(successors)
-    if allowed is None:
-        allowed = [True] * n
     UNVISITED = -1
-    index_of = [UNVISITED] * n
+    # A node outside the mask or already in a component has index n, above
+    # every lowlink, so the search needs no other test to skip it.
+    index_of = [UNVISITED] * n if allowed is None else [UNVISITED if a else n for a in allowed]
     lowlink = [0] * n
-    on_stack = [False] * n
     component_of = [-1] * n
     stack: list[int] = []
     members: list[tuple[int, ...]] = []
     nontrivial: list[bool] = []
     counter = 0
+    # The depth-first path, and one successor iterator per node on it.
+    path: list[int] = []
+    branches: list[Iterator[NodeId]] = []
 
     for root in range(n):
-        if not allowed[root] or index_of[root] != UNVISITED:
+        if index_of[root] != UNVISITED:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = successors[v]
-            while pos < len(succ):
-                w = succ[pos]
-                pos += 1
-                if not allowed[w]:
-                    continue
-                if index_of[w] == UNVISITED:
-                    work[-1] = (v, pos)
-                    work.append((w, 0))
-                    advanced = True
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        path.append(root)
+        branches.append(iter(successors[root]))
+        while branches:
+            v = path[-1]
+            for w in branches[-1]:
+                i = index_of[w]
+                if i == UNVISITED:
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    path.append(w)
+                    branches.append(iter(successors[w]))
                     break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component_of[w] = len(members)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comp.sort()
-                members.append(tuple(comp))
-                if len(comp) > 1:
-                    nontrivial.append(True)
+                if i < lowlink[v]:
+                    lowlink[v] = i
+            else:
+                branches.pop()
+                path.pop()
+                low = lowlink[v]
+                if low != index_of[v]:  # not a root: it has a parent
+                    if low < lowlink[path[-1]]:
+                        lowlink[path[-1]] = low
+                elif stack[-1] == v:
+                    stack.pop()
+                    index_of[v] = n
+                    component_of[v] = len(members)
+                    members.append((v,))
+                    nontrivial.append(v in successors[v])
                 else:
-                    u = comp[0]
-                    nontrivial.append(u in successors[u])
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    for w in comp:
+                        index_of[w] = n
+                        component_of[w] = len(members)
+                    members.append(tuple(sorted(comp)))
+                    nontrivial.append(True)
 
     return SccDecomposition(tuple(component_of), tuple(members), tuple(nontrivial))
 

@@ -5,7 +5,8 @@ min-parity winning condition used throughout this package: player 0 wins a
 play iff the minimal color occurring infinitely often is even.  The
 recursion therefore peels off the *minimal* color class instead of the
 maximal one, and runs as a loop over an explicit stack of subgames, so
-its depth is not bounded by Python's recursion limit.
+its depth is not bounded by Python's recursion limit.  Subgames are node
+lists and per-node marks, never copied sets.
 
 W. Zielonka, "Infinite games on finitely coloured graphs with applications
 to automata on infinite trees", TCS 200(1-2), 1998.
@@ -37,35 +38,48 @@ class Attractor:
 
 
 def _attract(
-    successors: tuple[tuple[NodeId, ...], ...],
-    predecessors: tuple[tuple[NodeId, ...], ...],
-    owners: tuple[int, ...],
+    game: ParityGame,
     player: int,
     targets: list[NodeId],
-    active: frozenset[NodeId],
-) -> tuple[set[NodeId], dict[NodeId, NodeId]]:
-    region = set(targets)
+    nodes: list[NodeId] | range,
+    level: list[int],
+    d: int,
+) -> tuple[list[NodeId], dict[NodeId, NodeId]]:
+    """Attractor of ``targets`` for ``player`` inside ``nodes``, every other
+    node being marked below ``d`` in ``level``.  Marks ``nodes`` d + 1, then
+    each attracted node d, and lists those in breadth-first order, targets
+    first; the list is the search's queue."""
+    successors = game.arena.successors
+    predecessors = game.arena.predecessors
+    owners = game.owners
+    outside = d + 1
+    for v in nodes:
+        level[v] = outside
+    region = list(targets)
+    for v in region:
+        level[v] = d
     witness: dict[NodeId, NodeId] = {}
-    queue = deque(targets)
-    escape_count: dict[NodeId, int] = {}
-    while queue:
-        w = queue.popleft()
+    escapes: dict[NodeId, int] = {}
+    for w in region:
         for u in predecessors[w]:
-            if u not in active or u in region:
+            if level[u] != outside:
                 continue
             if owners[u] == player:
-                region.add(u)
+                level[u] = d
                 witness[u] = w
-                queue.append(u)
+                region.append(u)
             else:
-                left = escape_count.get(u)
-                if left is None:
-                    left = sum(1 for x in successors[u] if x in active)
+                left = escapes.get(u)
+                if left is None:  # a plain loop: ~3x cheaper than sum() here
+                    left = 0
+                    for x in successors[u]:
+                        if level[x] >= d:
+                            left += 1
                 left -= 1
-                escape_count[u] = left
+                escapes[u] = left
                 if left == 0:
-                    region.add(u)
-                    queue.append(u)
+                    level[u] = d
+                    region.append(u)
     return region, witness
 
 
@@ -73,14 +87,11 @@ def attract(game: ParityGame, player: int, target: set[NodeId]) -> Attractor:
     """Attractor of ``target`` for ``player`` over the whole game."""
     if player not in (0, 1):
         raise ValueError(f"player must be 0 or 1, got {player}")
-    arena = game.arena
-    bad = [v for v in target if not 0 <= v < arena.node_count]
+    n = game.node_count
+    bad = [v for v in target if not 0 <= v < n]
     if bad:
         raise ValueError(f"target nodes out of range: {bad}")
-    active = frozenset(range(arena.node_count))
-    region, witness = _attract(
-        arena.successors, arena.predecessors, game.owners, player, sorted(target), active
-    )
+    region, witness = _attract(game, player, sorted(target), range(n), [0] * n, 0)
     return Attractor(player=player, region=frozenset(region), witness=witness)
 
 
@@ -98,54 +109,62 @@ def zielonka_solve(game: ParityGame) -> Solution:
     successor of s's p-colored nodes.  A later write to a node comes from
     a subgame that re-solves it, so the table ends up holding each
     winner-owned node's move.
+
+    A subgame opened at stack depth d is an ascending node list; ``level``
+    marks its head d, the rest (the next subgame) d + 1 and a trapped node
+    -1.  ``won`` holds each settled node's winner, written last by the
+    outermost subgame that settles it.
     """
     arena = game.arena
     n = arena.node_count
     successors = arena.successors
-    predecessors = arena.predecessors
     owners = game.owners
     colors = arena.colors
 
+    level = [0] * n
+    won = [0] * n
     move: dict[NodeId, NodeId] = {}
-    # A paused subgame: its nodes, the regions its earlier rounds settled,
-    # and its head's player, targets and attractor witnesses.
-    stack: list[tuple[frozenset[NodeId], tuple[set, set], int, list[NodeId], dict]] = []
-    active = frozenset(range(n))
-    wins: tuple[set[NodeId], set[NodeId]] = (set(), set())
+    # A paused subgame: its nodes, and its head's player, targets and
+    # attractor witnesses.
+    stack: list[tuple[list[NodeId], int, list[NodeId], dict[NodeId, NodeId]]] = []
+    nodes = list(range(n))
     while True:
         # Pause each subgame and open the one outside its head.
-        while active:
-            p = min(colors[v] for v in active)
+        while nodes:
+            d = len(stack)
+            p = min(map(colors.__getitem__, nodes))
             s = p % 2
-            targets = sorted(v for v in active if colors[v] == p)
-            head, head_witness = _attract(successors, predecessors, owners, s, targets, active)
-            stack.append((active, wins, s, targets, head_witness))
-            active = active - head
-            wins = (set(), set())
+            targets = [v for v in nodes if colors[v] == p]
+            _, head_witness = _attract(game, s, targets, nodes, level, d)
+            stack.append((nodes, s, targets, head_witness))
+            nodes = [v for v in nodes if level[v] != d]
         if not stack:
             break
-        sub_wins = wins
-        active, wins, s, targets, head_witness = stack.pop()
+        nodes, s, targets, head_witness = stack.pop()
+        d = len(stack)
         opp = 1 - s
-        if sub_wins[opp]:
-            trap, trap_witness = _attract(
-                successors, predecessors, owners, opp, sorted(sub_wins[opp]), active
-            )
+        # The head is still marked d; the rest was settled one level down.
+        lost = [v for v in nodes if level[v] != d and won[v] == opp]
+        if lost:
+            trap, trap_witness = _attract(game, opp, lost, nodes, level, d)
             move.update(trap_witness)
-            wins[opp].update(trap)
-            active = active - trap
+            for v in trap:
+                won[v] = opp
+                level[v] = -1
+            nodes = [v for v in nodes if level[v] != -1]
         else:
             move.update(head_witness)
+            for v in nodes:
+                level[v] = d
+                won[v] = s
             for v in targets:
                 if owners[v] == s:
-                    move[v] = next(w for w in successors[v] if w in active)
-            wins[s].update(active)
-            active = frozenset()  # settled: ``wins`` goes back to its opener
+                    move[v] = next(w for w in successors[v] if level[w] == d)
+            nodes = []  # settled: its winners go back to its opener
 
-    winner = tuple(0 if v in wins[0] else 1 for v in range(n))
-    strategy0 = {v: move[v] for v in wins[0] if owners[v] == 0}
-    strategy1 = {v: move[v] for v in wins[1] if owners[v] == 1}
-    return Solution(winner=winner, strategy0=strategy0, strategy1=strategy1)
+    strategy0 = {v: move[v] for v in range(n) if won[v] == 0 and owners[v] == 0}
+    strategy1 = {v: move[v] for v in range(n) if won[v] == 1 and owners[v] == 1}
+    return Solution(winner=tuple(won), strategy0=strategy0, strategy1=strategy1)
 
 
 @dataclass(frozen=True)

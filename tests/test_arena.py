@@ -54,6 +54,19 @@ def test_with_colors_keeps_graph():
     assert other.colors == (4, 5)
 
 
+def test_with_colors_shares_graph_indexes():
+    arena = Arena.from_lists([[2, 0, 1], [0], [1, 0]], [0, 1, 2])
+    names = ("predecessors", "successor_sets", "sorted_successors")
+    built = [getattr(arena, name) for name in names]
+    other = arena.with_colors((3, 4, 5))
+    assert all(getattr(other, name) is index for name, index in zip(names, built))
+    assert other.colors == (3, 4, 5) and arena.colors == (0, 1, 2)
+    with pytest.raises(ValueError, match="coloring has 2 entries for 3 nodes"):
+        arena.with_colors((3, 4))
+    with pytest.raises(ValueError, match="negative color -1 at node 1"):
+        arena.with_colors((3, -1, 5))
+
+
 def test_has_edge(fig1_arena):
     assert fig1_arena.has_edge(0, 4)
     assert not fig1_arena.has_edge(4, 0)

@@ -75,6 +75,15 @@ def test_bench_batch_default_runs():
     assert bench_batch(spec, default_runs=4).runs == 4
 
 
+def test_bench_rejects_runs_below_one(caplog):
+    with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
+        bench_run("ladder 2\nladder 3", default_runs=0)
+    assert not caplog.records
+    spec = parse_bench_config("ladder 2")[0]
+    with pytest.raises(ValueError, match="runs must be at least 1, got -1"):
+        bench_batch(spec, default_runs=-1)
+
+
 def test_bench_run_skips_failing_batches(caplog):
     # A one-node clique cannot be built (no successors), so that batch is
     # dropped while the others still report.

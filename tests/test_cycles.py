@@ -66,6 +66,38 @@ def test_tarjan_singleton_self_loop():
     assert scc.nontrivial == (True,)
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_tarjan_matches_brute_force(data):
+    loops = data.draw(st.booleans())
+    arena = data.draw(arenas(max_nodes=9, max_degree=3, allow_self_loops=loops))
+    n = arena.node_count
+    allowed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    edges = [(u, w) for u in range(n) for w in arena.successors[u] if allowed[u] and allowed[w]]
+    # reach[u][w]: a path of at least one edge from u to w inside the mask.
+    reach = [[False] * n for _ in range(n)]
+    for u, w in edges:
+        reach[u][w] = True
+    for k in range(n):
+        for u in range(n):
+            if reach[u][k]:
+                for w in range(n):
+                    reach[u][w] = reach[u][w] or reach[k][w]
+
+    scc = tarjan_scc(arena.successors, allowed)
+    comp = scc.component_of
+    for u in range(n):
+        assert (comp[u] == -1) == (not allowed[u])
+        for w in range(n):
+            if allowed[u] and allowed[w] and u != w:
+                assert (comp[u] == comp[w]) == (reach[u][w] and reach[w][u])
+    for c, members in enumerate(scc.members):
+        assert members == tuple(u for u in range(n) if comp[u] == c)
+        assert scc.nontrivial[c] == reach[members[0]][members[0]]
+    for u, w in edges:
+        assert comp[u] >= comp[w]  # reverse topological numbering
+
+
 def test_simple_cycle_through_fig1(fig1_arena):
     # v4 sits on the 2-cycle with v3 (colors 2, 1).
     assert simple_cycle_through_with_color(fig1_arena, None, 4, 1) is CycleAnswer.YES

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
+from rabinindex import RandomConfig, gen_family, gen_random
 from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
 from rabinindex.solver import attract, verify_solution, zielonka_solve
@@ -99,6 +101,48 @@ def test_zielonka_matches_brute_force():
         assert solution.winner == brute_force_winners(game)
         result = verify_solution(game, solution)
         assert result, result.reason
+
+
+# The benchmark's seven PGSolver families, then 30 seeded random games of
+# 50 to 2 000 nodes, out-degree 1 to 5 and up to 2n colors.
+PINNED_FAMILIES = (
+    ("clique", (100,)),
+    ("ladder", (300,)),
+    ("jurdzinski", (4, 6)),
+    ("jurdzinski", (5, 10)),
+    ("recursive_ladder", (30,)),
+    ("model_checker_ladder", (300,)),
+    ("tower_of_hanoi", (5,)),
+)
+
+
+def _pinned_random_games():
+    for i in range(30):
+        n = 50 + 1950 * i // 29
+        lo = 1 + i % 3
+        spec = f"{n}/{lo}/{lo + i % 3}/{(n // 10, n, 2 * n)[i % 3]}"
+        yield gen_random(RandomConfig.parse(spec, seed=100 + i))
+
+
+# sha256 over (winner, strategy0, strategy1) of every game above, in order.
+PINNED_DIGEST = "782ee0d7220c82b200028c7850e91a1d385fa985646defa42cee7e18d2f78ad1"
+
+
+def test_zielonka_output_is_pinned():
+    families = [gen_family(name, params) for name, params in PINNED_FAMILIES]
+    digest = hashlib.sha256()
+    for game in families + list(_pinned_random_games()):
+        solution = zielonka_solve(game)
+        digest.update(
+            repr(
+                (
+                    solution.winner,
+                    sorted(solution.strategy0.items()),
+                    sorted(solution.strategy1.items()),
+                )
+            ).encode()
+        )
+    assert digest.hexdigest() == PINNED_DIGEST
 
 
 @given(games(max_nodes=7, max_color=6))
