@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Iterable, Sequence
 
 NodeId = int
@@ -49,24 +48,20 @@ class Arena:
         n = len(self.successors)
         if n == 0:
             raise ValueError("arena must have at least one node")
-        # Errors, in order: coloring length, first bad node, negative color.
-        targets = tuple(chain.from_iterable(self.successors))
-        if len(self.colors) == n and not (
-            all(self.successors)
-            and min(targets) >= 0
-            and max(targets) < n
-            and len(targets) == sum(map(len, map(set, self.successors)))
-        ):
-            for v, succ in enumerate(self.successors):
-                if not succ:
-                    raise ValueError(f"node {v} has no successors (arena must be total)")
-                seen = set()
-                for w in succ:
-                    if not 0 <= w < n:
-                        raise ValueError(f"successor {w} of node {v} out of range")
-                    if w in seen:
-                        raise ValueError(f"node {v} has duplicate successor {w}")
-                    seen.add(w)
+        if len(self.colors) != n:
+            raise ValueError(
+                f"coloring has {len(self.colors)} entries for {n} nodes"
+            )
+        for v, succ in enumerate(self.successors):
+            if not succ:
+                raise ValueError(f"node {v} has no successors (arena must be total)")
+            seen = set()
+            for w in succ:
+                if not 0 <= w < n:
+                    raise ValueError(f"successor {w} of node {v} out of range")
+                if w in seen:
+                    raise ValueError(f"node {v} has duplicate successor {w}")
+                seen.add(w)
         _check_coloring(self.colors, n)
 
     @classmethod
@@ -111,8 +106,17 @@ class Arena:
         colors = tuple(colors)
         _check_coloring(colors, self.node_count)
         other = object.__new__(Arena)
-        other.__dict__.update(self.__dict__, colors=colors)
+        other.__dict__.update(
+            {k: v for k, v in self.__dict__.items() if k in _GRAPH_INDEXES},
+            successors=self.successors,
+            colors=colors,
+        )
         return other
+
+
+# Cached properties of an Arena that depend on the graph alone; with_colors
+# hands these on and lets any other cached property be recomputed.
+_GRAPH_INDEXES = frozenset({"predecessors", "successor_sets", "sorted_successors"})
 
 
 def _check_coloring(colors: Coloring, n: int) -> None:

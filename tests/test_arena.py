@@ -61,6 +61,9 @@ def test_with_colors_shares_graph_indexes():
     other = arena.with_colors((3, 4, 5))
     assert all(getattr(other, name) is index for name, index in zip(names, built))
     assert other.colors == (3, 4, 5) and arena.colors == (0, 1, 2)
+    # Anything else cached on the parent may depend on its colors: not copied.
+    arena.__dict__["color_cache"] = arena.colors
+    assert "color_cache" not in arena.with_colors((3, 4, 5)).__dict__
     with pytest.raises(ValueError, match="coloring has 2 entries for 3 nodes"):
         arena.with_colors((3, 4))
     with pytest.raises(ValueError, match="negative color -1 at node 1"):
