@@ -62,7 +62,7 @@ class Arena:
                 if w in seen:
                     raise ValueError(f"node {v} has duplicate successor {w}")
                 seen.add(w)
-        _check_coloring(self.colors, n)
+        check_coloring(self.colors, n)
 
     @classmethod
     def from_lists(
@@ -99,12 +99,20 @@ class Arena:
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return v in self.successor_sets[u]
 
+    def checked_colors(self, colors: Iterable[int] | None) -> Coloring:
+        """``colors`` as a tuple checked against this arena (length, no
+        negatives), or the arena's own coloring when None."""
+        if colors is None:
+            return self.colors
+        colors = tuple(colors)
+        check_coloring(colors, self.node_count)
+        return colors
+
     def with_colors(self, colors: Iterable[int]) -> "Arena":
         """Same graph, different coloring; only the coloring is checked.  The
         new arena shares ``successors`` and every graph index computed so far
         (``predecessors``, ``successor_sets``, ``sorted_successors``)."""
-        colors = tuple(colors)
-        _check_coloring(colors, self.node_count)
+        colors = self.checked_colors(colors)
         other = object.__new__(Arena)
         other.__dict__.update(
             {k: v for k, v in self.__dict__.items() if k in _GRAPH_INDEXES},
@@ -119,7 +127,8 @@ class Arena:
 _GRAPH_INDEXES = frozenset({"predecessors", "successor_sets", "sorted_successors"})
 
 
-def _check_coloring(colors: Coloring, n: int) -> None:
+def check_coloring(colors: Sequence[int], n: int) -> None:
+    """Raise ValueError unless ``colors`` has ``n`` entries, none negative."""
     if len(colors) != n:
         raise ValueError(f"coloring has {len(colors)} entries for {n} nodes")
     if min(colors) < 0:

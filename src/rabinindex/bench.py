@@ -23,7 +23,7 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import fmean
 
 from .arena import ParityGame, index
@@ -58,7 +58,6 @@ class BatchSpec:
     params: tuple[int, ...] = ()
     random_config: RandomConfig | None = None
     runs: int | None = None  # None: use the harness-wide default
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -125,15 +124,13 @@ def _parse_batch(line: str) -> BatchSpec:
         if len(tokens) != 2:
             raise ValueError("random takes one xx/yy/zz/cc argument")
         config = RandomConfig.parse(tokens[1], seed=seed)
-        return BatchSpec(
-            label=config.label(), kind="random", random_config=config, runs=runs, seed=seed
-        )
+        return BatchSpec(label=config.label(), kind="random", random_config=config, runs=runs)
     try:
         params = tuple(int(tok) for tok in tokens[1:])
     except ValueError:
         raise ValueError(f"bad parameter in {line!r}") from None
     label = f"{kind}[{' '.join(tokens[1:])}]"
-    return BatchSpec(label=label, kind="family", name=kind, params=params, runs=runs, seed=seed)
+    return BatchSpec(label=label, kind="family", name=kind, params=params, runs=runs)
 
 
 def parse_bench_config(text: str) -> list[BatchSpec]:
@@ -155,15 +152,7 @@ def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
     if spec.kind == "random":
         assert spec.random_config is not None
         config = spec.random_config
-        return gen_random(
-            RandomConfig(
-                nodes=config.nodes,
-                min_out=config.min_out,
-                max_out=config.max_out,
-                max_color=config.max_color,
-                seed=config.seed + run,
-            )
-        )
+        return gen_random(replace(config, seed=config.seed + run))
     return gen_family(spec.name, spec.params)
 
 
@@ -195,7 +184,7 @@ def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
             (compressed, t_solve_static),
             (reduced, t_solve_alpha),
         ):
-            variant = ParityGame(arena=arena.with_colors(colors), owners=game.owners)
+            variant = game.with_colors(colors)
             start = time.perf_counter()
             zielonka_solve(variant)
             sink.append((time.perf_counter() - start) * 1000.0)

@@ -119,10 +119,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             reduced, report = rabin(arena, mode=OracleMode.ABSTRACT)
         print(f"index: {before} -> {index(reduced)}, iterations: {report.iteration_count}")
     if args.output is not None:
-        out_game = ParityGame(
-            arena=arena.with_colors(reduced), owners=game.owners, names=game.names
-        )
-        _write_text(args.output, write_pgsolver(out_game))
+        _write_text(args.output, write_pgsolver(game.with_colors(reduced)))
     return EXIT_OK
 
 
@@ -135,8 +132,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         colors, _ = rabin(arena, mode=OracleMode.ABSTRACT)
     else:
         colors = arena.colors
-    working = ParityGame(arena=arena.with_colors(colors), owners=game.owners, names=game.names)
-    solution = zielonka_solve(working)
+    solution = zielonka_solve(game.with_colors(colors))
     sys.stdout.write(write_solution(solution))
     return EXIT_OK
 

@@ -69,8 +69,8 @@ def equivalence_witness(
     color parity differs between ``first`` and ``second``; ``None`` means
     the colorings are equivalent under that relation.
     """
-    if len(first) != arena.node_count or len(second) != arena.node_count:
-        raise ValueError("coloring length does not match arena")
+    first = arena.checked_colors(first)
+    second = arena.checked_colors(second)
     for nodes in cycle_families(arena, relation, node_cap):
         if _parity_of_min(first, nodes) != _parity_of_min(second, nodes):
             return nodes
@@ -121,23 +121,27 @@ def _satisfiable(
     for nodes, parity in constraints:
         completing[max(position[v] for v in nodes)].append((nodes, parity))
 
+    # Depth-first over the order, one iterator of untried colors per
+    # assigned node; no recursion, so the depth may exceed Python's limit.
     assignment: dict[NodeId, int] = {}
-
-    def assign(depth: int) -> bool:
-        if depth == len(order):
-            return True
+    untried = [iter(domains[order[0]])]
+    while untried:
+        depth = len(untried) - 1
         node = order[depth]
-        for color in domains[node]:
+        for color in untried[-1]:
             assignment[node] = color
             if all(
                 min(assignment[v] for v in nodes) % 2 == parity
                 for nodes, parity in completing[depth]
-            ) and assign(depth + 1):
-                return True
-        del assignment[node]
-        return False
-
-    return assign(0)
+            ):
+                break
+        else:
+            untried.pop()
+            continue
+        if depth + 1 == len(order):
+            return True
+        untried.append(iter(domains[order[depth + 1]]))
+    return False
 
 
 def brute_force_rabin_index(
@@ -156,9 +160,7 @@ def brute_force_rabin_index(
     passes only ever lower colors and reach the optimum) and much faster;
     disable it to run the unrestricted search as a cross-check.
     """
-    colors = arena.colors if coloring is None else coloring
-    if len(colors) != arena.node_count:
-        raise ValueError("coloring length does not match arena")
+    colors = arena.checked_colors(coloring)
     families = cycle_families(arena, relation, node_cap)
     constraints = tuple((nodes, _parity_of_min(colors, nodes)) for nodes in families)
     order = _search_order(arena.node_count, constraints)
@@ -187,8 +189,7 @@ def fixpoint_violations(
     above 1 lies on a cycle of color exactly one less.  Returns a list of
     human-readable violations (empty = fixpoint conditions hold).
     """
-    if len(coloring) != arena.node_count:
-        raise ValueError("coloring length does not match arena")
+    coloring = arena.checked_colors(coloring)
     families = cycle_families(arena, relation, node_cap)
     mins = [min(coloring[v] for v in nodes) for nodes in families]
     problems: list[str] = []

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .arena import Arena, Coloring, NodeId, ParityGame, index
+from .arena import Arena, Coloring, NodeId, ParityGame, check_coloring, index
 from .cycles import (
     CycleAnswer,
     SccDecomposition,
@@ -396,12 +396,11 @@ def get_anchor(
     v: NodeId,
     mode: OracleMode | str = OracleMode.EXACT,
     budget_limit: int | None = None,
-    stats: OracleStats | None = None,
 ) -> int:
     """Anchor of ``v``: the largest opposite-parity color below ``c(v)``
     realized as the color of a cycle through ``v``, or -1."""
-    colors = list(arena.colors if coloring is None else coloring)
-    state = _PassState(arena, colors, _as_mode(mode), budget_limit, stats or OracleStats())
+    colors = list(arena.checked_colors(coloring))
+    state = _PassState(arena, colors, _as_mode(mode), budget_limit, OracleStats())
     return state.anchor(v)
 
 
@@ -426,7 +425,7 @@ def rabin(
     the queries that need no search.
     """
     mode = _as_mode(mode)
-    colors = list(arena.colors if coloring is None else coloring)
+    colors = list(arena.checked_colors(coloring))
     stats = OracleStats()
     state = _PassState(arena, colors, mode, budget_limit, stats)
     report = ReductionReport(
@@ -468,6 +467,7 @@ def static_compress(coloring: Sequence[int]) -> Coloring:
     """
     if not coloring:
         raise ValueError("coloring is empty")
+    check_coloring(coloring, len(coloring))
     mapping: dict[int, int] = {}
     prev: int | None = None
     for d in sorted(set(coloring)):
@@ -487,7 +487,7 @@ def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool
     A cycle of odd color ``d`` exists iff some node colored ``d`` lies on a
     closed walk whose minimal color is its own.
     """
-    c = arena.colors if coloring is None else coloring
+    c = arena.checked_colors(coloring)
     if not any(color % 2 for color in c):
         return True
     marked = closed_walk_minima(arena.successors, c)
@@ -507,7 +507,7 @@ def rabin_a(arena: Arena, coloring: Sequence[int] | None = None) -> Coloring:
     Reference: O. Carton, R. Maceiras, Computing the Rabin index of a
     parity automaton, RAIRO-ITA 33(6), 1999.
     """
-    c = list(arena.colors if coloring is None else coloring)
+    c = arena.checked_colors(coloring)
     n = arena.node_count
     out = list(c)
 

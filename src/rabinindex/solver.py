@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .arena import NodeId, ParityGame, Solution
 from .cycles import closed_walk_minima
@@ -189,20 +190,27 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
     Verifies, in order: the winner labeling is a total {0,1} assignment;
     each strategy is defined exactly on the owner's nodes inside the
     owner's claimed region and follows real edges; both regions are closed
-    (strategy moves stay inside, opponent moves cannot leave); and the
-    strategy-restricted subgraph of player s's region has no cycle whose
-    minimal color has the wrong parity: no node of parity 1-s lies on a
-    closed walk whose minimal color is its own.  The smallest such color d
-    is reported, with the shortest cycle through a d-colored culprit.
+    (strategy moves stay inside, opponent moves cannot leave); and neither
+    region admits a cycle of the wrong parity under its winner's strategy.
+
+    The closure check records the strategy-restricted graph as it goes: the
+    strategy move at a node its winner owns, every successor elsewhere, and
+    no move in a region without a color of its winner's wrong parity.  No
+    move leaves its region, so one :func:`closed_walk_minima` walk checks
+    both: no wrong-parity node may lie on a closed walk whose minimal color
+    is its own.  Player 0's region is reported before player 1's, with its
+    smallest such color d and the shortest cycle through its lowest
+    d-colored culprit.
     """
     arena = game.arena
     n = arena.node_count
     colors = arena.colors
     owners = game.owners
+    winner = solution.winner
 
-    if len(solution.winner) != n:
-        return _failure(f"winner labeling has {len(solution.winner)} entries for {n} nodes")
-    if any(w not in (0, 1) for w in solution.winner):
+    if len(winner) != n:
+        return _failure(f"winner labeling has {len(winner)} entries for {n} nodes")
+    if any(w not in (0, 1) for w in winner):
         return _failure("winner labeling contains values other than 0 and 1")
 
     strategies = (solution.strategy0, solution.strategy1)
@@ -215,7 +223,7 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
                     f"strategy for player {s} defined at node {v}, owned by player {owners[v]}",
                     (v,),
                 )
-            if solution.winner[v] != s:
+            if winner[v] != s:
                 return _failure(
                     f"strategy for player {s} defined at node {v} outside the claimed region",
                     (v,),
@@ -223,72 +231,59 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
             if not (isinstance(w, int) and 0 <= w < n) or not arena.has_edge(v, w):
                 return _failure(f"strategy move {v} -> {w!r} is not an edge", (v, w))
         for v in range(n):
-            if owners[v] == s and solution.winner[v] == s and v not in strategies[s]:
+            if owners[v] == s and winner[v] == s and v not in strategies[s]:
                 return _failure(f"player {s} has no strategy move at node {v}", (v,))
 
+    # The regions that hold a color of the wrong parity; only these walk.
+    walked = {s for s, c in zip(winner, colors) if c % 2 != s}
+    moves: list[Sequence[NodeId]] = [()] * n
     for v in range(n):
-        s = solution.winner[v]
+        s = winner[v]
         if owners[v] == s:
             w = strategies[s][v]
-            if solution.winner[w] != s:
+            if winner[w] != s:
                 return _failure(
                     f"strategy move {v} -> {w} leaves player {s}'s region", (v, w)
                 )
+            out: Sequence[NodeId] = (w,)
         else:
-            for w in arena.successors[v]:
-                if solution.winner[w] != s:
+            out = arena.successors[v]
+            for w in out:
+                if winner[w] != s:
                     return _failure(
                         f"region of player {s} not closed: opponent move {v} -> {w}", (v, w)
                     )
+        if s in walked:
+            moves[v] = out
 
-    for s in (0, 1):
-        region = [v for v in range(n) if solution.winner[v] == s]
-        if not any(colors[v] % 2 != s for v in region):
-            continue
-        restricted: list[tuple[NodeId, ...]] = [()] * n
-        for v in region:
-            if owners[v] == s:
-                restricted[v] = (strategies[s][v],)
-            else:
-                restricted[v] = arena.successors[v]
-        restricted_succ = tuple(restricted)
-        marked = closed_walk_minima(restricted_succ, colors)
-        bad = [v for v in region if marked[v] and colors[v] % 2 != s]
+    if walked:
+        marked = closed_walk_minima(moves, colors)
+        bad = [v for v in range(n) if marked[v] and colors[v] % 2 != winner[v]]
         if bad:
-            culprit = min(bad, key=lambda v: colors[v])
-            d = colors[culprit]
-            above = {v for v in region if colors[v] >= d}
-            cycle = _cycle_through(restricted_succ, above, culprit)
-            return _failure(f"player {s} region admits a cycle of color {d}", tuple(cycle))
+            s = min(winner[v] for v in bad)
+            culprit = min((v for v in bad if winner[v] == s), key=colors.__getitem__)
+            cycle = tuple(_cycle_through(moves, colors, culprit))
+            return _failure(f"player {s} region admits a cycle of color {colors[culprit]}", cycle)
     return VerificationResult(ok=True)
 
 
 def _cycle_through(
-    successors: tuple[tuple[NodeId, ...], ...], nodes: set[NodeId], start: NodeId
+    successors: Sequence[Sequence[NodeId]], colors: Sequence[int], start: NodeId
 ) -> list[NodeId]:
-    """Shortest cycle through ``start`` inside ``nodes``, which must hold one."""
-    if start in successors[start]:
-        return [start]
-    parent: dict[NodeId, NodeId | None] = {}
-    queue = deque()
-    for w in successors[start]:
-        if w in nodes and w not in parent:
-            parent[w] = None
-            queue.append(w)
-    while queue:
+    """Shortest cycle through ``start`` among the nodes colored at least
+    ``start``'s color, which must hold one."""
+    d = colors[start]
+    parent: dict[NodeId, NodeId] = {}
+    queue = deque([start])
+    while start not in parent:
         v = queue.popleft()
-        if v == start:
-            break
         for w in successors[v]:
-            if w in nodes and w not in parent:
+            if colors[w] >= d and w not in parent:
                 parent[w] = v
                 queue.append(w)
     hops = []
-    v: NodeId | None = start
-    while v is not None:
+    v = parent[start]
+    while v != start:
         hops.append(v)
         v = parent[v]
-    hops.reverse()
-    # hops runs from a direct successor of start back to start; the cycle
-    # closes by the implicit edge from its last node to its first.
-    return [start] + hops[:-1]
+    return [start] + hops[::-1]

@@ -158,6 +158,17 @@ def test_oracle_rabin_index(fig1_path, capsys):
     assert capsys.readouterr().out == "rabin index: 2\n"
 
 
+def test_oracle_rabin_index_on_a_long_ring(tmp_path, capsys):
+    # A 1 100-node ring colored v mod 3: the search assigns one node per
+    # step, deeper than Python's default recursion limit.
+    n = 1100
+    lines = [f"parity {n - 1};"] + [f"{v} {v % 3} 0 {(v + 1) % n};" for v in range(n)]
+    ring = tmp_path / "ring.gm"
+    ring.write_text("\n".join(lines) + "\n")
+    assert main(["oracle", "rabin-index", str(ring), "--cap", "2000"]) == 0
+    assert capsys.readouterr().out == "rabin index: 0\n"
+
+
 def test_oracle_node_cap(fig1_path, capsys):
     assert main(["oracle", "rabin-index", str(fig1_path), "--cap", "3"]) == 5
     assert "oracle capped at 3" in capsys.readouterr().err

@@ -58,7 +58,7 @@ def test_equivalence_relations_differ(aidiff_arena, aidiff_other):
 
 
 def test_equivalence_witness_length_check(fig1_arena):
-    with pytest.raises(ValueError, match="length"):
+    with pytest.raises(ValueError, match="coloring has 2 entries for 5 nodes"):
         equivalence_witness(fig1_arena, (0, 0), fig1_arena.colors)
 
 

@@ -24,6 +24,7 @@ from rabinindex.generators import gen_family
 from rabinindex.oracles import (
     brute_force_rabin_index,
     colorings_equivalent,
+    equivalence_witness,
     fixpoint_violations,
 )
 from rabinindex.reduction import (
@@ -320,6 +321,47 @@ def test_report_rendering(fig1_arena):
     assert "cycle: v0 3->1 | pop: v1 3->2" in text
     records = report.to_records()
     assert records[0]["iteration"] == 1
+
+
+# Every entry point that takes a caller's coloring for an arena, each given
+# a too-short, a too-long and a negative coloring of the 5-node running
+# example; static_compress has no arena, so only its negative case applies.
+_ENTRY_POINTS = {
+    "rabin": lambda arena, c: rabin(arena, c, mode=EXACT),
+    "rabin-alpha": lambda arena, c: rabin(arena, c, mode=OracleMode.ABSTRACT),
+    "get_anchor": lambda arena, c: get_anchor(arena, c, 0),
+    "rabin_a": rabin_a,
+    "all_cycles_even": all_cycles_even,
+    "brute_force_rabin_index": brute_force_rabin_index,
+    "equivalence_witness": lambda arena, c: equivalence_witness(arena, arena.colors, c),
+    "fixpoint_violations": fixpoint_violations,
+}
+_BAD_COLORINGS = {
+    "short": ((1, 2), "coloring has 2 entries for 5 nodes"),
+    "long": ((1, 2, 3, 4, 5, 6), "coloring has 6 entries for 5 nodes"),
+    "negative": ((1, -2, 3, 4, 5), "negative color -2 at node 1"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, coloring, message",
+    [
+        pytest.param(entry, c, m, id=f"{name}-{case}")
+        for name, entry in _ENTRY_POINTS.items()
+        for case, (c, m) in _BAD_COLORINGS.items()
+    ]
+    + [
+        pytest.param(
+            lambda arena, c: static_compress(c),
+            (1, -3),
+            "negative color -3 at node 1",
+            id="static_compress-negative",
+        )
+    ],
+)
+def test_entry_points_check_the_coloring(fig1_arena, entry, coloring, message):
+    with pytest.raises(ValueError, match=message):
+        entry(fig1_arena, coloring)
 
 
 def test_static_compress_example():

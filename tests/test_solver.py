@@ -10,7 +10,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 
-from rabinindex import RandomConfig, gen_family, gen_random
+from rabinindex import RandomConfig, gen_family, gen_random, solver
 from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
 from rabinindex.solver import attract, verify_solution, zielonka_solve
@@ -257,6 +257,36 @@ def test_verify_skips_the_walk_without_wrong_parity_colors(monkeypatch):
     calls = count_tarjan_calls(monkeypatch)
     assert verify_solution(game, Solution((0,) * arena.node_count))
     assert calls == []
+
+
+def test_verify_walks_both_regions_at_once(monkeypatch):
+    # Two 2-cycles, each won by the player whose parity its minimal color
+    # has, and each holding one color of the other parity.
+    game = ParityGame(Arena(((1,), (0,), (3,), (2,)), (1, 2, 2, 3)), (0, 0, 1, 1))
+    calls = []
+    real = solver.closed_walk_minima
+
+    def counting(successors, colors):
+        calls.append(len(successors))
+        return real(successors, colors)
+
+    monkeypatch.setattr(solver, "closed_walk_minima", counting)
+    solution = Solution((1, 1, 0, 0))
+    assert verify_solution(game, solution)
+    assert calls == [4]
+
+
+def test_verify_walks_no_region_without_wrong_parity_colors(monkeypatch):
+    # An all-even nested path won by player 0 beside a 2-cycle colored
+    # (1, 2) won by player 1: only the 2-cycle is walked, so the path's
+    # 1 100 closed-walk levels are never computed.
+    path = nested_path(1100)
+    n = path.node_count
+    arena = Arena(path.successors + ((n + 1,), (n,)), path.colors + (1, 2))
+    game = ParityGame(arena=arena, owners=(1,) * n + (0, 0))
+    calls = count_tarjan_calls(monkeypatch)
+    assert verify_solution(game, Solution((0,) * n + (1, 1)))
+    assert len(calls) <= 3
 
 
 def test_zielonka_deep_game_keeps_recursion_limit():
