@@ -78,10 +78,6 @@ class Arena:
         return len(self.successors)
 
     @cached_property
-    def successor_sets(self) -> tuple[frozenset[NodeId], ...]:
-        return tuple(frozenset(succ) for succ in self.successors)
-
-    @cached_property
     def predecessors(self) -> tuple[tuple[NodeId, ...], ...]:
         """Predecessors of each node in ascending order: ``v`` runs upward."""
         preds: list[list[NodeId]] = [[] for _ in range(self.node_count)]
@@ -97,7 +93,7 @@ class Arena:
         return tuple(tuple(sorted(succ)) for succ in self.successors)
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        return v in self.successor_sets[u]
+        return v in self.successors[u]
 
     def checked_colors(self, colors: Iterable[int] | None) -> Coloring:
         """``colors`` as a tuple checked against this arena (length, no
@@ -111,7 +107,7 @@ class Arena:
     def with_colors(self, colors: Iterable[int]) -> "Arena":
         """Same graph, different coloring; only the coloring is checked.  The
         new arena shares ``successors`` and every graph index computed so far
-        (``predecessors``, ``successor_sets``, ``sorted_successors``)."""
+        (``predecessors``, ``sorted_successors``)."""
         colors = self.checked_colors(colors)
         other = object.__new__(Arena)
         other.__dict__.update(
@@ -124,7 +120,7 @@ class Arena:
 
 # Cached properties of an Arena that depend on the graph alone; with_colors
 # hands these on and lets any other cached property be recomputed.
-_GRAPH_INDEXES = frozenset({"predecessors", "successor_sets", "sorted_successors"})
+_GRAPH_INDEXES = frozenset({"predecessors", "sorted_successors"})
 
 
 def check_coloring(colors: Sequence[int], n: int) -> None:

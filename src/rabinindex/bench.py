@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from statistics import fmean
 
 from .arena import ParityGame, index
-from .generators import RandomConfig, gen_family, gen_random
+from .generators import RandomConfig, check_family, gen_family, gen_random
 from .reduction import OracleMode, rabin, static_compress
 from .solver import zielonka_solve
 
@@ -129,6 +129,7 @@ def _parse_batch(line: str) -> BatchSpec:
         params = tuple(int(tok) for tok in tokens[1:])
     except ValueError:
         raise ValueError(f"bad parameter in {line!r}") from None
+    check_family(kind, params)
     label = f"{kind}[{' '.join(tokens[1:])}]"
     return BatchSpec(label=label, kind="family", name=kind, params=params, runs=runs)
 
@@ -149,9 +150,8 @@ def parse_bench_config(text: str) -> list[BatchSpec]:
 
 
 def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
-    if spec.kind == "random":
-        assert spec.random_config is not None
-        config = spec.random_config
+    config = spec.random_config
+    if config is not None:  # a random batch
         return gen_random(replace(config, seed=config.seed + run))
     return gen_family(spec.name, spec.params)
 
@@ -212,8 +212,8 @@ def bench_run(config_text: str, default_runs: int = 1) -> list[BenchRow]:
     for spec in parse_bench_config(config_text):
         try:
             rows.append(bench_batch(spec, default_runs))
-        except Exception:
-            log.exception("benchmark batch %s failed", spec.label)
+        except Exception as exc:
+            log.error("benchmark batch %s failed: %s", spec.label, exc)
     return rows
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "NodeCapExceeded",
     "SccDecomposition",
     "tarjan_scc",
+    "component_forest",
     "closed_walk_minima",
     "simple_cycle_through_with_color",
     "simple_cycle_with_max_color",
@@ -171,21 +172,22 @@ def tarjan_scc(
     return SccDecomposition(tuple(component_of), tuple(members), tuple(nontrivial))
 
 
-def closed_walk_minima(
+def component_forest(
     successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
-) -> list[bool]:
-    """Mark every node ``u`` on a closed walk whose minimal color is
-    ``colors[u]``.
+) -> tuple[list[tuple[tuple[NodeId, ...], int]], list[int]]:
+    """Nested nontrivial components, peeled level by level: each level
+    removes every component's least-colored nodes, and one
+    :func:`tarjan_scc` run splits what is left into the next level's
+    components (distinct components never merge).
 
-    Level by level: in each nontrivial component of the current subgraph
-    the nodes of the component's minimal color are marked, and the
-    remaining nodes of all components form the next subgraph.  A closed
-    walk through an unmarked node avoids the minimal color of its
-    component, so it stays inside what is left of that component; distinct
-    components never merge, so one decomposition per level suffices.
+    Returns ``(entries, holder)``: one ``(peeled, parent)`` entry per
+    nontrivial component, parents first, with its least-colored nodes and
+    the position of its enclosing entry (or -1); and per node the last
+    entry that held it (the one that peeled it, if any), or -1.
     """
     n = len(successors)
-    marked = [False] * n
+    entries: list[tuple[tuple[NodeId, ...], int]] = []
+    holder = [-1] * n
     live: list[bool] | None = None
     while True:
         scc = tarjan_scc(successors, live)
@@ -195,16 +197,32 @@ def closed_walk_minima(
             if not nontrivial:
                 continue
             low = min(colors[u] for u in comp)
+            entries.append((tuple(u for u in comp if colors[u] == low), holder[comp[0]]))
             for u in comp:
-                if colors[u] == low:
-                    marked[u] = True
-                else:
+                holder[u] = len(entries) - 1
+                if colors[u] != low:
                     live[u] = left = True
         if not left:
-            return marked
+            return entries, holder
 
 
-def _check_query(coloring: Sequence[int], v: NodeId, gamma: int) -> None:
+def closed_walk_minima(
+    successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
+) -> list[bool]:
+    """Mark every node ``u`` on a closed walk whose minimal color is
+    ``colors[u]``: the nodes :func:`component_forest` peels.  A closed walk
+    through any other node avoids the least color of its component, so it
+    stays inside what is left of that component."""
+    marked = [False] * len(successors)
+    for peeled, _ in component_forest(successors, colors)[0]:
+        for u in peeled:
+            marked[u] = True
+    return marked
+
+
+def _check_query(arena: Arena, coloring: Sequence[int], v: NodeId, gamma: int) -> None:
+    if len(coloring) != arena.node_count:
+        raise ValueError(f"coloring has {len(coloring)} entries for {arena.node_count} nodes")
     if not 0 <= v < len(coloring):
         raise ValueError(f"node {v} out of range")
     if gamma < 0:
@@ -266,10 +284,12 @@ def simple_cycle_through_with_color(
     inside the backward reach; every node such a path enters is also
     reachable from ``v``, so the search stays in ``v``'s component without
     computing it.  ``EXHAUSTED`` is returned when the budget runs out
-    before an answer is certain.
+    before an answer is certain.  Only the coloring's length is checked,
+    so a query costs what its component costs; a negative color at a node
+    other than ``v`` counts as below every threshold.
     """
     c = arena.colors if coloring is None else coloring
-    _check_query(c, v, gamma)
+    _check_query(arena, c, v, gamma)
     successors = arena.sorted_successors
     # A node is blocked while it is outside the reach or on the path.
     blocked = _outside_walk_reach(arena, c, v, gamma)
@@ -326,11 +346,9 @@ def simple_cycle_with_max_color(arena: Arena, coloring: Sequence[int] | None = N
     Such a cycle uses only nodes of the maximal color, so this is a plain
     cycle test on the induced subgraph and stays polynomial.
     """
-    c = arena.colors if coloring is None else coloring
+    c = arena.checked_colors(coloring)
     m = max(c)
-    allowed = [color == m for color in c]
-    scc = tarjan_scc(arena.successors, allowed)
-    return any(scc.nontrivial)
+    return any(tarjan_scc(arena.successors, [color == m for color in c]).nontrivial)
 
 
 def cycle_through_with_color(
@@ -342,8 +360,8 @@ def cycle_through_with_color(
     ``v`` shares a nontrivial strongly connected component of the
     color->=gamma subgraph with some node colored exactly ``gamma``.
     """
-    c = arena.colors if coloring is None else coloring
-    _check_query(c, v, gamma)
+    c = arena.checked_colors(coloring)
+    _check_query(arena, c, v, gamma)
     return _outside_walk_reach(arena, c, v, gamma) is not None
 
 
@@ -383,13 +401,13 @@ def strongly_connected_subsets(
     n = arena.node_count
     if n > node_cap:
         raise NodeCapExceeded(f"arena has {n} nodes, enumeration capped at {node_cap}")
-    succ_sets = arena.successor_sets
+    successors = arena.successors
     for size in range(1, n + 1):
         for combo in combinations(range(n), size):
             subset = set(combo)
             if size == 1:
                 v = combo[0]
-                if v in succ_sets[v]:
+                if v in successors[v]:
                     yield frozenset(subset)
                 continue
             # forward reachability from the first node inside the subset
@@ -397,7 +415,7 @@ def strongly_connected_subsets(
             frontier = [combo[0]]
             while frontier:
                 u = frontier.pop()
-                for w in arena.successors[u]:
+                for w in successors[u]:
                     if w in subset and w not in reached:
                         reached.add(w)
                         frontier.append(w)
@@ -408,7 +426,7 @@ def strongly_connected_subsets(
             while frontier:
                 u = frontier.pop()
                 for w in subset:
-                    if w not in back and u in succ_sets[w]:
+                    if w not in back and u in successors[w]:
                         back.add(w)
                         frontier.append(w)
             if back == subset:

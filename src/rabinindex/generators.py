@@ -289,19 +289,19 @@ _FAMILIES = {  # name: (builder, number of integer parameters)
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
+def check_family(name: str, params: Sequence[int]) -> None:
+    """Raise ValueError unless family ``name`` takes ``len(params)`` parameters."""
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+    arity = _FAMILIES[name][1]
+    if len(params) != arity:
+        raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
+
+
 def gen_family(name: str, params: tuple[int, ...]) -> ParityGame:
     """Dispatch to a named family; ``params`` are its integer parameters."""
-    if name not in _FAMILIES:
-        raise ValueError(
-            f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}"
-        )
-    builder, arity = _FAMILIES[name]
-    params = tuple(params)
-    if len(params) != arity:
-        raise ValueError(
-            f"family {name!r} takes {arity} parameter(s), got {len(params)}"
-        )
-    return builder(*params)
+    check_family(name, params)
+    return _FAMILIES[name][0](*params)
 
 
 def gen_hardness_gadget(

@@ -29,6 +29,7 @@ from .cycles import (
     SccDecomposition,
     SearchBudget,
     closed_walk_minima,
+    component_forest,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
     tarjan_scc,
@@ -497,48 +498,32 @@ def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool
 def rabin_a(arena: Arena, coloring: Sequence[int] | None = None) -> Coloring:
     """Carton-Maceiras reduction, included as a baseline.
 
-    Recursively strips the maximal color of each strongly connected
-    component.  It stems from parity word automata, where a run is
-    classified by the maximal color recurring in it: the output preserves
-    the parity of the *maximal* color of every cycle.  On min-parity
-    arenas it is therefore only an index baseline, not an equivalent
-    coloring, and it performs no analogue of the pop pass.
+    It stems from parity word automata, where a run is classified by the
+    maximal color recurring in it: the output preserves the parity of the
+    *maximal* color of every cycle.  On min-parity arenas it is therefore
+    only an index baseline, not an equivalent coloring, and it performs no
+    analogue of the pop pass.  The :func:`~rabinindex.cycles.component_forest`
+    of the negated coloring peels each nested component's greatest color
+    pi; those nodes get the least color of pi's parity not below any new
+    color inside the component, and every other node keeps its parity.
 
     Reference: O. Carton, R. Maceiras, Computing the Rabin index of a
     parity automaton, RAIRO-ITA 33(6), 1999.
     """
     c = arena.checked_colors(coloring)
-    n = arena.node_count
-    out = list(c)
-
-    # Build the component tree top-down: each component of positive maximal
-    # color pi has the components of itself minus its pi-colored nodes as
-    # children.  Children come after their parent in ``tree``, so a reverse
-    # sweep sees every child's new color before the parent needs it.
-    tree: list[tuple[tuple[NodeId, ...], int, int]] = []  # component, pi, parent
-    pending: list[tuple[list[NodeId], int]] = [(list(range(n)), -1)]
-    while pending:
-        nodes, parent = pending.pop()
-        allowed = [False] * n
-        for u in nodes:
-            allowed[u] = True
-        for comp in tarjan_scc(arena.successors, allowed).members:
-            pi = max(c[u] for u in comp)
-            tree.append((comp, pi, parent))
-            if pi > 0:
-                pending.append(([u for u in comp if c[u] != pi], len(tree) - 1))
-
-    best = [0] * len(tree)  # largest new color among each component's children
-    for i in range(len(tree) - 1, -1, -1):
-        comp, pi, parent = tree[i]
-        m = best[i]
-        if (pi - m) % 2 == 1:
-            m += 1
-        for u in comp:
-            if c[u] == pi:
-                out[u] = m
-        if parent >= 0:
-            best[parent] = max(best[parent], m)
+    entries, holder = component_forest(arena.successors, [-color for color in c])
+    out = [color % 2 for color in c]
+    # Largest new color inside each entry (peeled nodes add pi % 2, at most
+    # m); the extra last slot, best[-1], takes what lies in no entry.
+    best = [0] * (len(entries) + 1)
+    for u, e in enumerate(holder):
+        best[e] = max(best[e], out[u])
+    for e in range(len(entries) - 1, -1, -1):
+        peeled, parent = entries[e]
+        m = best[e] + (c[peeled[0]] - best[e]) % 2
+        for u in peeled:
+            out[u] = m
+        best[parent] = max(best[parent], m)
     return tuple(out)
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from rabinindex.arena import Arena, ParityGame
 from rabinindex import cycles
-from rabinindex.cycles import closed_walk_minima
+from rabinindex.cycles import closed_walk_minima, tarjan_scc
 
 
 def random_arena(
@@ -75,6 +75,39 @@ def count_tarjan_calls(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(cycles, "tarjan_scc", counting)
     return calls
+
+
+def rabin_a_reference(arena: Arena) -> tuple[int, ...]:
+    """Carton-Maceiras relabeling by an explicit component tree: one
+    decomposition per component, trivial ones included, each component's
+    maximal color stripped to form its children."""
+    c = arena.colors
+    n = arena.node_count
+    out = list(c)
+    tree = []  # component, pi, parent; children come after their parent
+    pending = [(list(range(n)), -1)]
+    while pending:
+        nodes, parent = pending.pop()
+        allowed = [False] * n
+        for u in nodes:
+            allowed[u] = True
+        for comp in tarjan_scc(arena.successors, allowed).members:
+            pi = max(c[u] for u in comp)
+            tree.append((comp, pi, parent))
+            if pi > 0:
+                pending.append(([u for u in comp if c[u] != pi], len(tree) - 1))
+    best = [0] * len(tree)  # largest new color among each component's children
+    for i in range(len(tree) - 1, -1, -1):
+        comp, pi, parent = tree[i]
+        m = best[i]
+        if (pi - m) % 2 == 1:
+            m += 1
+        for u in comp:
+            if c[u] == pi:
+                out[u] = m
+        if parent >= 0:
+            best[parent] = max(best[parent], m)
+    return tuple(out)
 
 
 def random_game(rng: random.Random, **kwargs) -> ParityGame:

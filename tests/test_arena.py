@@ -56,7 +56,7 @@ def test_with_colors_keeps_graph():
 
 def test_with_colors_shares_graph_indexes():
     arena = Arena.from_lists([[2, 0, 1], [0], [1, 0]], [0, 1, 2])
-    names = ("predecessors", "successor_sets", "sorted_successors")
+    names = ("predecessors", "sorted_successors")
     built = [getattr(arena, name) for name in names]
     other = arena.with_colors((3, 4, 5))
     assert all(getattr(other, name) is index for name, index in zip(names, built))

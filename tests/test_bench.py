@@ -51,6 +51,12 @@ def test_parse_bench_config_errors():
         parse_bench_config("clique 3\nclique 3 seed=abc")
     with pytest.raises(ValueError, match="line 1: max out-degree 9 impossible"):
         parse_bench_config("random 5/1/9/3")
+    with pytest.raises(ValueError, match="line 2: unknown family 'foo'; known: clique, "):
+        parse_bench_config("ladder 3\nfoo 3")
+    with pytest.raises(
+        ValueError, match=r"line 1: family 'jurdzinski' takes 2 parameter\(s\), got 1"
+    ):
+        parse_bench_config("jurdzinski 2")
 
 
 def test_parse_bench_config_empty():

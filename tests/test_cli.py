@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rabinindex
 from rabinindex.cli import main
 from rabinindex.pgsolver import parse_pgsolver, parse_solution
 
@@ -207,9 +213,36 @@ def test_bench_csv(tmp_path, capsys):
 
 def test_bench_bad_spec(tmp_path, capsys):
     spec = tmp_path / "bench.txt"
-    spec.write_text("clique ten\n")
-    assert main(["bench", "--spec", str(spec)]) == 3
-    assert "error: parse:" in capsys.readouterr().err
+    for text, message in (
+        ("clique ten\n", "error: parse: line 1: bad parameter"),
+        ("foo 3\n", "error: parse: line 1: unknown family 'foo'"),
+        ("jurdzinski 2\n", "error: parse: line 1: family 'jurdzinski' takes 2 parameter(s)"),
+    ):
+        spec.write_text(text)
+        assert main(["bench", "--spec", str(spec)]) == 3
+        assert message in capsys.readouterr().err
+
+
+def test_bench_failing_batch_logs_one_line(tmp_path):
+    # A one-node clique has no moves, so its batch fails when built; the run
+    # goes on and says so in one line, without a traceback.
+    spec = tmp_path / "bench.txt"
+    spec.write_text("clique 1\nladder 2\n")
+    src = str(Path(rabinindex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = "import sys; from rabinindex.cli import main; sys.exit(main())"
+    result = subprocess.run(
+        [sys.executable, "-c", run, "bench", "--spec", str(spec)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("benchmark batch clique[1] failed: ")
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stdout.splitlines()[1].startswith("ladder[2],")
 
 
 def test_parse_failures(tmp_path, capsys):

@@ -20,6 +20,7 @@ from rabinindex.cycles import (
     NodeCapExceeded,
     SearchBudget,
     closed_walk_minima,
+    component_forest,
     cycle_through_with_color,
     enumerate_simple_cycles,
     simple_cycle_through_with_color,
@@ -28,7 +29,7 @@ from rabinindex.cycles import (
     tarjan_scc,
 )
 
-from helpers import arenas, max_color_on_closed_walk, threshold_reach
+from helpers import arenas, max_color_on_closed_walk, nested_path, threshold_reach
 
 
 def test_cycle_answer_is_not_a_bool():
@@ -210,6 +211,52 @@ def test_closed_walk_minima_matches_brute_force(arena, data):
     ]
     marked = closed_walk_minima(induced, c)
     assert {u for u in range(n) if marked[u]} == expected
+
+
+def test_component_forest_entries_and_holders():
+    # Two sibling cycles, one peeled whole on a tie, and a node on no cycle.
+    successors = ((1,), (0,), (3,), (2,), (0,))
+    entries, holder = component_forest(successors, (1, 1, 0, 2, 5))
+    assert entries == [((0, 1), -1), ((2,), -1)]
+    assert holder == [0, 0, 1, 1, -1]
+    # Each level of the nested path peels one end inside the last level.
+    arena = nested_path(4)
+    entries, holder = component_forest(arena.successors, arena.colors)
+    assert entries == [((0,), -1), ((1,), 0), ((2,), 1)]
+    assert holder == [0, 1, 2, 2]
+
+
+_TRIANGLE = Arena(((1,), (2,), (0,)), (1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "query, coloring, message",
+    [
+        pytest.param(query, c, m, id=f"{name}-{case}")
+        for name, query in {
+            "simple_cycle_with_max_color": simple_cycle_with_max_color,
+            "cycle_through_with_color": lambda a, c: cycle_through_with_color(a, c, 0, 1),
+            "simple_cycle_through_with_color": (
+                lambda a, c: simple_cycle_through_with_color(a, c, 0, 1)
+            ),
+        }.items()
+        for case, (c, m) in {
+            "short": ((1, 2), "coloring has 2 entries for 3 nodes"),
+            "negative": ((1, -2, 5), "negative color -2 at node 1"),
+        }.items()
+        # The exact query checks only the length, to stay as cheap as its
+        # component: a negative color is below every threshold there.
+        if (name, case) != ("simple_cycle_through_with_color", "negative")
+    ],
+)
+def test_cycle_queries_check_the_coloring(query, coloring, message):
+    with pytest.raises(ValueError, match=message):
+        query(_TRIANGLE, coloring)
+
+
+def test_exact_query_reads_a_negative_color_as_below_every_threshold():
+    answer = simple_cycle_through_with_color(_TRIANGLE, (1, -2, 5), 0, 1)
+    assert answer is CycleAnswer.NO
 
 
 def test_import_leaves_networkx_unloaded():

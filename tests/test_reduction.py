@@ -11,6 +11,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings
 
+from rabinindex import cycles, reduction
 from rabinindex.arena import Arena, cycle_color, index
 from rabinindex.cycles import (
     CycleAnswer,
@@ -45,7 +46,7 @@ from rabinindex.cycles import enumerate_simple_cycles
 EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
-from helpers import arenas, count_tarjan_calls, nested_path, random_arena
+from helpers import arenas, count_tarjan_calls, nested_path, rabin_a_reference, random_arena
 
 
 # Node orders that process the running example the way a (color, node)
@@ -458,6 +459,28 @@ def test_rabin_a_properties(arena):
         before = max(arena.colors[v] for v in cycle)
         after = max(relabeled[v] for v in cycle)
         assert before % 2 == after % 2
+
+
+@given(arenas(min_nodes=1, max_nodes=8, max_color=6, allow_self_loops=True))
+@settings(max_examples=150)
+def test_rabin_a_matches_the_component_tree(arena):
+    assert rabin_a(arena) == rabin_a_reference(arena)
+
+
+def test_rabin_a_decomposes_once_per_level(monkeypatch):
+    # 200 disjoint 2-cycles colored (3, 2): the forest has two levels, where
+    # a decomposition per component would take 401.
+    arena = Arena.from_lists([[v ^ 1] for v in range(400)], [3 - v % 2 for v in range(400)])
+    calls = []
+    for module in (cycles, reduction):
+
+        def counting(successors, allowed=None, real=module.tarjan_scc):
+            calls.append(len(successors))
+            return real(successors, allowed)
+
+        monkeypatch.setattr(module, "tarjan_scc", counting)
+    assert rabin_a(arena) == (1, 0) * 200
+    assert len(calls) <= 2
 
 
 def test_rabin_a_deep_nesting_does_not_recurse():
