@@ -31,7 +31,6 @@ from .generators import (
     gen_tower_of_hanoi,
 )
 from .oracles import (
-    all_choice_functions,
     brute_force_rabin_index,
     brute_force_winners,
     colorings_equivalent,
@@ -48,27 +47,23 @@ from .pgsolver import (
     write_solution,
 )
 from .reduction import (
-    BudgetExhausted,
     OracleMode,
     ReductionAborted,
     ReductionReport,
     abstract_membership,
     all_cycles_even,
-    get_anchor,
     rabin,
     rabin_a,
     static_compress,
 )
-from .solver import Attractor, VerificationResult, attract, verify_solution, zielonka_solve
+from .solver import VerificationResult, verify_solution, zielonka_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arena",
-    "Attractor",
     "BENCH_COLUMNS",
     "BenchRow",
-    "BudgetExhausted",
     "Coloring",
     "CycleAnswer",
     "FAMILY_NAMES",
@@ -84,9 +79,7 @@ __all__ = [
     "Solution",
     "VerificationResult",
     "abstract_membership",
-    "all_choice_functions",
     "all_cycles_even",
-    "attract",
     "bench_run",
     "brute_force_rabin_index",
     "brute_force_winners",
@@ -105,7 +98,6 @@ __all__ = [
     "gen_random",
     "gen_recursive_ladder",
     "gen_tower_of_hanoi",
-    "get_anchor",
     "index",
     "outcome_profile",
     "parse_pgsolver",

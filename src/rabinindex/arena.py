@@ -39,6 +39,7 @@ class Arena:
     ``successors[v]`` is the ordered successor sequence of node ``v``;
     duplicates are rejected (parsers deduplicate before construction).
     ``colors[v]`` is the color of ``v`` and must be a natural number.
+    Successor ids and colors must be ``int``s.
     """
 
     successors: tuple[tuple[NodeId, ...], ...]
@@ -48,21 +49,18 @@ class Arena:
         n = len(self.successors)
         if n == 0:
             raise ValueError("arena must have at least one node")
-        if len(self.colors) != n:
-            raise ValueError(
-                f"coloring has {len(self.colors)} entries for {n} nodes"
-            )
+        check_coloring(self.colors, n)
         for v, succ in enumerate(self.successors):
             if not succ:
                 raise ValueError(f"node {v} has no successors (arena must be total)")
-            seen = set()
             for w in succ:
+                if not isinstance(w, int):
+                    raise ValueError(f"successor {w!r} of node {v} is not an integer")
                 if not 0 <= w < n:
                     raise ValueError(f"successor {w} of node {v} out of range")
-                if w in seen:
-                    raise ValueError(f"node {v} has duplicate successor {w}")
-                seen.add(w)
-        check_coloring(self.colors, n)
+            if len(set(succ)) < len(succ):
+                w = next(w for i, w in enumerate(succ) if w in succ[:i])
+                raise ValueError(f"node {v} has duplicate successor {w}")
 
     @classmethod
     def from_lists(
@@ -86,18 +84,12 @@ class Arena:
                 preds[w].append(v)
         return tuple(map(tuple, preds))
 
-    @cached_property
-    def sorted_successors(self) -> tuple[tuple[NodeId, ...], ...]:
-        """Successors of each node in ascending order, the order in which
-        the exact cycle search tries them."""
-        return tuple(tuple(sorted(succ)) for succ in self.successors)
-
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
         return v in self.successors[u]
 
     def checked_colors(self, colors: Iterable[int] | None) -> Coloring:
-        """``colors`` as a tuple checked against this arena (length, no
-        negatives), or the arena's own coloring when None."""
+        """``colors`` as a tuple checked against this arena (length, ints,
+        no negatives), or the arena's own coloring when None."""
         if colors is None:
             return self.colors
         colors = tuple(colors)
@@ -106,8 +98,7 @@ class Arena:
 
     def with_colors(self, colors: Iterable[int]) -> "Arena":
         """Same graph, different coloring; only the coloring is checked.  The
-        new arena shares ``successors`` and every graph index computed so far
-        (``predecessors``, ``sorted_successors``)."""
+        new arena shares ``successors`` and, once computed, ``predecessors``."""
         colors = self.checked_colors(colors)
         other = object.__new__(Arena)
         other.__dict__.update(
@@ -120,13 +111,17 @@ class Arena:
 
 # Cached properties of an Arena that depend on the graph alone; with_colors
 # hands these on and lets any other cached property be recomputed.
-_GRAPH_INDEXES = frozenset({"predecessors", "sorted_successors"})
+_GRAPH_INDEXES = frozenset({"predecessors"})
 
 
 def check_coloring(colors: Sequence[int], n: int) -> None:
-    """Raise ValueError unless ``colors`` has ``n`` entries, none negative."""
+    """Raise ValueError unless ``colors`` has ``n`` entries, all of them
+    ``int``s and none negative."""
     if len(colors) != n:
         raise ValueError(f"coloring has {len(colors)} entries for {n} nodes")
+    if not all(map(int.__instancecheck__, colors)):  # isinstance(c, int), at C speed
+        v = next(v for v, c in enumerate(colors) if not isinstance(c, int))
+        raise ValueError(f"color {colors[v]!r} at node {v} is not an integer")
     if min(colors) < 0:
         v = next(v for v, c in enumerate(colors) if c < 0)
         raise ValueError(f"negative color {colors[v]} at node {v}")
@@ -148,9 +143,9 @@ class ParityGame:
         n = self.arena.node_count
         if len(self.owners) != n:
             raise ValueError(f"owner vector has {len(self.owners)} entries for {n} nodes")
-        for v, o in enumerate(self.owners):
-            if o not in (0, 1):
-                raise ValueError(f"owner of node {v} must be 0 or 1, got {o}")
+        if not set(self.owners) <= {0, 1}:
+            v = next(v for v, o in enumerate(self.owners) if o not in (0, 1))
+            raise ValueError(f"owner of node {v} must be 0 or 1, got {self.owners[v]}")
         if self.names is not None and len(self.names) != n:
             raise ValueError("name table length does not match node count")
 
@@ -174,9 +169,6 @@ class Solution:
     winner: tuple[int, ...]
     strategy0: dict[NodeId, NodeId] = field(default_factory=dict)
     strategy1: dict[NodeId, NodeId] = field(default_factory=dict)
-
-    def region(self, player: int) -> frozenset[NodeId]:
-        return frozenset(v for v, w in enumerate(self.winner) if w == player)
 
 
 def cycle_color(arena: Arena, nodes: Sequence[NodeId]) -> int:

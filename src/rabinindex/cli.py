@@ -24,13 +24,7 @@ from .cycles import NodeCapExceeded
 from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random
 from .oracles import brute_force_rabin_index, equivalence_witness
 from .pgsolver import PGSolverError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
-from .reduction import (
-    BudgetExhausted,
-    OracleMode,
-    abstract_membership,
-    rabin,
-    static_compress,
-)
+from .reduction import OracleMode, ReductionAborted, abstract_membership, rabin, static_compress
 from .solver import verify_solution, zielonka_solve
 
 EXIT_OK = 0
@@ -112,7 +106,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         budget = args.budget if mode is OracleMode.EXACT else None
         try:
             reduced, report = rabin(arena, mode=mode, budget_limit=budget)
-        except BudgetExhausted:
+        except ReductionAborted:
             if args.fallback != "alpha":
                 raise
             print("warning: budget exhausted, falling back to alpha", file=sys.stderr)
@@ -278,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except NodeCapExceeded as exc:
         print(f"error: cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except BudgetExhausted as exc:
+    except ReductionAborted as exc:
         print(f"error: budget: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

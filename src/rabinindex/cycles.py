@@ -283,14 +283,15 @@ def simple_cycle_through_with_color(
     through ``v``.  Otherwise it backtracks over simple paths from ``v``
     inside the backward reach; every node such a path enters is also
     reachable from ``v``, so the search stays in ``v``'s component without
-    computing it.  ``EXHAUSTED`` is returned when the budget runs out
-    before an answer is certain.  Only the coloring's length is checked,
-    so a query costs what its component costs; a negative color at a node
-    other than ``v`` counts as below every threshold.
+    computing it, and tries each node's successors in their listed order.
+    ``EXHAUSTED`` is returned when the budget runs out before an answer is
+    certain.  Only the coloring's length is checked, so a query costs what
+    its component costs; a negative color at a node other than ``v``
+    counts as below every threshold.
     """
     c = arena.colors if coloring is None else coloring
     _check_query(arena, c, v, gamma)
-    successors = arena.sorted_successors
+    successors = arena.successors
     # A node is blocked while it is outside the reach or on the path.
     blocked = _outside_walk_reach(arena, c, v, gamma)
     if blocked is None:

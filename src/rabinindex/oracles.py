@@ -241,11 +241,6 @@ def outcome_profile(arena: Arena, coloring: Coloring, choice: tuple[NodeId, ...]
     return tuple(winners)
 
 
-def all_choice_functions(arena: Arena):
-    """Iterate every full successor-choice function of the arena."""
-    return product(*arena.successors)
-
-
 def brute_force_winners(game: ParityGame, max_profiles: int = 200_000) -> tuple[int, ...]:
     """Winner labeling by enumerating all positional strategy pairs.
 

@@ -40,9 +40,7 @@ __all__ = [
     "OracleStats",
     "IterationTrace",
     "ReductionReport",
-    "BudgetExhausted",
     "ReductionAborted",
-    "get_anchor",
     "rabin",
     "static_compress",
     "all_cycles_even",
@@ -60,10 +58,6 @@ class OracleMode(enum.Enum):
     ABSTRACT = "alpha"
 
 
-def _as_mode(mode: OracleMode | str) -> OracleMode:
-    return mode if isinstance(mode, OracleMode) else OracleMode(mode)
-
-
 @dataclass
 class OracleStats:
     exact_queries: int = 0
@@ -78,10 +72,6 @@ class OracleStats:
 class IterationTrace:
     cycle_changes: tuple[Change, ...]
     pop_changes: tuple[Change, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.cycle_changes and not self.pop_changes
 
 
 @dataclass
@@ -117,25 +107,15 @@ class ReductionReport:
         lines.append(f"final index {self.final_index}")
         return "\n".join(lines)
 
-    def to_records(self) -> list[dict[str, int | str]]:
-        records: list[dict[str, int | str]] = []
-        for i, it in enumerate(self.iterations, start=1):
-            for phase, changes in (("cycle", it.cycle_changes), ("pop", it.pop_changes)):
-                for v, old, new in changes:
-                    records.append(
-                        {"iteration": i, "phase": phase, "node": v, "old": old, "new": new}
-                    )
-        return records
 
-
-class BudgetExhausted(RuntimeError):
-    """An exact simple-cycle query ran out of search budget.
+class ReductionAborted(RuntimeError):
+    """An exact simple-cycle query ran out of search budget, so the exact
+    reduction gave up.
 
     ``spent`` and ``limit`` are the aborting query's budget; the run's
     ``nodes_expanded`` and ``exact_queries`` so far include that query.
+    :func:`rabin` attaches its partial ``report`` for inspection.
     """
-
-    summary = "search budget exhausted"
 
     def __init__(
         self,
@@ -152,28 +132,12 @@ class BudgetExhausted(RuntimeError):
         self.limit = limit
         self.nodes_expanded = nodes_expanded
         self.exact_queries = exact_queries
+        self.report: ReductionReport | None = None
         super().__init__(
-            f"{self.summary} at node {node}, color {gamma} after {spent} expanded "
-            f"nodes (limit {limit}); {nodes_expanded} expanded over "
-            f"{exact_queries} exact queries"
+            f"exact reduction aborted: budget exhausted at node {node}, color {gamma} "
+            f"after {spent} expanded nodes (limit {limit}); {nodes_expanded} expanded "
+            f"over {exact_queries} exact queries"
         )
-
-
-class ReductionAborted(BudgetExhausted):
-    """Exact reduction gave up; carries the partial report for inspection."""
-
-    summary = "exact reduction aborted: budget exhausted"
-
-    def __init__(self, cause: BudgetExhausted, report: ReductionReport):
-        super().__init__(
-            cause.node,
-            cause.gamma,
-            cause.spent,
-            cause.limit,
-            cause.nodes_expanded,
-            cause.exact_queries,
-        )
-        self.report = report
 
 
 class _Reach:
@@ -338,7 +302,7 @@ class _PassState:
         stats.exact_queries += 1
         stats.nodes_expanded += budget.spent
         if answer is CycleAnswer.EXHAUSTED:
-            raise BudgetExhausted(
+            raise ReductionAborted(
                 v, gamma, budget.spent, budget.limit, stats.nodes_expanded, stats.exact_queries
             )
         return answer is CycleAnswer.YES
@@ -361,10 +325,9 @@ class _PassState:
                 return gamma
         return -1
 
-    def run_cycle_pass(self, order: Sequence[NodeId] | None) -> tuple[Change, ...]:
+    def run_cycle_pass(self) -> tuple[Change, ...]:
         colors = self.colors
-        if order is None:
-            order = sorted(range(self.arena.node_count), key=lambda v: (colors[v], v))
+        order = sorted(range(self.arena.node_count), key=lambda v: (colors[v], v))
         changes: list[Change] = []
         for v in order:
             j = self.anchor(v)
@@ -391,41 +354,26 @@ class _PassState:
         return tuple((v, old, colors[v]) for v, old in sorted(first_old.items()))
 
 
-def get_anchor(
-    arena: Arena,
-    coloring: Sequence[int] | None,
-    v: NodeId,
-    mode: OracleMode | str = OracleMode.EXACT,
-    budget_limit: int | None = None,
-) -> int:
-    """Anchor of ``v``: the largest opposite-parity color below ``c(v)``
-    realized as the color of a cycle through ``v``, or -1."""
-    colors = list(arena.checked_colors(coloring))
-    state = _PassState(arena, colors, _as_mode(mode), budget_limit, OracleStats())
-    return state.anchor(v)
-
-
 def rabin(
     arena: Arena,
     coloring: Sequence[int] | None = None,
     mode: OracleMode | str = OracleMode.EXACT,
     budget_limit: int | None = None,
-    orders: Sequence[Sequence[NodeId]] | None = None,
 ) -> tuple[Coloring, ReductionReport]:
     """Iterate cycle and pop passes to a fixpoint of the color sum.
 
     In ``EXACT`` mode the result has minimal index among colorings that
     agree with the input on the parity of every simple cycle; ``ABSTRACT``
     (``alpha``) mode minimizes over the coarser closed-walk relation in
-    polynomial time.  ``orders`` optionally pins the processing order of
-    the first cycle passes, for reproducing specific traces.
+    polynomial time.  Each cycle pass visits the nodes by ascending
+    (color, node).
 
     Raises :class:`ReductionAborted` when an exact query exhausts its
     budget; the exception carries the partial report.  A negative
     ``budget_limit`` raises :class:`ValueError`; a limit of 0 answers only
     the queries that need no search.
     """
-    mode = _as_mode(mode)
+    mode = OracleMode(mode)
     colors = list(arena.checked_colors(coloring))
     stats = OracleStats()
     state = _PassState(arena, colors, mode, budget_limit, stats)
@@ -437,21 +385,17 @@ def rabin(
         stats=stats,
     )
     rank = sum(colors)
-    iteration = 0
     while True:
-        order = None
-        if orders is not None and iteration < len(orders):
-            order = orders[iteration]
         try:
-            cycle_changes = state.run_cycle_pass(order)
-        except BudgetExhausted as exc:
+            cycle_changes = state.run_cycle_pass()
+        except ReductionAborted as exc:
             report.final_index = index(colors)
-            raise ReductionAborted(exc, report) from None
+            exc.report = report
+            raise
         pop_changes = state.run_pop_pass()
         report.iterations.append(IterationTrace(cycle_changes, pop_changes))
         new_rank = sum(colors)
         report.rank_trace.append(new_rank)
-        iteration += 1
         if new_rank == rank:
             break
         rank = new_rank
@@ -479,7 +423,7 @@ def static_compress(coloring: Sequence[int]) -> Coloring:
         else:
             mapping[d] = mapping[prev] + 1
         prev = d
-    return tuple(mapping[c] for c in coloring)
+    return tuple(map(mapping.__getitem__, coloring))
 
 
 def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool:

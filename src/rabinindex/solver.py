@@ -15,27 +15,12 @@ to automata on infinite trees", TCS 200(1-2), 1998.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .arena import NodeId, ParityGame, Solution
 from .cycles import closed_walk_minima
 from .cycles import tarjan_scc  # noqa: F401  only perfbench/tracing.py uses it: it rebinds it here
-
-
-@dataclass(frozen=True)
-class Attractor:
-    """Result of a one-player reachability closure.
-
-    ``region`` is the least set containing the target from which ``player``
-    can force a visit to the target.  ``witness`` maps every player-owned
-    node that was pulled in (target nodes excluded) to the successor it was
-    first attracted through; these edges are reused as strategy fragments.
-    """
-
-    player: int
-    region: frozenset[NodeId]
-    witness: dict[NodeId, NodeId] = field(default_factory=dict)
 
 
 def _attract(
@@ -82,18 +67,6 @@ def _attract(
                     level[u] = d
                     region.append(u)
     return region, witness
-
-
-def attract(game: ParityGame, player: int, target: set[NodeId]) -> Attractor:
-    """Attractor of ``target`` for ``player`` over the whole game."""
-    if player not in (0, 1):
-        raise ValueError(f"player must be 0 or 1, got {player}")
-    n = game.node_count
-    bad = [v for v in target if not 0 <= v < n]
-    if bad:
-        raise ValueError(f"target nodes out of range: {bad}")
-    region, witness = _attract(game, player, sorted(target), range(n), [0] * n, 0)
-    return Attractor(player=player, region=frozenset(region), witness=witness)
 
 
 def zielonka_solve(game: ParityGame) -> Solution:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import random
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from rabinindex.arena import Arena, ParityGame
-from rabinindex import cycles
+from rabinindex import cycles, solver
 from rabinindex.cycles import closed_walk_minima, tarjan_scc
+from rabinindex.reduction import OracleMode, OracleStats, _PassState
 
 
 def random_arena(
@@ -108,6 +110,29 @@ def rabin_a_reference(arena: Arena) -> tuple[int, ...]:
         if parent >= 0:
             best[parent] = max(best[parent], m)
     return tuple(out)
+
+
+def get_anchor(
+    arena: Arena, coloring, v: int, mode=OracleMode.EXACT, budget_limit=None
+) -> int:
+    """Anchor of ``v`` from a fresh pass state over ``coloring`` (or the
+    arena's own): the largest opposite-parity color below ``c(v)`` realized
+    as the color of a cycle through ``v``, or -1."""
+    colors = list(arena.colors if coloring is None else coloring)
+    return _PassState(arena, colors, mode, budget_limit, OracleStats()).anchor(v)
+
+
+class Attraction(NamedTuple):
+    region: frozenset[int]
+    witness: dict[int, int]
+
+
+def attract(game: ParityGame, player: int, target: set[int]) -> Attraction:
+    """The solver's attractor of ``target`` for ``player`` over the whole
+    game, and the successor each attracted player node was pulled through."""
+    n = game.node_count
+    region, witness = solver._attract(game, player, sorted(target), range(n), [0] * n, 0)
+    return Attraction(frozenset(region), witness)
 
 
 def random_game(rng: random.Random, **kwargs) -> ParityGame:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
-from rabinindex.arena import Arena, ParityGame, Solution, cycle_color, index
+from rabinindex.arena import Arena, ParityGame, cycle_color, index
 
 from helpers import arenas
 
@@ -42,6 +42,19 @@ def test_rejects_negative_color():
         Arena(((1,), (0,)), (0, -1))
 
 
+def test_rejects_non_integer_color():
+    with pytest.raises(ValueError, match=r"color 0\.5 at node 0 is not an integer"):
+        Arena(((1,), (0,)), (0.5, 1))
+    arena = Arena(((1,), (0,)), (0, 1))
+    with pytest.raises(ValueError, match="color '2' at node 1 is not an integer"):
+        arena.with_colors((0, "2"))
+
+
+def test_rejects_non_integer_successor():
+    with pytest.raises(ValueError, match=r"successor 1\.0 of node 0 is not an integer"):
+        Arena(((1.0,), (0,)), (0, 1))
+
+
 def test_rejects_color_length_mismatch():
     with pytest.raises(ValueError, match="2 nodes"):
         Arena(((1,), (0,)), (0,))
@@ -56,7 +69,7 @@ def test_with_colors_keeps_graph():
 
 def test_with_colors_shares_graph_indexes():
     arena = Arena.from_lists([[2, 0, 1], [0], [1, 0]], [0, 1, 2])
-    names = ("predecessors", "sorted_successors")
+    names = ("predecessors",)
     built = [getattr(arena, name) for name in names]
     other = arena.with_colors((3, 4, 5))
     assert all(getattr(other, name) is index for name, index in zip(names, built))
@@ -79,15 +92,6 @@ def test_predecessors_fig1(fig1_arena):
     assert fig1_arena.predecessors == ((1,), (0, 2), (1, 3), (4,), (0, 3))
 
 
-def test_sorted_successors_are_sorted_and_computed_once():
-    arena = Arena.from_lists([[2, 0, 1], [0], [1, 0]], [0, 1, 2])
-    assert arena.successors[0] == (2, 0, 1)
-    first = arena.sorted_successors
-    assert first == ((0, 1, 2), (0,), (0, 1))
-    assert arena.sorted_successors is first
-    assert arena.with_colors((3, 4, 5)).sorted_successors == first
-
-
 @given(arenas(max_nodes=7))
 def test_predecessors_invert_successors(arena):
     for v in range(arena.node_count):
@@ -108,12 +112,6 @@ def test_game_owner_validation(fig1_arena):
 def test_game_name_table_length(fig1_arena):
     with pytest.raises(ValueError, match="name table"):
         ParityGame(fig1_arena, (0,) * 5, names=("a",))
-
-
-def test_solution_region():
-    solution = Solution(winner=(1, 0, 0, 1, 1))
-    assert solution.region(0) == {1, 2}
-    assert solution.region(1) == {0, 3, 4}
 
 
 def test_cycle_color(fig1_arena):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
 from rabinindex.arena import Arena, ParityGame, index
 from rabinindex.cycles import NodeCapExceeded
 from rabinindex.oracles import (
-    all_choice_functions,
     brute_force_rabin_index,
     brute_force_winners,
     colorings_equivalent,
@@ -131,7 +132,7 @@ def test_outcome_profile_validates_choices(fig1_arena):
 
 
 def test_all_choice_functions_count(fig1_arena):
-    choices = list(all_choice_functions(fig1_arena))
+    choices = list(product(*fig1_arena.successors))
     degrees = [len(s) for s in fig1_arena.successors]
     expected = 1
     for d in degrees:
@@ -154,7 +155,7 @@ def test_brute_force_winners_profile_cap(fig1_game):
 def test_winners_do_not_depend_on_ownership_under_fixed_choices(arena):
     # outcome_profile treats a choice function as a strategy pair for any
     # ownership split, so flipping all owners must not change profiles.
-    for choice in all_choice_functions(arena):
+    for choice in product(*arena.successors):
         profile = outcome_profile(arena, arena.colors, choice)
         assert all(w in (0, 1) for w in profile)
         break  # one representative per arena keeps this cheap

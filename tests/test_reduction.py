@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 import sys
 import time
-from collections import Counter
-from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -29,14 +27,12 @@ from rabinindex.oracles import (
     fixpoint_violations,
 )
 from rabinindex.reduction import (
-    BudgetExhausted,
     OracleMode,
     OracleStats,
     ReductionAborted,
     _PassState,
     abstract_membership,
     all_cycles_even,
-    get_anchor,
     rabin,
     rabin_a,
     static_compress,
@@ -46,16 +42,18 @@ from rabinindex.cycles import enumerate_simple_cycles
 EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
-from helpers import arenas, count_tarjan_calls, nested_path, rabin_a_reference, random_arena
-
-
-# Node orders that process the running example the way a (color, node)
-# ascending sort would after the first in-place update lands.
-_PINNED_ORDERS = [[3, 4, 2, 0, 1], [0, 3, 1, 2, 4]]
+from helpers import (
+    arenas,
+    count_tarjan_calls,
+    get_anchor,
+    nested_path,
+    rabin_a_reference,
+    random_arena,
+)
 
 
 def test_exact_reduction_fig1(fig1_arena):
-    colors, report = rabin(fig1_arena, orders=_PINNED_ORDERS)
+    colors, report = rabin(fig1_arena)
     assert colors == (1, 2, 2, 1, 2)
     assert report.mode == EXACT
     assert report.initial_index == 3
@@ -121,7 +119,6 @@ def test_rabin_budget_abort(fig1_arena):
     with pytest.raises(ReductionAborted) as excinfo:
         rabin(fig1_arena, budget_limit=2)
     aborted = excinfo.value
-    assert isinstance(aborted, BudgetExhausted)
     assert 0 <= aborted.node < 5
     assert aborted.gamma >= 0
     assert aborted.report.mode == EXACT
@@ -222,18 +219,7 @@ def test_pass_state_anchors_survive_recoloring(mode):
 
 def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
     # Only the pop pass's max-color checks decompose through cycles; each
-    # exact query finds its nodes by a backward reach, and the search sorts
-    # each arena's successors once.
-    sorts = Counter()
-    plain = Arena.__dict__["sorted_successors"].func
-
-    def counting(arena):
-        sorts[id(arena)] += 1
-        return plain(arena)
-
-    counted = cached_property(counting)
-    counted.__set_name__(Arena, "sorted_successors")
-    monkeypatch.setattr(Arena, "sorted_successors", counted)
+    # exact query finds its nodes by a backward reach.
     calls = count_tarjan_calls(monkeypatch)
     rng = random.Random(31)
     cases = [gen_family("clique", (30,)).arena]
@@ -244,7 +230,6 @@ def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
         _, report = rabin(arena)
         assert len(calls) == report.stats.max_color_checks
         queries += report.stats.exact_queries
-        assert sorts[id(arena)] == (1 if report.stats.exact_queries else 0)
     assert queries > 0
 
 
@@ -315,13 +300,11 @@ def test_exact_query_time_follows_its_component():
 
 
 def test_report_rendering(fig1_arena):
-    _, report = rabin(fig1_arena, orders=_PINNED_ORDERS)
+    _, report = rabin(fig1_arena)
     text = report.to_text()
     assert "initial index 3" in text
     assert "final index 2" in text
     assert "cycle: v0 3->1 | pop: v1 3->2" in text
-    records = report.to_records()
-    assert records[0]["iteration"] == 1
 
 
 # Every entry point that takes a caller's coloring for an arena, each given
@@ -330,7 +313,6 @@ def test_report_rendering(fig1_arena):
 _ENTRY_POINTS = {
     "rabin": lambda arena, c: rabin(arena, c, mode=EXACT),
     "rabin-alpha": lambda arena, c: rabin(arena, c, mode=OracleMode.ABSTRACT),
-    "get_anchor": lambda arena, c: get_anchor(arena, c, 0),
     "rabin_a": rabin_a,
     "all_cycles_even": all_cycles_even,
     "brute_force_rabin_index": brute_force_rabin_index,

