@@ -23,8 +23,9 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from statistics import fmean
+from typing import Any, Callable
 
 from .arena import ParityGame, index
 from .generators import RandomConfig, check_family, gen_family, gen_random
@@ -32,21 +33,6 @@ from .reduction import OracleMode, rabin, static_compress
 from .solver import zielonka_solve
 
 log = logging.getLogger(__name__)
-
-BENCH_COLUMNS = (
-    "game",
-    "mu_c",
-    "mu_s_c",
-    "ri_alpha",
-    "static_ms",
-    "alpha_ms",
-    "iterations",
-    "solve_ms",
-    "solve_static_ms",
-    "solve_alpha_ms",
-    "runs",
-)
-
 
 @dataclass(frozen=True)
 class BatchSpec:
@@ -62,6 +48,8 @@ class BatchSpec:
 
 @dataclass(frozen=True)
 class BenchRow:
+    """One CSV row; the fields, in order, are the columns."""
+
     game: str
     mu_c: float
     mu_s_c: float
@@ -75,24 +63,20 @@ class BenchRow:
     runs: int
 
     def as_record(self) -> dict[str, str]:
-        def num(x: float) -> str:
-            if float(x) == int(x):
-                return str(int(x))
-            return f"{x:.2f}"
+        return {column: _cell(column, getattr(self, column)) for column in BENCH_COLUMNS}
 
-        return {
-            "game": self.game,
-            "mu_c": num(self.mu_c),
-            "mu_s_c": num(self.mu_s_c),
-            "ri_alpha": num(self.ri_alpha),
-            "static_ms": f"{self.static_ms:.3f}",
-            "alpha_ms": f"{self.alpha_ms:.3f}",
-            "iterations": num(self.iterations),
-            "solve_ms": f"{self.solve_ms:.3f}",
-            "solve_static_ms": f"{self.solve_static_ms:.3f}",
-            "solve_alpha_ms": f"{self.solve_alpha_ms:.3f}",
-            "runs": str(self.runs),
-        }
+
+BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
+
+
+def _cell(column: str, value: str | float) -> str:
+    """Labels verbatim, times (``*_ms``) to the microsecond, counts and their
+    means as integers when integral and to two decimals otherwise."""
+    if isinstance(value, str):
+        return value
+    if column.endswith("_ms"):
+        return f"{value:.3f}"
+    return str(int(value)) if value == int(value) else f"{value:.2f}"
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -156,52 +140,38 @@ def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
     return gen_family(spec.name, spec.params)
 
 
+def _timed(samples: list[float], fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """Call ``fn``, appending its wall-clock time in ms to ``samples``."""
+    start = time.perf_counter()
+    result = fn(*args, **kwargs)
+    samples.append((time.perf_counter() - start) * 1000.0)
+    return result
+
+
 def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
     """Measure one batch: indices plus mean wall-clock times over its runs."""
     runs = spec.runs if spec.runs is not None else default_runs
     if runs < 1:
         raise ValueError(f"runs must be at least 1, got {runs}")
-    mus, mus_static, ris, iters = [], [], [], []
-    t_static, t_alpha, t_solve, t_solve_static, t_solve_alpha = [], [], [], [], []
+    # One sample list per column but the label and the run count.
+    samples: dict[str, list[float]] = {column: [] for column in BENCH_COLUMNS[1:-1]}
     for run in range(runs):
         game = _game_for_run(spec, run)
-        arena = game.arena
-        mus.append(index(arena.colors))
-
-        start = time.perf_counter()
-        compressed = static_compress(arena.colors)
-        t_static.append((time.perf_counter() - start) * 1000.0)
-        mus_static.append(index(compressed))
-
-        start = time.perf_counter()
-        reduced, report = rabin(arena, mode=OracleMode.ABSTRACT)
-        t_alpha.append((time.perf_counter() - start) * 1000.0)
-        ris.append(index(reduced))
-        iters.append(report.iteration_count)
-
-        for colors, sink in (
-            (arena.colors, t_solve),
-            (compressed, t_solve_static),
-            (reduced, t_solve_alpha),
+        colors = game.arena.colors
+        compressed = _timed(samples["static_ms"], static_compress, colors)
+        reduced, report = _timed(samples["alpha_ms"], rabin, game.arena, mode=OracleMode.ABSTRACT)
+        samples["mu_c"].append(index(colors))
+        samples["mu_s_c"].append(index(compressed))
+        samples["ri_alpha"].append(index(reduced))
+        samples["iterations"].append(report.iteration_count)
+        for column, variant in (
+            ("solve_ms", colors),
+            ("solve_static_ms", compressed),
+            ("solve_alpha_ms", reduced),
         ):
-            variant = game.with_colors(colors)
-            start = time.perf_counter()
-            zielonka_solve(variant)
-            sink.append((time.perf_counter() - start) * 1000.0)
-
-    return BenchRow(
-        game=spec.label,
-        mu_c=fmean(mus),
-        mu_s_c=fmean(mus_static),
-        ri_alpha=fmean(ris),
-        static_ms=fmean(t_static),
-        alpha_ms=fmean(t_alpha),
-        iterations=fmean(iters),
-        solve_ms=fmean(t_solve),
-        solve_static_ms=fmean(t_solve_static),
-        solve_alpha_ms=fmean(t_solve_alpha),
-        runs=runs,
-    )
+            _timed(samples[column], zielonka_solve, game.with_colors(variant))
+    means = {column: fmean(values) for column, values in samples.items()}
+    return BenchRow(game=spec.label, runs=runs, **means)
 
 
 def bench_run(config_text: str, default_runs: int = 1) -> list[BenchRow]:

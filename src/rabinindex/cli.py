@@ -15,12 +15,13 @@ below 1; 3 unreadable or malformed input; 4 search budget exhausted; 5 node cap 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 from .arena import ParityGame, index
 from .bench import bench_run, rows_to_csv
-from .cycles import NodeCapExceeded
+from .cycles import NodeCapExceeded, enumerate_simple_cycles
 from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random
 from .oracles import brute_force_rabin_index, equivalence_witness
 from .pgsolver import PGSolverError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
@@ -103,9 +104,9 @@ def _cmd_index(args: argparse.Namespace) -> int:
         print(f"index: {before} -> {index(reduced)}")
     else:
         mode = OracleMode.EXACT if args.mode == "exact" else OracleMode.ABSTRACT
-        budget = args.budget if mode is OracleMode.EXACT else None
+        budget = {} if args.budget is None else {"budget_limit": args.budget}
         try:
-            reduced, report = rabin(arena, mode=mode, budget_limit=budget)
+            reduced, report = rabin(arena, mode=mode, **budget)
         except ReductionAborted:
             if args.fallback != "alpha":
                 raise
@@ -167,13 +168,16 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     game = _load_game(args.file)
-    if game.arena.node_count > args.cap:
+    cap = args.cap
+    if cap is None:  # the search ranges over simple cycles
+        cap = inspect.signature(enumerate_simple_cycles).parameters["node_cap"].default
+    if game.arena.node_count > cap:
         raise CliError(
             "cap",
-            f"game has {game.arena.node_count} nodes, oracle capped at {args.cap}",
+            f"game has {game.arena.node_count} nodes, oracle capped at {cap}",
             EXIT_CAP,
         )
-    value = brute_force_rabin_index(game.arena, node_cap=args.cap)
+    value = brute_force_rabin_index(game.arena, node_cap=cap)
     print(f"rabin index: {value}")
     return EXIT_OK
 
@@ -237,14 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_equiv.add_argument("first")
     p_equiv.add_argument("second")
     p_equiv.add_argument("--relation", choices=("simple", "alpha"), default="simple")
-    p_equiv.add_argument("--cap", type=int, default=12)
+    p_equiv.add_argument("--cap", type=int, default=None)
     p_equiv.set_defaults(handler=_cmd_equiv)
 
     p_oracle = sub.add_parser("oracle", help="brute-force oracles for small games")
     oracle_sub = p_oracle.add_subparsers(dest="oracle_command", required=True)
     p_oracle_ri = oracle_sub.add_parser("rabin-index", help="exact Rabin index by search")
     p_oracle_ri.add_argument("file")
-    p_oracle_ri.add_argument("--cap", type=int, default=12)
+    p_oracle_ri.add_argument("--cap", type=int, default=None)
     p_oracle_ri.set_defaults(handler=_cmd_oracle)
 
     p_member = sub.add_parser("member", help="abstract index class membership test")

@@ -20,9 +20,6 @@ from .cycles import NodeCapExceeded, enumerate_simple_cycles, strongly_connected
 #: node sets, which are exactly the strongly connected subsets).
 RELATIONS = ("simple", "alpha")
 
-_DEFAULT_SIMPLE_CAP = 15
-_DEFAULT_ALPHA_CAP = 12
-
 
 def _checked_relation(relation: str) -> str:
     if relation not in RELATIONS:
@@ -41,14 +38,14 @@ def cycle_families(
     ``relation="alpha"`` the strongly connected subsets, i.e. the possible
     visited sets of closed walks.  The color of any cycle over such a set is
     the minimum color on the set, so these tuples carry everything the
-    equivalence relations can observe.
+    equivalence relations can observe.  ``node_cap=None`` applies the
+    enumerating function's own default cap.
     """
+    cap = {} if node_cap is None else {"node_cap": node_cap}
     if _checked_relation(relation) == "simple":
-        cap = _DEFAULT_SIMPLE_CAP if node_cap is None else node_cap
-        cycles = enumerate_simple_cycles(arena, node_cap=cap)
+        cycles = enumerate_simple_cycles(arena, **cap)
         return tuple(sorted({tuple(sorted(cycle)) for cycle in cycles}))
-    cap = _DEFAULT_ALPHA_CAP if node_cap is None else node_cap
-    subsets = strongly_connected_subsets(arena, node_cap=cap)
+    subsets = strongly_connected_subsets(arena, **cap)
     return tuple(sorted(tuple(sorted(nodes)) for nodes in subsets))
 
 

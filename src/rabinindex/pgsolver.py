@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import Iterable
+from typing import Iterator
 
 from .arena import Arena, ParityGame, Solution
 
@@ -52,41 +52,45 @@ class DuplicateEdgeWarning(UserWarning):
     """A node listed the same successor twice; duplicates are dropped."""
 
 
-def _decode(text: str | bytes) -> str:
+def _records(text: str | bytes, header: str, header_error: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, record)`` for each record line, its closing ``;``
+    stripped, after skipping comments and blank lines and checking an optional
+    leading ``<header> <maxId>;`` line."""
     if isinstance(text, bytes):
         try:
-            return text.decode("utf-8")
+            text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PGSolverError(f"input is not valid UTF-8: {exc}") from None
-    return text
+    header_done = False
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("--"):
+            continue
+        if not header_done:
+            header_done = True
+            if line.startswith(header):
+                if not re.fullmatch(header + r"\s+\d+\s*;", line):
+                    raise PGSolverError(header_error, lineno)
+                continue
+        if not line.endswith(";"):
+            raise PGSolverError("record does not end with ';'", lineno)
+        yield lineno, line[:-1]
 
 
 def parse_pgsolver(text: str | bytes) -> ParityGame:
     """Parse a game description, renumbering sparse node ids densely."""
-    records: dict[int, tuple[int, int, list[int], str | None]] = {}
-    first_seen: dict[int, int] = {}  # node id -> line where first referenced
-    header_done = False
-    saw_record = False
-
-    for lineno, raw in enumerate(_decode(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("--"):
-            continue
-        if not header_done and line.startswith("parity"):
-            header_done = True
-            if not re.fullmatch(r"parity\s+\d+\s*;", line):
-                raise PGSolverError("malformed header", lineno)
-            continue
-        header_done = True
-        if not line.endswith(";"):
-            raise PGSolverError("record does not end with ';'", lineno)
-        match = _RECORD_RE.match(line[:-1].strip())
+    # node id -> (priority, owner, successors, name, line)
+    records: dict[int, tuple[int, int, list[int], str | None, int]] = {}
+    referenced: set[int] = set()
+    for lineno, record in _records(text, "parity", "malformed header"):
+        match = _RECORD_RE.match(record)
         if match is None:
-            raise PGSolverError(f"malformed record: {line!r}", lineno)
+            raise PGSolverError(f"malformed record: {record!r}", lineno)
         try:
             node = int(match["id"])
             priority = int(match["priority"])
             owner = int(match["owner"])
+            succs = list(map(int, match["succs"].split(",")))
         except ValueError:  # more digits than int() accepts
             raise PGSolverError("integer too long", lineno) from None
         if priority < 0:
@@ -97,57 +101,45 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
             raise PGSolverError(f"owner must be 0 or 1, got {owner}", lineno)
         if node in records:
             raise PGSolverError(f"node {node} declared twice", lineno)
-        succs: list[int] = []
-        seen: set[int] = set()
-        for part in match["succs"].split(","):
-            try:
-                w = int(part)
-            except ValueError:
-                raise PGSolverError("integer too long", lineno) from None
-            if w < 0:
-                raise PGSolverError(f"negative successor id {w}", lineno)
-            if w in seen:
-                warnings.warn(
-                    f"line {lineno}: node {node} lists successor {w} twice",
-                    DuplicateEdgeWarning,
-                    stacklevel=2,
-                )
-                continue
-            seen.add(w)
-            succs.append(w)
-            first_seen.setdefault(w, lineno)
-        records[node] = (priority, owner, succs, match["name"])
-        first_seen.setdefault(node, lineno)
-        saw_record = True
+        if min(succs) < 0:
+            raise PGSolverError(f"negative successor id {min(succs)}", lineno)
+        unique = set(succs)
+        if len(unique) < len(succs):
+            seen: set[int] = set()
+            for w in succs:
+                if w in seen:
+                    warnings.warn(
+                        f"line {lineno}: node {node} lists successor {w} twice",
+                        DuplicateEdgeWarning,
+                        stacklevel=2,
+                    )
+                seen.add(w)
+            succs = list(dict.fromkeys(succs))
+        records[node] = (priority, owner, succs, match["name"], lineno)
+        referenced |= unique
 
-    if not saw_record:
+    if not records:
         raise PGSolverError("no node records found")
-
-    for w, lineno in sorted(first_seen.items()):
-        if w not in records:
-            raise PGSolverError(
-                f"node {w} is referenced but never declared, so it has no "
-                "successors (totality violation)",
-                lineno,
-            )
+    undeclared = referenced.difference(records)
+    if undeclared:
+        w = min(undeclared)
+        first = next(rec[4] for rec in records.values() if w in rec[2])
+        raise PGSolverError(
+            f"node {w} is referenced but never declared, so it has no "
+            "successors (totality violation)",
+            first,
+        )
 
     original_ids = sorted(records)
-    dense = {orig: i for i, orig in enumerate(original_ids)}
-    renumbered = any(orig != i for i, orig in enumerate(original_ids))
-
-    successors = []
-    colors = []
-    owners = []
-    names: list[str | None] = []
+    renumbered = original_ids[-1] != len(original_ids) - 1
+    dense = {orig: i for i, orig in enumerate(original_ids)}.__getitem__
+    successors, colors, owners, names = [], [], [], []
     for orig in original_ids:
-        priority, owner, succs, name = records[orig]
-        successors.append(tuple(dense[w] for w in succs))
+        priority, owner, succs, name, _ = records[orig]
+        successors.append(tuple(map(dense, succs)))
         colors.append(priority)
         owners.append(owner)
-        if name is None and renumbered:
-            name = str(orig)
-        names.append(name)
-
+        names.append(str(orig) if name is None and renumbered else name)
     name_table = tuple(names) if any(n is not None for n in names) else None
     return ParityGame(Arena(tuple(successors), tuple(colors)), tuple(owners), name_table)
 
@@ -169,28 +161,13 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
     winner: dict[int, int] = {}
     strategy: dict[int, int] = {}
     n = game.node_count
-    saw_record = False
-    header_done = False
-
-    for lineno, raw in enumerate(_decode(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("--"):
-            continue
-        if not header_done and line.startswith("paritysol"):
-            header_done = True
-            if not re.fullmatch(r"paritysol\s+\d+\s*;", line):
-                raise PGSolverError("malformed solution header", lineno)
-            continue
-        header_done = True
-        if not line.endswith(";"):
-            raise PGSolverError("record does not end with ';'", lineno)
-        parts = line[:-1].split()
-        if len(parts) not in (2, 3):
-            raise PGSolverError(f"malformed solution record: {line!r}", lineno)
+    for lineno, record in _records(text, "paritysol", "malformed solution header"):
         try:
-            values = [int(p) for p in parts]
+            values = list(map(int, record.split()))
         except ValueError:
-            raise PGSolverError(f"malformed solution record: {line!r}", lineno) from None
+            values = []
+        if len(values) not in (2, 3):
+            raise PGSolverError(f"malformed solution record: {record!r}", lineno)
         v, win = values[0], values[1]
         if not 0 <= v < n:
             raise PGSolverError(f"node {v} out of range", lineno)
@@ -201,9 +178,8 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
         winner[v] = win
         if len(values) == 3:
             strategy[v] = values[2]
-        saw_record = True
 
-    if not saw_record:
+    if not winner:
         raise PGSolverError("no solution records found")
     missing = [v for v in range(n) if v not in winner]
     if missing:

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .arena import Arena, Coloring, NodeId, ParityGame, check_coloring, index
 from .cycles import (
+    DEFAULT_BUDGET,
     CycleAnswer,
     SccDecomposition,
     SearchBudget,
@@ -358,7 +359,7 @@ def rabin(
     arena: Arena,
     coloring: Sequence[int] | None = None,
     mode: OracleMode | str = OracleMode.EXACT,
-    budget_limit: int | None = None,
+    budget_limit: int | None = DEFAULT_BUDGET,
 ) -> tuple[Coloring, ReductionReport]:
     """Iterate cycle and pop passes to a fixpoint of the color sum.
 
@@ -369,7 +370,8 @@ def rabin(
     (color, node).
 
     Raises :class:`ReductionAborted` when an exact query exhausts its
-    budget; the exception carries the partial report.  A negative
+    budget; the exception carries the partial report.  ``budget_limit`` caps
+    each query's expanded nodes (``None``: unlimited).  A negative
     ``budget_limit`` raises :class:`ValueError`; a limit of 0 answers only
     the queries that need no search.
     """

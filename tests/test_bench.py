@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from rabinindex.bench import (
     BENCH_COLUMNS,
     BatchSpec,
+    BenchRow,
     bench_batch,
     bench_run,
     parse_bench_config,
@@ -108,6 +111,18 @@ def test_rows_to_csv():
     assert first[0] == "ladder[3]"
     assert first[1:4] == ["2", "2", "2"]
     assert first[-1] == "2"
+
+
+def test_bench_columns_follow_bench_row_fields():
+    assert BENCH_COLUMNS == tuple(f.name for f in fields(BenchRow))
+
+
+def test_random_batch_means_print_with_two_decimals():
+    lines = rows_to_csv(bench_run("random 40/1/4/40 runs=3 seed=2")).splitlines()
+    record = dict(zip(BENCH_COLUMNS, lines[1].split(",")))
+    assert [record[c] for c in ("mu_c", "mu_s_c", "ri_alpha", "iterations", "runs")] == [
+        "39.67", "19", "6.67", "2", "3"
+    ]
 
 
 def test_rows_to_csv_empty():

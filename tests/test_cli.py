@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import os
 import subprocess
 import sys
@@ -10,8 +11,11 @@ from pathlib import Path
 import pytest
 
 import rabinindex
+from rabinindex import cli
 from rabinindex.cli import main
+from rabinindex.cycles import DEFAULT_BUDGET
 from rabinindex.pgsolver import parse_pgsolver, parse_solution
+from rabinindex.reduction import rabin
 
 
 @pytest.fixture
@@ -90,6 +94,20 @@ def test_index_zero_budget_is_a_budget(fig1_path, capsys):
     assert "(limit 0)" in capsys.readouterr().err
 
 
+def test_index_exact_budget_defaults_to_the_package_default(fig1_path, monkeypatch, capsys):
+    budgets = []
+
+    def spy(*args, **kwargs):
+        bound = inspect.signature(rabin).bind(*args, **kwargs)
+        bound.apply_defaults()
+        budgets.append(bound.arguments["budget_limit"])
+        return rabin(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rabin", spy)
+    assert main(["index", str(fig1_path)]) == 0
+    assert budgets == [DEFAULT_BUDGET]
+
+
 def test_index_budget_fallback(fig1_path, capsys):
     assert main(["index", str(fig1_path), "--budget", "2", "--fallback", "alpha"]) == 0
     captured = capsys.readouterr()
@@ -157,6 +175,20 @@ def test_equiv_node_cap(tmp_path, capsys):
     big.write_text("\n".join(lines) + "\n")
     assert main(["equiv", str(big), str(big), "--cap", "10"]) == 5
     assert "error: cap:" in capsys.readouterr().err
+
+
+def test_node_cap_defaults_to_the_library_cap_of_the_relation(tmp_path, capsys):
+    # Ladder 7 has 14 nodes: within the simple-cycle cap of 15, above the
+    # closed-walk cap of 12.
+    ladder7, ladder8 = tmp_path / "l7.gm", tmp_path / "l8.gm"
+    assert main(["gen", "ladder", "7", "-o", str(ladder7)]) == 0
+    assert main(["gen", "ladder", "8", "-o", str(ladder8)]) == 0
+    assert main(["equiv", str(ladder7), str(ladder7)]) == 0
+    assert capsys.readouterr().out == "equivalent\n"
+    assert main(["equiv", str(ladder7), str(ladder7), "--relation", "alpha"]) == 5
+    assert "capped at 12" in capsys.readouterr().err
+    assert main(["oracle", "rabin-index", str(ladder8)]) == 5
+    assert "oracle capped at 15" in capsys.readouterr().err
 
 
 def test_oracle_rabin_index(fig1_path, capsys):

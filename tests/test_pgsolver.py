@@ -92,6 +92,12 @@ def test_undeclared_successor_is_totality_error():
         parse_pgsolver("0 1 0 1;\n")
 
 
+def test_undeclared_successor_names_smallest_id_and_first_reference():
+    text = "0 1 0 9;\n1 0 1 5,9;\n2 0 0 5;\n"
+    with pytest.raises(PGSolverError, match="line 2: node 5 is referenced but never declared"):
+        parse_pgsolver(text)
+
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(PGSolverError, match="declared twice"):
         parse_pgsolver("0 1 0 1;\n1 0 1 0;\n0 2 1 1;\n")

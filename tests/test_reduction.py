@@ -66,12 +66,6 @@ def test_exact_reduction_fig1(fig1_arena):
     assert second.pop_changes == ()
 
 
-def test_exact_reduction_fig1_default_order(fig1_arena):
-    colors, report = rabin(fig1_arena)
-    assert colors == (1, 2, 2, 1, 2)
-    assert report.iteration_count == 2
-
-
 def test_abstract_reduction_fig1(fig1_arena):
     colors, report = rabin(fig1_arena, mode=ABSTRACT)
     assert colors == (3, 3, 2, 1, 2)
