@@ -15,13 +15,12 @@ below 1; 3 unreadable or malformed input; 4 search budget exhausted; 5 node cap 
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from pathlib import Path
 
 from .arena import ParityGame, index
 from .bench import bench_run, rows_to_csv
-from .cycles import NodeCapExceeded, enumerate_simple_cycles
+from .cycles import NodeCapExceeded
 from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random
 from .oracles import brute_force_rabin_index, equivalence_witness
 from .pgsolver import PGSolverError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
@@ -168,16 +167,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     game = _load_game(args.file)
-    cap = args.cap
-    if cap is None:  # the search ranges over simple cycles
-        cap = inspect.signature(enumerate_simple_cycles).parameters["node_cap"].default
-    if game.arena.node_count > cap:
-        raise CliError(
-            "cap",
-            f"game has {game.arena.node_count} nodes, oracle capped at {cap}",
-            EXIT_CAP,
-        )
-    value = brute_force_rabin_index(game.arena, node_cap=cap)
+    value = brute_force_rabin_index(game.arena, node_cap=args.cap)
     print(f"rabin index: {value}")
     return EXIT_OK
 

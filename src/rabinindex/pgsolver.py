@@ -61,6 +61,7 @@ def _records(text: str | bytes, header: str, header_error: str) -> Iterator[tupl
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PGSolverError(f"input is not valid UTF-8: {exc}") from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
     header_done = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

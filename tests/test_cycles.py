@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from itertools import combinations, permutations
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ import rabinindex
 from rabinindex import cycles, reduction, solver
 
 from rabinindex.arena import Arena, cycle_color
+from rabinindex.generators import gen_clique, gen_ladder
 from rabinindex.cycles import (
     CycleAnswer,
     NodeCapExceeded,
@@ -148,6 +151,47 @@ def test_enumerate_simple_cycles_fig1(fig1_arena):
     assert cycles == {(0, 1), (1, 2), (3, 4), (0, 4, 3, 2, 1)}
 
 
+def _dead_end(k: int) -> Arena:
+    """0 <-> 1, and 1 -> every node of a complete digraph on k nodes, of
+    which only the first leads back to 1: most paths into the clique are
+    dead ends, the case Johnson's blocking is for."""
+    clique = range(2, k + 2)
+    succ = [[1], [0, *clique]]
+    succ += [[1] * (v == 2) + [w for w in clique if w != v] for v in clique]
+    return Arena.from_lists(succ, [0] * (k + 2))
+
+
+@given(arenas(max_nodes=6, allow_self_loops=True))
+@settings(max_examples=100)
+def test_enumeration_matches_every_ordering_of_every_subset(arena):
+    expected = set()
+    for size in range(1, arena.node_count + 1):
+        for subset in combinations(range(arena.node_count), size):
+            for rest in permutations(subset[1:]):
+                try:
+                    cycle_color(arena, (subset[0], *rest))
+                except ValueError:
+                    continue
+                expected.add((subset[0], *rest))
+    cycles = list(enumerate_simple_cycles(arena))
+    assert len(cycles) == len(set(cycles))
+    assert set(cycles) == expected
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_clique_cycle_count(n):
+    count = sum(comb(n, k) * factorial(k - 1) for k in range(2, n + 1))
+    assert len(list(enumerate_simple_cycles(gen_clique(n).arena))) == count
+
+
+@pytest.mark.parametrize(
+    "arena, count", [(gen_ladder(7).arena, 843), (_dead_end(7), 4323)], ids=["ladder7", "dead_end7"]
+)
+def test_pinned_cycle_counts(arena, count):
+    cycles = list(enumerate_simple_cycles(arena))
+    assert len(cycles) == len(set(cycles)) == count
+
+
 def test_enumerate_respects_cap():
     big = Arena.from_lists(
         [[(v + 1) % 16] for v in range(16)], [0] * 16
@@ -259,15 +303,19 @@ def test_exact_query_reads_a_negative_color_as_below_every_threshold():
     assert answer is CycleAnswer.NO
 
 
-def test_import_leaves_networkx_unloaded():
+def test_import_loads_only_the_standard_library():
     src = str(Path(rabinindex.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    probe = "import sys, rabinindex; print('networkx' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import rabinindex; "
+        "top = {m.partition('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(top - sys.stdlib_module_names - {'rabinindex'}))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"
 
 
 @given(arenas(max_nodes=6, max_color=4))

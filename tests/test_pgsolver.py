@@ -127,6 +127,23 @@ def test_parse_bytes():
     assert game.node_count == 2
 
 
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_pgsolver, FIG1_TEXT),
+        (parse_pgsolver, "0 1 0 1;\n1 2 1 0;\n"),
+        (lambda text: parse_solution(text, FIG1_GAME), FIG1_SOLUTION),
+    ],
+    ids=["game", "headerless-game", "solution"],
+)
+def test_leading_byte_order_mark_is_ignored(parse, text, as_bytes):
+    marked = "\ufeff" + text
+    if as_bytes:
+        text, marked = text.encode("utf-8"), marked.encode("utf-8")
+    assert parse(marked) == parse(text)
+
+
 @given(games(max_nodes=8, max_color=9))
 def test_write_parse_roundtrip(game):
     assert parse_pgsolver(write_pgsolver(game)) == game
