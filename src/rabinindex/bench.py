@@ -39,7 +39,6 @@ class BatchSpec:
     """One parsed configuration line."""
 
     label: str
-    kind: str  # "family" or "random"
     name: str = ""
     params: tuple[int, ...] = ()
     random_config: RandomConfig | None = None
@@ -108,14 +107,14 @@ def _parse_batch(line: str) -> BatchSpec:
         if len(tokens) != 2:
             raise ValueError("random takes one xx/yy/zz/cc argument")
         config = RandomConfig.parse(tokens[1], seed=seed)
-        return BatchSpec(label=config.label(), kind="random", random_config=config, runs=runs)
+        return BatchSpec(label=config.label(), random_config=config, runs=runs)
     try:
         params = tuple(int(tok) for tok in tokens[1:])
     except ValueError:
         raise ValueError(f"bad parameter in {line!r}") from None
     check_family(kind, params)
     label = f"{kind}[{' '.join(tokens[1:])}]"
-    return BatchSpec(label=label, kind="family", name=kind, params=params, runs=runs)
+    return BatchSpec(label=label, name=kind, params=params, runs=runs)
 
 
 def parse_bench_config(text: str) -> list[BatchSpec]:

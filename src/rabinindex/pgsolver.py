@@ -146,13 +146,21 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
 
 
 def write_pgsolver(game: ParityGame) -> str:
-    """Serialize a game; ``parse_pgsolver`` inverts this exactly."""
+    """Serialize a game; ``parse_pgsolver`` inverts this exactly.
+
+    Raises :class:`ValueError` for a name that a record cannot hold: one
+    with a ``"`` or a line break.
+    """
     lines = [f"parity {game.node_count - 1};"]
     for v in range(game.node_count):
         succs = ",".join(str(w) for w in game.arena.successors[v])
         name = ""
         if game.names is not None and game.names[v] is not None:
-            name = f' "{game.names[v]}"'
+            name = game.names[v]
+            # The appended character keeps a trailing line break splitting.
+            if '"' in name or len((name + ".").splitlines()) > 1:
+                raise ValueError(f"node {v}: name {name!r} holds a '\"' or a line break")
+            name = f' "{name}"'
         lines.append(f"{v} {game.arena.colors[v]} {game.owners[v]} {succs}{name};")
     return "\n".join(lines) + "\n"
 

@@ -65,7 +65,7 @@ class OracleStats:
     abstract_queries: int = 0
     max_color_checks: int = 0
     nodes_expanded: int = 0
-    reach_steps: int = 0  # nodes expanded by the anchor reaches
+    reach_steps: int = 0  # nodes expanded by the anchors' per-threshold reaches
     scc_builds: int = 0  # threshold decompositions built for anchors
 
 
@@ -141,92 +141,13 @@ class ReductionAborted(RuntimeError):
         )
 
 
-class _Reach:
-    """Forward and backward reach from one node under a falling color threshold.
-
-    Both sets start at the node and only grow: a neighbor colored below the
-    threshold waits in a per-color bucket until the threshold drops to its
-    color, so one node's reach over all thresholds costs at most one pass
-    over the arena.  ``steps`` counts the nodes expanded so far.
-    """
-
-    def __init__(
-        self,
-        arena: Arena,
-        colors: list[int],
-        v: NodeId,
-        marks: tuple[list[int], list[int]],
-        stamp: int,
-    ):
-        # marks[side][u] == stamp: u is in this reach's forward (0) or
-        # backward (1) set; a fresh stamp empties both without clearing.
-        self.colors = colors
-        self.stamp = stamp
-        self.sides = (
-            (arena.successors, marks[0], [v], {}),
-            (arena.predecessors, marks[1], [v], {}),
-        )
-        marks[0][v] = marks[1][v] = stamp
-        self.steps = 0
-
-    def meets_at(self, gamma: int) -> bool:
-        """Lower the threshold to ``gamma``, below that of any earlier call,
-        and grow both sets, taking turns, until a ``gamma``-colored node
-        lies in both (True) or cannot.
-
-        A node is always expanded in full, so the sets stay correct for
-        the lower thresholds that exact mode may ask about next.
-        """
-        colors, stamp, sides = self.colors, self.stamp, self.sides
-        met = False
-        found = [False, False]  # the side holds a gamma-colored node
-        for side, (_, mine, stack, waiting) in enumerate(sides):
-            other = sides[1 - side][1]
-            for color in [c for c in waiting if c >= gamma]:
-                for w in waiting.pop(color):
-                    if mine[w] != stamp:
-                        mine[w] = stamp
-                        stack.append(w)
-                        if color == gamma:
-                            found[side] = True
-                            met = met or other[w] == stamp
-        if met:
-            return True
-        while True:
-            moved = False
-            for side, (links, mine, stack, waiting) in enumerate(sides):
-                if not stack:
-                    if not found[side]:
-                        return False  # closed, and holds no gamma-colored node
-                    continue
-                moved = True
-                self.steps += 1
-                other = sides[1 - side][1]
-                for w in links[stack.pop()]:
-                    if mine[w] == stamp:
-                        continue
-                    color = colors[w]
-                    if color < gamma:
-                        waiting.setdefault(color, []).append(w)
-                        continue
-                    mine[w] = stamp
-                    stack.append(w)
-                    if color == gamma:
-                        found[side] = True
-                        met = met or other[w] == stamp
-                if met:
-                    return True
-            if not moved:
-                return False
-
-
 class _PassState:
     """Shared bookkeeping for one reduction run, and its anchor oracle.
 
     ``v`` lies on a closed walk of minimal color gamma iff some
     gamma-colored node is both reachable from ``v`` and reaches ``v``
-    within the color->=gamma subgraph.  :meth:`anchor` answers this for
-    descending gamma with a :class:`_Reach` from ``v`` that stops at the
+    within the color->=gamma subgraph.  :meth:`anchor` probes descending
+    gamma, each with a fresh two-way reach from ``v`` that stops at the
     first witness.  Where every such walk is long, reaches keep crossing
     the same subgraph, so each threshold is charged the reach work done at
     it; once that exceeds n + m the threshold's SCC decomposition is built
@@ -281,7 +202,7 @@ class _PassState:
             for gamma in [g for g in cache if low < g <= high]:
                 del cache[gamma]
 
-    def _closes_walk(self, v: NodeId, gamma: int, reach: _Reach) -> bool:
+    def _closes_walk(self, v: NodeId, gamma: int) -> bool:
         self.stats.abstract_queries += 1
         scc = self._scc_cache.get(gamma)
         if scc is None and self._charged[gamma] > self._size:
@@ -290,11 +211,50 @@ class _PassState:
             self.stats.scc_builds += 1
         if scc is not None:
             return scc.closes_walk_at(v, self.colors, gamma)
-        before = reach.steps
-        meets = reach.meets_at(gamma)
-        self._charged[gamma] += reach.steps - before
-        self.stats.reach_steps += reach.steps - before
+        meets, steps = self._reach_meets(v, gamma)
+        self._charged[gamma] += steps
+        self.stats.reach_steps += steps
         return meets
+
+    def _reach_meets(self, v: NodeId, gamma: int) -> tuple[bool, int]:
+        """Grow a forward and a backward set from ``v`` in the color->=gamma
+        subgraph, expanding one node per side in turn, until a gamma-colored
+        node lies in both (True) or a side closes without one (False).
+        Also returns the number of nodes expanded."""
+        colors = self.colors
+        # marks[side][u] == stamp: u is in this reach's forward (0) or
+        # backward (1) set; a fresh stamp empties both without clearing.
+        self._stamp += 1
+        stamp = self._stamp
+        forward, backward = self._marks
+        forward[v] = backward[v] = stamp
+        sides = (
+            (self.arena.successors, forward, backward, [v]),
+            (self.arena.predecessors, backward, forward, [v]),
+        )
+        found = [False, False]  # the side holds a gamma-colored node
+        steps = 0
+        while True:
+            moved = False
+            for side, (links, mine, other, stack) in enumerate(sides):
+                if not stack:
+                    if not found[side]:
+                        return False, steps
+                    continue
+                moved = True
+                steps += 1
+                for w in links[stack.pop()]:
+                    color = colors[w]
+                    if color < gamma or mine[w] == stamp:
+                        continue
+                    mine[w] = stamp
+                    stack.append(w)
+                    if color == gamma:
+                        if other[w] == stamp:
+                            return True, steps
+                        found[side] = True
+            if not moved:
+                return False, steps
 
     def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
         budget = SearchBudget(self.budget_limit)
@@ -313,14 +273,12 @@ class _PassState:
         (simple, in exact mode) cycle through v has color exactly gamma; -1
         if there is none."""
         c_v = self.colors[v]
-        self._stamp += 1
-        reach = _Reach(self.arena, self.colors, v, self._marks, self._stamp)
         present = self._present
         for i in range(bisect_left(present, c_v) - 1, -1, -1):
             gamma = present[i]
             if (c_v - gamma) % 2 == 0:
                 continue
-            if self._closes_walk(v, gamma, reach) and (
+            if self._closes_walk(v, gamma) and (
                 self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma)
             ):
                 return gamma

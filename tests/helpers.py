@@ -179,4 +179,16 @@ def games(draw: st.DrawFn, **kwargs) -> ParityGame:
             max_size=arena.node_count,
         ).map(tuple)
     )
-    return ParityGame(arena=arena, owners=owners)
+    # Names hold no '"' and no line break (categories Cc, Zl and Zp), which
+    # a record cannot carry, and no surrogate (Cs), which UTF-8 cannot; a
+    # table of only None parses back as no table.
+    writable = st.text(
+        st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters='"')
+    )
+    names = draw(
+        st.none()
+        | st.lists(
+            st.none() | writable, min_size=arena.node_count, max_size=arena.node_count
+        ).map(lambda table: tuple(table) if any(n is not None for n in table) else None)
+    )
+    return ParityGame(arena=arena, owners=owners, names=names)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import rabinindex
+from rabinindex.cli import main
 
 MODULES = [rabinindex] + [
     importlib.import_module(f"rabinindex.{info.name}")
@@ -35,3 +37,15 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert not hasattr(rabinindex.reduction.IterationTrace, "empty")
     assert not hasattr(rabinindex.ReductionReport, "to_records")
     assert "orders" not in inspect.signature(rabinindex.rabin).parameters
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    # The example reads README's `gen random 100/1/20/100 --seed 7` game,
+    # on which the exact search runs out of budget.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "random", "100/1/20/100", "--seed", "7", "-o", "rand.gm"]) == 0
+    exec(compile(code, "README.md", "exec"), {})
+    assert "final index 37" in capsys.readouterr().out

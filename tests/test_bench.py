@@ -30,9 +30,8 @@ random 40/1/8/40 runs=5 seed=9
 def test_parse_bench_config():
     specs = parse_bench_config(CONFIG)
     assert [s.label for s in specs] == ["clique[100]", "jurdzinski[5 10]", "40/1/8/40"]
-    assert specs[0] == BatchSpec(label="clique[100]", kind="family", name="clique", params=(100,))
-    assert specs[1].runs == 3
-    assert specs[2].kind == "random"
+    assert specs[0] == BatchSpec(label="clique[100]", name="clique", params=(100,))
+    assert specs[1].runs == 3 and specs[1].random_config is None
     assert specs[2].random_config == RandomConfig(40, 1, 8, 40, seed=9)
     assert specs[2].runs == 5
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import pytest
@@ -15,7 +16,7 @@ from rabinindex.pgsolver import (
     write_pgsolver,
     write_solution,
 )
-from rabinindex.arena import Solution
+from rabinindex.arena import ParityGame, Solution
 
 from helpers import games
 from conftest import FIG1_TEXT
@@ -147,6 +148,13 @@ def test_leading_byte_order_mark_is_ignored(parse, text, as_bytes):
 @given(games(max_nodes=8, max_color=9))
 def test_write_parse_roundtrip(game):
     assert parse_pgsolver(write_pgsolver(game)) == game
+
+
+@pytest.mark.parametrize("name", ['a"b', "x\ny", "x\r", "\x1c", "x\u2028y", "\x85"])
+def test_write_rejects_a_name_a_record_cannot_hold(name):
+    names = ("v0", None, name, "v3", "v4")
+    with pytest.raises(ValueError, match=f"^node 2: name {re.escape(repr(name))} "):
+        write_pgsolver(ParityGame(FIG1_GAME.arena, FIG1_GAME.owners, names))
 
 
 def test_solution_roundtrip(fig1_game):

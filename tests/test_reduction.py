@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import sys
 import time
@@ -19,7 +20,7 @@ from rabinindex.cycles import (
     simple_cycle_through_with_color,
     tarjan_scc,
 )
-from rabinindex.generators import gen_family
+from rabinindex.generators import RandomConfig, gen_family, gen_random
 from rabinindex.oracles import (
     brute_force_rabin_index,
     colorings_equivalent,
@@ -165,7 +166,7 @@ def test_get_anchor_fig1(fig1_arena):
 def test_exact_anchor_below_a_walk_that_is_no_simple_cycle():
     # At color 3, node 4 lies on the closed walk 4 3 2 1 3 but on no simple
     # cycle; its exact anchor is the cycle 4 3 2 5 0 of color 1, which the
-    # reach must still find after stopping at the walk.
+    # anchor must still find after the walk at color 3.
     arena = Arena(((2, 4), (2, 3), (1, 5), (2, 4), (3,), (0, 3)), (2, 3, 4, 5, 4, 1))
     assert get_anchor(arena, None, 4, mode=ABSTRACT) == 3
     assert get_anchor(arena, None, 4, mode=EXACT) == 1
@@ -242,6 +243,34 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
         assert colors == expected_colors
         assert report.rank_trace == expected.rank_trace
         assert report.iterations == expected.iterations
+
+
+def test_alpha_reduction_output_is_pinned():
+    # The benchmark's seven families and its 24 random-dense games of seed
+    # 1: far above the reference anchor's 9 nodes, so a change to how the
+    # anchors search must still give the same colorings and traces.
+    families = (
+        ("clique", (100,)),
+        ("ladder", (300,)),
+        ("jurdzinski", (4, 6)),
+        ("jurdzinski", (5, 10)),
+        ("recursive_ladder", (30,)),
+        ("model_checker_ladder", (300,)),
+        ("tower_of_hanoi", (5,)),
+    )
+    cases = [gen_family(name, params).arena for name, params in families]
+    cases += [
+        gen_random(RandomConfig.parse("100/1/20/100", seed=seed)).arena
+        for seed in range(1000, 1024)
+    ]
+    digest = hashlib.sha256()
+    for arena in cases:
+        colors, report = rabin(arena, mode=ABSTRACT)
+        trace = [(it.cycle_changes, it.pop_changes) for it in report.iterations]
+        digest.update(repr((colors, report.rank_trace, trace)).encode())
+    assert digest.hexdigest() == (
+        "282508ee7516cc947a59374191a95df36d8e34c9689df292b447ba1253ba0d85"
+    )
 
 
 @pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
