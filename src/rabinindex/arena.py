@@ -96,17 +96,25 @@ class Arena:
         check_coloring(colors, self.node_count)
         return colors
 
+    @classmethod
+    def _unchecked(
+        cls, successors: tuple[tuple[NodeId, ...], ...], colors: Coloring, **indexes
+    ) -> "Arena":
+        """An arena built without ``__post_init__``, for callers that have
+        already established every invariant it checks; ``indexes`` presets
+        cached graph indexes."""
+        arena = object.__new__(cls)
+        arena.__dict__.update(indexes, successors=successors, colors=colors)
+        return arena
+
     def with_colors(self, colors: Iterable[int]) -> "Arena":
         """Same graph, different coloring; only the coloring is checked.  The
         new arena shares ``successors`` and, once computed, ``predecessors``."""
-        colors = self.checked_colors(colors)
-        other = object.__new__(Arena)
-        other.__dict__.update(
-            {k: v for k, v in self.__dict__.items() if k in _GRAPH_INDEXES},
-            successors=self.successors,
-            colors=colors,
+        return Arena._unchecked(
+            self.successors,
+            self.checked_colors(colors),
+            **{k: v for k, v in self.__dict__.items() if k in _GRAPH_INDEXES},
         )
-        return other
 
 
 # Cached properties of an Arena that depend on the graph alone; with_colors
@@ -132,7 +140,8 @@ class ParityGame:
     """Arena plus an ownership partition.
 
     ``owners[v]`` is 0 or 1.  ``names`` optionally records display names,
-    e.g. original identifiers when a sparse input file was renumbered.
+    e.g. original identifiers when a sparse input file was renumbered; a
+    table of only ``None`` is stored as ``None``, as it reads back from a file.
     """
 
     arena: Arena
@@ -146,8 +155,11 @@ class ParityGame:
         if not set(self.owners) <= {0, 1}:
             v = next(v for v, o in enumerate(self.owners) if o not in (0, 1))
             raise ValueError(f"owner of node {v} must be 0 or 1, got {self.owners[v]}")
-        if self.names is not None and len(self.names) != n:
-            raise ValueError("name table length does not match node count")
+        if self.names is not None:
+            if len(self.names) != n:
+                raise ValueError("name table length does not match node count")
+            if all(name is None for name in self.names):
+                object.__setattr__(self, "names", None)  # no name is no table
 
     @property
     def node_count(self) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 from .arena import ParityGame, index
@@ -23,7 +24,14 @@ from .bench import bench_run, rows_to_csv
 from .cycles import NodeCapExceeded
 from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random
 from .oracles import brute_force_rabin_index, equivalence_witness
-from .pgsolver import PGSolverError, parse_pgsolver, parse_solution, write_pgsolver, write_solution
+from .pgsolver import (
+    DuplicateEdgeWarning,
+    PGSolverError,
+    parse_pgsolver,
+    parse_solution,
+    write_pgsolver,
+    write_solution,
+)
 from .reduction import OracleMode, ReductionAborted, abstract_membership, rabin, static_compress
 from .solver import verify_solution, zielonka_solve
 
@@ -57,11 +65,18 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _load_game(path: str) -> ParityGame:
+    """Parse the game at ``path``, printing each parse warning as one
+    ``warning: parse: <path>: <message>`` line on stderr."""
     text = _read_text(path)
     try:
-        return parse_pgsolver(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", DuplicateEdgeWarning)
+            game = parse_pgsolver(text)
     except PGSolverError as exc:
         raise CliError("parse", f"{path}: {exc}", EXIT_PARSE) from exc
+    for warning in caught:
+        print(f"warning: parse: {path}: {warning.message}", file=sys.stderr)
+    return game
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -10,6 +10,16 @@ renumbered densely in declaration order of the sorted ids, with the original
 ids preserved in the game's name table.  Solutions use the analogous
 ``paritysol`` listing with one ``<id> <winner> [<strategy successor>];``
 record per node.
+
+Parsing runs in two stages.  A whole-text pass matches every record line
+at once against a strict subset of the grammar (ASCII digits, no signs,
+owner and winner ``0`` or ``1``, no blank around a comma; no repeated id or
+successor, every successor spelled as its id, a solution's records
+``0..n-1`` in order) and builds the result without a second round of
+checks.  Any input it does not take in full goes, unchanged, to the
+per-line parser, which is the one definition of the format: it accepts
+every spelling the grammar allows and raises every error, with its line,
+and every :class:`DuplicateEdgeWarning`.
 """
 
 from __future__ import annotations
@@ -38,6 +48,20 @@ _RECORD_RE = re.compile(
     r'(?:\s+"(?P<name>[^"]*)")?\s*$'
 )
 
+# Whole-text records: strict subsets of the per-line grammar in which no
+# match crosses a line break ("[^\S\n]" is a blank other than "\n"), so a
+# text of k record lines that yields k matches matched in full.  A name is
+# captured with its quotes, so an empty name differs from none.
+_GAME_LINE_RE = re.compile(
+    r"^([0-9]+)[^\S\n]+([0-9]+)[^\S\n]+([01])[^\S\n]+"
+    r"([0-9]+(?:,[0-9]+)*)"
+    r'(?:[^\S\n]+("[^"\n]*"))?[^\S\n]*;$',
+    re.MULTILINE,
+)
+_SOLUTION_LINE_RE = re.compile(
+    r"^([0-9]+)[^\S\n]+([01])(?:[^\S\n]+([0-9]+))?[^\S\n]*;$", re.MULTILINE
+)
+
 
 class PGSolverError(ValueError):
     """Malformed input; carries the 1-based line number when known."""
@@ -52,25 +76,32 @@ class DuplicateEdgeWarning(UserWarning):
     """A node listed the same successor twice; duplicates are dropped."""
 
 
-def _records(text: str | bytes, header: str, header_error: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, record)`` for each record line, its closing ``;``
-    stripped, after skipping comments and blank lines and checking an optional
-    leading ``<header> <maxId>;`` line."""
+def _decode(text: str | bytes) -> str:
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PGSolverError(f"input is not valid UTF-8: {exc}") from None
-    text = text.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
+    return text.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
+
+
+def _is_valid_header(line: str, header: str) -> bool:
+    return re.fullmatch(header + r"\s+\d+\s*;", line) is not None
+
+
+def _records(text: str | bytes, header: str, header_error: str) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, record)`` for each record line, its closing ``;``
+    stripped, after skipping comments and blank lines and checking an optional
+    leading ``<header> <maxId>;`` line."""
     header_done = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_decode(text).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("--"):
             continue
         if not header_done:
             header_done = True
             if line.startswith(header):
-                if not re.fullmatch(header + r"\s+\d+\s*;", line):
+                if not _is_valid_header(line, header):
                     raise PGSolverError(header_error, lineno)
                 continue
         if not line.endswith(";"):
@@ -78,8 +109,76 @@ def _records(text: str | bytes, header: str, header_error: str) -> Iterator[tupl
         yield lineno, line[:-1]
 
 
+def _record_lines(text: str | bytes, header: str) -> list[str] | None:
+    """The record lines of ``text``, stripped, for the whole-text pass: no
+    blank line, no comment and no valid header.  None for input that is not
+    UTF-8 or whose header is malformed."""
+    try:
+        text = _decode(text)
+    except PGSolverError:
+        return None
+    lines = [line for line in map(str.strip, text.splitlines()) if line and line[:2] != "--"]
+    if lines and lines[0].startswith(header):
+        if not _is_valid_header(lines[0], header):
+            return None
+        del lines[0]
+    return lines
+
+
 def parse_pgsolver(text: str | bytes) -> ParityGame:
-    """Parse a game description, renumbering sparse node ids densely."""
+    """Parse a game description, renumbering sparse node ids densely.
+
+    Raises :class:`PGSolverError` for malformed input and warns with
+    :class:`DuplicateEdgeWarning` for each successor a node lists twice.
+    """
+    return _parse_pgsolver_whole(text) or _parse_pgsolver_by_line(text)
+
+
+def _parse_pgsolver_whole(text: str | bytes) -> ParityGame | None:
+    """The game of ``text`` from one pass over all its records, or None
+    where the per-line parser must decide."""
+    lines = _record_lines(text, "parity")
+    if not lines:
+        return None
+    records = _GAME_LINE_RE.findall("\n".join(lines))
+    if len(records) != len(lines):
+        return None
+    ids, priorities, owners, succ_lists, quoted = zip(*records)
+    try:
+        numbers = list(map(int, ids))
+        colors = tuple(map(int, priorities))
+    except ValueError:  # more digits than int() accepts
+        return None
+    n = len(numbers)
+    in_order = numbers == list(range(n))
+    order = range(n) if in_order else sorted(range(n), key=numbers.__getitem__)
+    if not in_order and len(set(numbers)) < n:
+        return None  # a repeated id
+    # A successor is looked up by its text among the ids' texts: an
+    # undeclared one, or one spelled unlike its id ("07" for "7"), is
+    # missing.  Every mention of a node shares one int object, as in the
+    # per-line parser.
+    dense = {ids[i]: new for new, i in enumerate(order)}.__getitem__
+    try:
+        successors = tuple(tuple(map(dense, succ_lists[i].split(","))) for i in order)
+    except KeyError:
+        return None
+    if max(colors) >= _MAX_PRIORITY or any(len(set(s)) < len(s) for s in successors):
+        return None
+    owners = tuple(map(int, owners))
+    if not in_order:
+        colors = tuple(colors[i] for i in order)
+        owners = tuple(owners[i] for i in order)
+    renumbered = numbers[order[-1]] != n - 1
+    names = tuple(
+        quoted[i][1:-1] if quoted[i] else str(numbers[i]) if renumbered else None
+        for i in order
+    )
+    return ParityGame(Arena._unchecked(successors, colors), owners, names)
+
+
+def _parse_pgsolver_by_line(text: str | bytes) -> ParityGame:
+    """``parse_pgsolver`` one record at a time: the format's definition."""
     # node id -> (priority, owner, successors, name, line)
     records: dict[int, tuple[int, int, list[int], str | None, int]] = {}
     referenced: set[int] = set()
@@ -112,7 +211,7 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
                     warnings.warn(
                         f"line {lineno}: node {node} lists successor {w} twice",
                         DuplicateEdgeWarning,
-                        stacklevel=2,
+                        stacklevel=3,  # the caller of parse_pgsolver
                     )
                 seen.add(w)
             succs = list(dict.fromkeys(succs))
@@ -141,8 +240,7 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
         colors.append(priority)
         owners.append(owner)
         names.append(str(orig) if name is None and renumbered else name)
-    name_table = tuple(names) if any(n is not None for n in names) else None
-    return ParityGame(Arena(tuple(successors), tuple(colors)), tuple(owners), name_table)
+    return ParityGame(Arena(tuple(successors), tuple(colors)), tuple(owners), tuple(names))
 
 
 def write_pgsolver(game: ParityGame) -> str:
@@ -167,8 +265,39 @@ def write_pgsolver(game: ParityGame) -> str:
 
 def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
     """Parse a ``paritysol`` listing against the game it solves."""
+    return _parse_solution_whole(text, game) or _parse_solution_by_line(text, game)
+
+
+def _parse_solution_whole(text: str | bytes, game: ParityGame) -> Solution | None:
+    """The solution of ``text`` from one pass over its records ``0..n-1``,
+    listed in order, or None where the per-line parser must decide."""
+    n = game.node_count
+    lines = _record_lines(text, "paritysol")
+    if lines is None or len(lines) != n:
+        return None
+    records = _SOLUTION_LINE_RE.findall("\n".join(lines))
+    if len(records) != n:
+        return None
+    ids, winners, moves = zip(*records)
+    strategies: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    try:
+        if list(map(int, ids)) != list(range(n)):
+            return None
+        for v, move, owner in zip(range(n), moves, game.owners):
+            if move:
+                w = int(move)
+                if w >= n:
+                    return None
+                strategies[owner][v] = w
+    except ValueError:  # more digits than int() accepts
+        return None
+    return Solution(tuple(map(int, winners)), *strategies)
+
+
+def _parse_solution_by_line(text: str | bytes, game: ParityGame) -> Solution:
+    """``parse_solution`` one record at a time: the format's definition."""
     winner: dict[int, int] = {}
-    strategy: dict[int, int] = {}
+    strategy: dict[int, tuple[int, int]] = {}  # node -> (successor, line)
     n = game.node_count
     for lineno, record in _records(text, "paritysol", "malformed solution header"):
         try:
@@ -186,7 +315,7 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
             raise PGSolverError(f"node {v} listed twice", lineno)
         winner[v] = win
         if len(values) == 3:
-            strategy[v] = values[2]
+            strategy[v] = (values[2], lineno)
 
     if not winner:
         raise PGSolverError("no solution records found")
@@ -196,9 +325,9 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
 
     strategy0: dict[int, int] = {}
     strategy1: dict[int, int] = {}
-    for v, w in strategy.items():
+    for v, (w, lineno) in strategy.items():
         if not 0 <= w < n:
-            raise PGSolverError(f"strategy successor {w} of node {v} out of range")
+            raise PGSolverError(f"strategy successor {w} of node {v} out of range", lineno)
         (strategy0 if game.owners[v] == 0 else strategy1)[v] = w
     return Solution(tuple(winner[v] for v in range(n)), strategy0, strategy1)
 

@@ -180,8 +180,7 @@ def games(draw: st.DrawFn, **kwargs) -> ParityGame:
         ).map(tuple)
     )
     # Names hold no '"' and no line break (categories Cc, Zl and Zp), which
-    # a record cannot carry, and no surrogate (Cs), which UTF-8 cannot; a
-    # table of only None parses back as no table.
+    # a record cannot carry, and no surrogate (Cs), which UTF-8 cannot.
     writable = st.text(
         st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp"), blacklist_characters='"')
     )
@@ -189,6 +188,6 @@ def games(draw: st.DrawFn, **kwargs) -> ParityGame:
         st.none()
         | st.lists(
             st.none() | writable, min_size=arena.node_count, max_size=arena.node_count
-        ).map(lambda table: tuple(table) if any(n is not None for n in table) else None)
+        ).map(tuple)
     )
     return ParityGame(arena=arena, owners=owners, names=names)

@@ -124,6 +124,21 @@ def test_solve_and_verify_roundtrip(fig1_path, tmp_path, capsys):
     assert capsys.readouterr().out == "ok\n"
 
 
+def test_solve_and_verify_print_a_parse_warning_as_one_line(tmp_path, capsys):
+    game = tmp_path / "dup.gm"
+    game.write_bytes(
+        b'-- sparse ids\nparity 30;\n\n30 2 1 10 "top";\r\n10 1 0 20,30,20;\n20 0 0 10;\n'
+    )
+    warning = f"warning: parse: {game}: line 5: node 10 lists successor 20 twice\n"
+    assert main(["solve", str(game)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == warning
+    solution = tmp_path / "dup.sol"
+    solution.write_text(captured.out)
+    assert main(["verify", str(game), str(solution)]) == 0
+    assert capsys.readouterr() == ("ok\n", warning)
+
+
 def test_solve_pre_variants_agree(fig1_path, fig1_game, capsys):
     winners = []
     for pre in ("none", "static", "alpha"):

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import re
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from rabinindex import pgsolver
 from rabinindex.pgsolver import (
     DuplicateEdgeWarning,
     PGSolverError,
@@ -16,7 +18,8 @@ from rabinindex.pgsolver import (
     write_pgsolver,
     write_solution,
 )
-from rabinindex.arena import ParityGame, Solution
+from rabinindex.arena import Arena, ParityGame, Solution
+from rabinindex.solver import zielonka_solve
 
 from helpers import games
 from conftest import FIG1_TEXT
@@ -157,6 +160,18 @@ def test_write_rejects_a_name_a_record_cannot_hold(name):
         write_pgsolver(ParityGame(FIG1_GAME.arena, FIG1_GAME.owners, names))
 
 
+def test_name_table_of_only_none_round_trips():
+    game = ParityGame(Arena(((1,), (0,)), (1, 2)), (0, 1), (None, None))
+    assert game.names is None
+    assert parse_pgsolver(write_pgsolver(game)) == game
+
+
+def test_duplicate_successor_warning_points_at_the_caller():
+    with pytest.warns(DuplicateEdgeWarning) as caught:
+        parse_pgsolver("0 1 0 1,1;\n1 0 1 0;\n")
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_solution_roundtrip(fig1_game):
     solution = Solution(
         winner=(1, 0, 0, 1, 1), strategy0={1: 2}, strategy1={0: 4, 3: 4}
@@ -190,6 +205,14 @@ def test_solution_rejects_out_of_range_strategy(fig1_game):
         parse_solution(text, fig1_game)
 
 
+def test_out_of_range_strategy_successor_names_its_line():
+    game = parse_pgsolver("0 1 0 1;\n1 0 1 0;\n")
+    with pytest.raises(PGSolverError) as raised:
+        parse_solution("paritysol 1;\n0 1 9;\n1 0;\n", game)
+    assert str(raised.value) == "line 2: strategy successor 9 of node 0 out of range"
+    assert raised.value.line == 2
+
+
 def test_oversized_integers_are_parse_errors():
     for text in (f"0 1 0 {TOO_LONG};", f"{TOO_LONG} 1 0 0;", f"0 {TOO_LONG} 0 0;"):
         with pytest.raises(PGSolverError, match="line 1: integer too long"):
@@ -213,3 +236,182 @@ def test_mutated_game_parses_or_is_rejected(text):
 @given(mutated(FIG1_SOLUTION))
 def test_mutated_solution_parses_or_is_rejected(text):
     _parse_or_reject(lambda d: parse_solution(d, FIG1_GAME), text)
+
+
+def _outcome(parse, data):
+    """What parsing ``data`` gives: the result or the error text, and the
+    category and text of every warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(data)
+        except PGSolverError as exc:
+            result = f"PGSolverError: {exc}"
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _fig1_solution(text):
+    return parse_solution(text, FIG1_GAME)
+
+
+def _fig1_solution_by_line(text):
+    return pgsolver._parse_solution_by_line(text, FIG1_GAME)
+
+
+# Each public parser beside the per-line parser it falls back to.
+_GAME_PARSERS = (parse_pgsolver, pgsolver._parse_pgsolver_by_line)
+_SOLUTION_PARSERS = (_fig1_solution, _fig1_solution_by_line)
+
+
+@pytest.mark.parametrize(
+    "parsers, text",
+    [
+        (_GAME_PARSERS, f"0 {2**62 - 1} 0 0;"),
+        (_GAME_PARSERS, f"0 {2**62} 0 0;"),
+        (_GAME_PARSERS, "0 1 0 0;\n1 -0 1 0;"),
+        (_GAME_PARSERS, "007 1 0 7;"),
+        (_GAME_PARSERS, "0 1 01 0;"),
+        (_GAME_PARSERS, "\u0661 1 0 1;\n0 1 0 1;"),
+        (_GAME_PARSERS, '0\xa01\t0 0 ,\xa00 "";'),
+        (_GAME_PARSERS, "0 1 0 1;\n1 1 0 0;\n1 1 0 0;"),
+        (_GAME_PARSERS, '0 1 0 1 "a;b";\n1 1 0 0 "";'),
+        (_GAME_PARSERS, '0 1 0 1 "a\n";\n1 1 0 0;'),
+        (_GAME_PARSERS, "parity 1;\nparity 1;\n0 1 0 0;"),
+        (_GAME_PARSERS, "\ufeff-- c\r\n\n parity 9 ;\n9 1 0 9;"),
+        (_SOLUTION_PARSERS, "1 0 2;\n0 1 4;\n2 0;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n1 0 2;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n001 0 02;\n2 0;\n3 1 4;\n4 1 ;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 4;\n4 1 5;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 4;\n4 -0;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 \u0664;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 4;"),
+    ],
+)
+def test_edge_inputs_parse_as_by_line(parsers, text):
+    parse, by_line = parsers
+    assert _outcome(parse, text) == _outcome(by_line, text)
+
+
+# Text over the characters records are made of, plus a non-ASCII blank
+# (NBSP) and a non-ASCII digit that int() accepts (ARABIC-INDIC ONE).
+_RECORD_CHARACTERS = st.text('0123456789 ,;-"\t\r\n\xa0\u0661', max_size=60)
+
+# Numbers the whole-text pass takes, and spellings only the per-line parser
+# decides: a sign, a leading zero, a non-ASCII digit, too many digits.
+_NUMBER = st.integers(0, 9).map(str) | st.sampled_from(["-0", "-1", "01", "\u0661", TOO_LONG])
+
+
+@st.composite
+def retouched(draw: st.DrawFn, texts: st.SearchStrategy[str]) -> str:
+    """A drawn text with up to three of its numbers replaced, and perhaps
+    two of its records swapped or one of them repeated; its first line, the
+    header, stays first."""
+    parts = re.split(r"([0-9]+)", draw(texts))  # numbers at odd positions
+    for _ in range(draw(st.integers(0, 3))):
+        parts[2 * draw(st.integers(0, len(parts) // 2 - 1)) + 1] = draw(_NUMBER)
+    lines = "".join(parts).splitlines()
+    i, j = draw(st.integers(1, len(lines) - 1)), draw(st.integers(1, len(lines) - 1))
+    edit = draw(st.sampled_from(["none", "none", "swap", "repeat"]))
+    if edit == "swap":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "repeat":
+        lines.insert(i, lines[j])
+    return "\n".join(lines)
+
+
+@st.composite
+def rewritten(draw: st.DrawFn) -> str:
+    """A drawn game written by hand: ids spread sparsely (or not), records
+    reordered, maybe a repeated successor, comments, blank lines and CRLF."""
+    game = draw(games(max_nodes=8, max_color=9))
+    n = game.node_count
+    ids = draw(
+        st.just(list(range(n)))
+        | st.sets(st.integers(0, 3 * n), min_size=n, max_size=n).map(sorted)
+    )
+    repeat = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    lines = []
+    for v in draw(st.permutations(range(n))):
+        succs = [ids[w] for w in game.arena.successors[v]]
+        if v in repeat:
+            succs.append(succs[-1])
+        name = "" if game.names is None or game.names[v] is None else f' "{game.names[v]}"'
+        record = f"{ids[v]} {game.arena.colors[v]} {game.owners[v]} {','.join(map(str, succs))}"
+        lines.append(record + name + ";")
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "-- note"])))
+    if draw(st.booleans()):
+        lines.insert(0, f"parity {ids[-1]};")
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+
+
+@st.composite
+def fig1_solutions(draw: st.DrawFn) -> Solution:
+    """A labelling of FIG1_GAME with moves that may leave its nodes."""
+    strategies = ({}, {})
+    for v, owner in enumerate(FIG1_GAME.owners):
+        move = draw(st.none() | st.integers(0, 6))  # 5 and 6 are out of range
+        if move is not None:
+            strategies[owner][v] = move
+    return Solution(tuple(draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))), *strategies)
+
+
+@pytest.mark.parametrize(
+    "parsers, inputs",
+    [
+        (_GAME_PARSERS, mutated(FIG1_TEXT)),
+        (_GAME_PARSERS, mutated(FIG1_TEXT).map(str.encode)),
+        (_GAME_PARSERS, _RECORD_CHARACTERS),
+        (_GAME_PARSERS, retouched(games(max_nodes=6, max_color=2**62).map(write_pgsolver))),
+        (_GAME_PARSERS, rewritten()),
+        (_SOLUTION_PARSERS, mutated(FIG1_SOLUTION)),
+        (_SOLUTION_PARSERS, _RECORD_CHARACTERS),
+        (_SOLUTION_PARSERS, retouched(fig1_solutions().map(write_solution))),
+    ],
+    ids=[
+        "game-mutated",
+        "game-mutated-bytes",
+        "game-characters",
+        "game-retouched",
+        "game-rewritten",
+        "solution-mutated",
+        "solution-characters",
+        "solution-retouched",
+    ],
+)
+@given(data=st.data())
+def test_parsers_agree_with_the_per_line_parsers(parsers, inputs, data):
+    text = data.draw(inputs)
+    parse, by_line = parsers
+    assert _outcome(parse, text) == _outcome(by_line, text)
+
+
+_NO_PER_LINE_PATH = mock.patch.multiple(
+    pgsolver,
+    _parse_pgsolver_by_line=mock.Mock(side_effect=AssertionError("took the per-line path")),
+    _parse_solution_by_line=mock.Mock(side_effect=AssertionError("took the per-line path")),
+)
+
+
+@given(games(max_nodes=8, max_color=9), st.data())
+def test_written_games_and_solutions_never_take_the_per_line_path(game, data):
+    n = game.node_count
+    drawn = ({}, {})
+    for v in range(n):
+        move = data.draw(st.none() | st.integers(0, n - 1))
+        if move is not None:
+            drawn[game.owners[v]][v] = move
+    winner = tuple(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    with _NO_PER_LINE_PATH:
+        assert parse_pgsolver(write_pgsolver(game)) == game
+        for solution in (zielonka_solve(game), Solution(winner, *drawn)):
+            assert parse_solution(write_solution(solution), game) == solution
+
+
+def test_sparse_reordered_text_takes_the_whole_text_pass():
+    text = '\ufeff-- c\n\nparity 30;\n30 2 1 10 "top";\r\n10 1 0 20,30;\n20 0 0 10 "";\n'
+    with _NO_PER_LINE_PATH:
+        game = parse_pgsolver(text.encode("utf-8"))
+    assert game == pgsolver._parse_pgsolver_by_line(text)
+    assert game.arena.successors == ((1, 2), (0,), (0,))
+    assert game.names == ("10", "", "top")
