@@ -11,10 +11,10 @@ Family batches re-run the same game ``runs`` times (timings averaged,
 indices constant); random batches draw a fresh game per run from
 consecutive seeds, so index columns become means as well.  Every batch
 yields one CSV row with a fixed column set: the original index mu(c), the
-statically compressed index mu(s(c)), the abstract reduction's index
-ri_alpha and its fixpoint iteration count, plus wall-clock means (ms) for
-static compression, the abstract reduction, and solving the original,
-statically compressed, and alpha-reduced games.
+statically compressed index mu(s(c)) and the abstract reduction's index
+ri_alpha, plus wall-clock means (ms) for static compression, the abstract
+reduction, and solving the original, statically compressed, and
+alpha-reduced games.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ class BenchRow:
     ri_alpha: float
     static_ms: float
     alpha_ms: float
-    iterations: float
     solve_ms: float
     solve_static_ms: float
     solve_alpha_ms: float
@@ -158,11 +157,10 @@ def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
         game = _game_for_run(spec, run)
         colors = game.arena.colors
         compressed = _timed(samples["static_ms"], static_compress, colors)
-        reduced, report = _timed(samples["alpha_ms"], rabin, game.arena, mode=OracleMode.ABSTRACT)
+        reduced, _ = _timed(samples["alpha_ms"], rabin, game.arena, mode=OracleMode.ABSTRACT)
         samples["mu_c"].append(index(colors))
         samples["mu_s_c"].append(index(compressed))
         samples["ri_alpha"].append(index(reduced))
-        samples["iterations"].append(report.iteration_count)
         for column, variant in (
             ("solve_ms", colors),
             ("solve_static_ms", compressed),

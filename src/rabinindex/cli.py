@@ -126,7 +126,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
                 raise
             print("warning: budget exhausted, falling back to alpha", file=sys.stderr)
             reduced, report = rabin(arena, mode=OracleMode.ABSTRACT)
-        print(f"index: {before} -> {index(reduced)}, iterations: {report.iteration_count}")
+        line = f"index: {before} -> {index(reduced)}"
+        if report.mode is OracleMode.EXACT:  # alpha's form takes no iterations
+            line += f", iterations: {report.iteration_count}"
+        print(line)
     if args.output is not None:
         _write_text(args.output, write_pgsolver(game.with_colors(reduced)))
     return EXIT_OK

@@ -1,13 +1,12 @@
 """Cycle queries over colored arenas.
 
 The color of a cycle is the minimal color among its nodes.  Two kinds of
-query drive the reductions in :mod:`rabinindex.reduction`:
+cycle drive the reductions in :mod:`rabinindex.reduction`:
 
 * exact queries about *simple* cycles through a given node, which are
   NP-hard in general and answered by a budgeted backtracking search, and
-* abstract queries about arbitrary cycles (closed walks), which reduce to
-  reachability and strongly connected component decompositions and are
-  polynomial.
+* arbitrary cycles (closed walks), whose node sets are exactly the
+  strongly connected ones, so decompositions answer for all at once.
 
 :func:`simple_cycle_through_with_color` and :func:`cycle_through_with_color`
 begin with the same polynomial step: a backward reach from the node over
@@ -91,19 +90,6 @@ class SccDecomposition:
     component_of: tuple[int, ...]
     members: tuple[tuple[NodeId, ...], ...]
     nontrivial: tuple[bool, ...]
-
-    def closes_walk_at(self, v: NodeId, colors: Sequence[int], gamma: int) -> bool:
-        """Does ``v`` share a nontrivial component with a ``gamma``-colored node?
-
-        On the decomposition of the color->=gamma subgraph this holds iff
-        some closed walk through ``v`` has minimal color exactly ``gamma``.
-        """
-        comp = self.component_of[v]
-        return (
-            comp >= 0
-            and self.nontrivial[comp]
-            and any(colors[u] == gamma for u in self.members[comp])
-        )
 
 
 def tarjan_scc(
@@ -235,26 +221,33 @@ def _check_query(arena: Arena, coloring: Sequence[int], v: NodeId, gamma: int) -
         )
 
 
+# One all-True list of marks kept by its length: a query takes it out,
+# unmarks the nodes its backward reach finds and marks them again when done,
+# so it costs what the reach costs instead of a fresh n-long list.
+_spare_marks: dict[int, list[bool]] = {}
+
+
 def _outside_walk_reach(
     arena: Arena, c: Sequence[int], v: NodeId, gamma: int
-) -> list[bool] | None:
+) -> tuple[list[bool], list[NodeId]] | None:
     """Mark the nodes that do not reach ``v`` in the color->=gamma
     subgraph, if a closed walk through ``v`` has minimal color ``gamma``;
-    else None.
+    else None.  Returns the marks and the unmarked nodes, which a caller
+    hands back to :func:`_release_marks` for the next query to reuse.
 
     One backward reach from ``v``, then a forward walk from ``v`` inside
     it that stops at the first gamma-colored node: such a node reaches
     ``v`` and is reached from it, so it closes the walk.
     """
-    outside = [True] * len(c)
+    outside = _spare_marks.pop(len(c), None) or [True] * len(c)
     outside[v] = False
-    stack = [v]
+    reach = [v]
     predecessors = arena.predecessors
-    while stack:
-        for u in predecessors[stack.pop()]:
+    for x in reach:  # the loop also visits what it appends
+        for u in predecessors[x]:
             if outside[u] and c[u] >= gamma:
                 outside[u] = False
-                stack.append(u)
+                reach.append(u)
     seen: set[NodeId] = set()
     stack = [v]
     successors = arena.successors
@@ -262,10 +255,18 @@ def _outside_walk_reach(
         for w in successors[stack.pop()]:
             if not outside[w] and w not in seen:
                 if c[w] == gamma:
-                    return outside
+                    return outside, reach
                 seen.add(w)
                 stack.append(w)
+    _release_marks(outside, reach)
     return None
+
+
+def _release_marks(marks: list[bool], unmarked: list[NodeId]) -> None:
+    for u in unmarked:
+        marks[u] = True
+    _spare_marks.clear()
+    _spare_marks[len(marks)] = marks
 
 
 def simple_cycle_through_with_color(
@@ -293,13 +294,15 @@ def simple_cycle_through_with_color(
     c = arena.colors if coloring is None else coloring
     _check_query(arena, c, v, gamma)
     successors = arena.successors
-    # A node is blocked while it is outside the reach or on the path.
-    blocked = _outside_walk_reach(arena, c, v, gamma)
-    if blocked is None:
+    found = _outside_walk_reach(arena, c, v, gamma)
+    if found is None:
         return CycleAnswer.NO
+    # A node is blocked while it is outside the reach or on the path.
+    blocked, reach = found
     if c[v] == gamma:
         # v itself realizes the target color: the shortest closed walk
         # through v inside its component is a simple cycle of color gamma.
+        _release_marks(blocked, reach)
         return CycleAnswer.YES
     if budget is None:
         budget = SearchBudget()
@@ -320,11 +323,13 @@ def simple_cycle_through_with_color(
             if blocked[w]:
                 if w == v and gamma_on_path:
                     budget.spent += expanded
+                    _release_marks(blocked, reach)
                     return CycleAnswer.YES
                 continue
             expanded += 1
             if expanded > allowance:
                 budget.spent += expanded
+                _release_marks(blocked, reach)
                 return CycleAnswer.EXHAUSTED
             blocked[w] = True
             if c[w] == gamma:
@@ -339,6 +344,7 @@ def simple_cycle_through_with_color(
                 gamma_on_path -= 1
             branches.pop()
     budget.spent += expanded
+    _release_marks(blocked, reach)
     return CycleAnswer.NO
 
 

@@ -3,9 +3,11 @@
 Two colorings of the same arena are equivalent when every simple cycle has
 the same parity of minimal color under both; the Rabin index of a coloring
 is the smallest index among equivalent colorings.  :func:`rabin` lowers a
-coloring to that minimum using exact simple-cycle queries, or to the
-coarser cycle-abstracted minimum (all closed walks instead of simple
-cycles) when run in ``alpha`` mode, which keeps everything polynomial.
+coloring to that minimum using exact simple-cycle queries.  In ``alpha``
+mode it minimizes over the coarser relation of all closed walks instead,
+in polynomial time: that relation is the one of parity automata, so its
+optimum is a canonical form read off the nested strongly connected
+components (see :func:`_alpha_form`).
 
 The remaining entry points are cheaper companions: :func:`static_compress`
 squeezes gaps out of the color value set without looking at edges,
@@ -21,15 +23,14 @@ import enum
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
+from math import inf
 from typing import Sequence
 
 from .arena import Arena, Coloring, NodeId, ParityGame, check_coloring, index
 from .cycles import (
     DEFAULT_BUDGET,
     CycleAnswer,
-    SccDecomposition,
     SearchBudget,
-    closed_walk_minima,
     component_forest,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
@@ -53,7 +54,7 @@ Change = tuple[NodeId, int, int]  # node, old color, new color
 
 
 class OracleMode(enum.Enum):
-    """Which cycle notion anchors are computed against."""
+    """Which cycles keep their parity: simple ones (exact) or closed walks (alpha)."""
 
     EXACT = "exact"
     ABSTRACT = "alpha"
@@ -62,11 +63,11 @@ class OracleMode(enum.Enum):
 @dataclass
 class OracleStats:
     exact_queries: int = 0
+    # Always 0: alpha mode computes its form without per-node queries.  The
+    # benchmark's report (perfbench/worker.py) still reads the counter.
     abstract_queries: int = 0
     max_color_checks: int = 0
     nodes_expanded: int = 0
-    reach_steps: int = 0  # nodes expanded by the anchors' per-threshold reaches
-    scc_builds: int = 0  # threshold decompositions built for anchors
 
 
 @dataclass
@@ -81,6 +82,7 @@ class ReductionReport:
 
     ``rank_trace`` holds the color sum before the loop and after each
     iteration; it strictly decreases except for the final confirming entry.
+    Alpha mode has no iterations, and records the sum before and after.
     """
 
     mode: OracleMode
@@ -142,49 +144,23 @@ class ReductionAborted(RuntimeError):
 
 
 class _PassState:
-    """Shared bookkeeping for one reduction run, and its anchor oracle.
+    """Shared bookkeeping for one exact reduction run, and its anchor oracle.
 
-    ``v`` lies on a closed walk of minimal color gamma iff some
-    gamma-colored node is both reachable from ``v`` and reaches ``v``
-    within the color->=gamma subgraph.  :meth:`anchor` probes descending
-    gamma, each with a fresh two-way reach from ``v`` that stops at the
-    first witness.  Where every such walk is long, reaches keep crossing
-    the same subgraph, so each threshold is charged the reach work done at
-    it; once that exceeds n + m the threshold's SCC decomposition is built
-    and cached, and answers the threshold's later queries.  Lowering a
-    color from old to new changes only the subgraphs of thresholds in
-    ``(new, old]``, so only those lose their decomposition and charge.
-
-    Exact mode asks for a simple cycle only where a closed walk exists;
-    which nodes that search enters is up to
-    :func:`~rabinindex.cycles.simple_cycle_through_with_color` alone.
     Tracks how many nodes carry each color, and the sorted list of colors
     in use, so an anchor scans only the colors present.
     """
 
     def __init__(
-        self,
-        arena: Arena,
-        colors: list[int],
-        mode: OracleMode,
-        budget_limit: int | None,
-        stats: OracleStats,
+        self, arena: Arena, colors: list[int], budget_limit: int | None, stats: OracleStats
     ):
         if budget_limit is not None and budget_limit < 0:
             raise ValueError(f"budget limit {budget_limit} is negative")
         self.arena = arena
         self.colors = colors
-        self.mode = mode
         self.budget_limit = budget_limit
         self.stats = stats
         self.color_count: Counter[int] = Counter(colors)
         self._present = sorted(self.color_count)
-        n = arena.node_count
-        self._size = n + sum(len(succ) for succ in arena.successors)
-        self._scc_cache: dict[int, SccDecomposition] = {}
-        self._charged: Counter[int] = Counter()  # reach steps per threshold
-        self._marks = ([0] * n, [0] * n)
-        self._stamp = 0
 
     def set_color(self, v: NodeId, new: int) -> None:
         old = self.colors[v]
@@ -197,64 +173,6 @@ class _PassState:
             insort(self._present, new)
         self.color_count[new] += 1
         self.colors[v] = new
-        low, high = min(old, new), max(old, new)
-        for cache in (self._scc_cache, self._charged):
-            for gamma in [g for g in cache if low < g <= high]:
-                del cache[gamma]
-
-    def _closes_walk(self, v: NodeId, gamma: int) -> bool:
-        self.stats.abstract_queries += 1
-        scc = self._scc_cache.get(gamma)
-        if scc is None and self._charged[gamma] > self._size:
-            allowed = [c >= gamma for c in self.colors]
-            scc = self._scc_cache[gamma] = tarjan_scc(self.arena.successors, allowed)
-            self.stats.scc_builds += 1
-        if scc is not None:
-            return scc.closes_walk_at(v, self.colors, gamma)
-        meets, steps = self._reach_meets(v, gamma)
-        self._charged[gamma] += steps
-        self.stats.reach_steps += steps
-        return meets
-
-    def _reach_meets(self, v: NodeId, gamma: int) -> tuple[bool, int]:
-        """Grow a forward and a backward set from ``v`` in the color->=gamma
-        subgraph, expanding one node per side in turn, until a gamma-colored
-        node lies in both (True) or a side closes without one (False).
-        Also returns the number of nodes expanded."""
-        colors = self.colors
-        # marks[side][u] == stamp: u is in this reach's forward (0) or
-        # backward (1) set; a fresh stamp empties both without clearing.
-        self._stamp += 1
-        stamp = self._stamp
-        forward, backward = self._marks
-        forward[v] = backward[v] = stamp
-        sides = (
-            (self.arena.successors, forward, backward, [v]),
-            (self.arena.predecessors, backward, forward, [v]),
-        )
-        found = [False, False]  # the side holds a gamma-colored node
-        steps = 0
-        while True:
-            moved = False
-            for side, (links, mine, other, stack) in enumerate(sides):
-                if not stack:
-                    if not found[side]:
-                        return False, steps
-                    continue
-                moved = True
-                steps += 1
-                for w in links[stack.pop()]:
-                    color = colors[w]
-                    if color < gamma or mine[w] == stamp:
-                        continue
-                    mine[w] = stamp
-                    stack.append(w)
-                    if color == gamma:
-                        if other[w] == stamp:
-                            return True, steps
-                        found[side] = True
-            if not moved:
-                return False, steps
 
     def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
         budget = SearchBudget(self.budget_limit)
@@ -270,17 +188,15 @@ class _PassState:
 
     def anchor(self, v: NodeId) -> int:
         """Largest color gamma of opposite parity below c(v) such that some
-        (simple, in exact mode) cycle through v has color exactly gamma; -1
-        if there is none."""
+        simple cycle through v has color exactly gamma; -1 if there is none.
+
+        A query answers NO without search, and spends no budget, where no
+        closed walk through v has color gamma."""
         c_v = self.colors[v]
         present = self._present
         for i in range(bisect_left(present, c_v) - 1, -1, -1):
             gamma = present[i]
-            if (c_v - gamma) % 2 == 0:
-                continue
-            if self._closes_walk(v, gamma) and (
-                self.mode is OracleMode.ABSTRACT or self._simple_cycle(v, gamma)
-            ):
+            if (c_v - gamma) % 2 and self._simple_cycle(v, gamma):
                 return gamma
         return -1
 
@@ -313,37 +229,74 @@ class _PassState:
         return tuple((v, old, colors[v]) for v, old in sorted(first_old.items()))
 
 
+def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
+    """The pointwise least coloring alpha-equivalent to ``colors``: the
+    min-parity form of Carton and Maceiras's reduction (RAIRO-ITA 33(6),
+    1999), since closed walks are the strongly connected node sets.
+
+    Each level runs one :func:`tarjan_scc` over the live nodes and gives
+    every nontrivial component ``base + (least color - base) % 2``, where
+    ``base`` is the value of the component that held it (0 at first).  Only
+    its nodes at or above its least color of the other parity stay live, so
+    the pass costs one run per parity switch of the nesting.  The runs go
+    over ``arena.predecessors``: the reverse graph has the same components,
+    and the exact search and the solver build that index anyway, so timing
+    this pass charges it no work another stage would otherwise do.
+    """
+    n = arena.node_count
+    form = [0] * n
+    live: list[bool] | None = None
+    while True:
+        scc = tarjan_scc(arena.predecessors, live)
+        live = [False] * n
+        for comp, nontrivial in zip(scc.members, scc.nontrivial):
+            if not nontrivial:
+                continue
+            low = min(colors[u] for u in comp)
+            value = form[comp[0]] + (low - form[comp[0]]) % 2
+            switch = min((colors[u] for u in comp if (colors[u] - low) % 2), default=inf)
+            for u in comp:
+                form[u] = value
+                live[u] = colors[u] >= switch
+        if not any(live):
+            return tuple(form)
+
+
 def rabin(
     arena: Arena,
     coloring: Sequence[int] | None = None,
     mode: OracleMode | str = OracleMode.EXACT,
     budget_limit: int | None = DEFAULT_BUDGET,
 ) -> tuple[Coloring, ReductionReport]:
-    """Iterate cycle and pop passes to a fixpoint of the color sum.
+    """Reduce a coloring to the least index of its equivalence class.
 
     In ``EXACT`` mode the result has minimal index among colorings that
-    agree with the input on the parity of every simple cycle; ``ABSTRACT``
-    (``alpha``) mode minimizes over the coarser closed-walk relation in
-    polynomial time.  Each cycle pass visits the nodes by ascending
-    (color, node).
+    agree with the input on the parity of every simple cycle: cycle and pop
+    passes iterate to a fixpoint of the color sum, each cycle pass visiting
+    the nodes by ascending (color, node).  ``ABSTRACT`` (``alpha``) mode
+    minimizes over closed walks in polynomial time, and returns their
+    canonical form with no iterations (see :func:`_alpha_form`).
 
     Raises :class:`ReductionAborted` when an exact query exhausts its
     budget; the exception carries the partial report.  ``budget_limit`` caps
-    each query's expanded nodes (``None``: unlimited).  A negative
-    ``budget_limit`` raises :class:`ValueError`; a limit of 0 answers only
-    the queries that need no search.
+    each exact query's expanded nodes (``None``: unlimited).  A negative
+    ``budget_limit`` raises :class:`ValueError` in exact mode; a limit of 0
+    answers only the queries that need no search.
     """
     mode = OracleMode(mode)
     colors = list(arena.checked_colors(coloring))
-    stats = OracleStats()
-    state = _PassState(arena, colors, mode, budget_limit, stats)
     report = ReductionReport(
         mode=mode,
         initial_index=index(colors),
         final_index=index(colors),
         rank_trace=[sum(colors)],
-        stats=stats,
     )
+    if mode is OracleMode.ABSTRACT:
+        form = _alpha_form(arena, colors)
+        report.final_index = index(form)
+        report.rank_trace.append(sum(form))
+        return form, report
+    state = _PassState(arena, colors, budget_limit, report.stats)
     rank = sum(colors)
     while True:
         try:
@@ -389,14 +342,11 @@ def static_compress(coloring: Sequence[int]) -> Coloring:
 def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool:
     """Does every cycle have even color?  Holds iff the index can reach 0.
 
-    A cycle of odd color ``d`` exists iff some node colored ``d`` lies on a
-    closed walk whose minimal color is its own.
+    A simple cycle of odd color exists iff a closed walk of odd color
+    does, that is iff the alpha form is not all 0.
     """
     c = arena.checked_colors(coloring)
-    if not any(color % 2 for color in c):
-        return True
-    marked = closed_walk_minima(arena.successors, c)
-    return not any(on_walk and color % 2 for on_walk, color in zip(marked, c))
+    return not any(color % 2 for color in c) or not any(_alpha_form(arena, c))
 
 
 def rabin_a(arena: Arena, coloring: Sequence[int] | None = None) -> Coloring:
@@ -440,5 +390,4 @@ def abstract_membership(game: ParityGame | Arena, k: int) -> bool:
     if k < 1:
         raise ValueError(f"class bound k must be at least 1, got {k}")
     arena = game.arena if isinstance(game, ParityGame) else game
-    reduced, _ = rabin(arena, mode=OracleMode.ABSTRACT)
-    return index(reduced) < k
+    return index(_alpha_form(arena, arena.colors)) < k

@@ -8,9 +8,9 @@ from typing import NamedTuple
 from hypothesis import strategies as st
 
 from rabinindex.arena import Arena, ParityGame
-from rabinindex import cycles, solver
+from rabinindex import cycles, reduction, solver
 from rabinindex.cycles import closed_walk_minima, tarjan_scc
-from rabinindex.reduction import OracleMode, OracleStats, _PassState
+from rabinindex.reduction import OracleStats, _PassState
 
 
 def random_arena(
@@ -66,8 +66,8 @@ def threshold_reach(links, colors, v: int, gamma: int) -> set[int]:
 
 
 def count_tarjan_calls(monkeypatch) -> list[int]:
-    """Count the decompositions run through ``cycles.tarjan_scc``: one
-    entry, the node count, per call."""
+    """Count the decompositions run through ``cycles.tarjan_scc`` or
+    ``reduction.tarjan_scc``: one entry, the node count, per call."""
     calls: list[int] = []
     real = cycles.tarjan_scc
 
@@ -75,7 +75,8 @@ def count_tarjan_calls(monkeypatch) -> list[int]:
         calls.append(len(successors))
         return real(successors, allowed)
 
-    monkeypatch.setattr(cycles, "tarjan_scc", counting)
+    for module in (cycles, reduction):
+        monkeypatch.setattr(module, "tarjan_scc", counting)
     return calls
 
 
@@ -112,14 +113,12 @@ def rabin_a_reference(arena: Arena) -> tuple[int, ...]:
     return tuple(out)
 
 
-def get_anchor(
-    arena: Arena, coloring, v: int, mode=OracleMode.EXACT, budget_limit=None
-) -> int:
-    """Anchor of ``v`` from a fresh pass state over ``coloring`` (or the
-    arena's own): the largest opposite-parity color below ``c(v)`` realized
-    as the color of a cycle through ``v``, or -1."""
+def get_anchor(arena: Arena, coloring, v: int, budget_limit=None) -> int:
+    """Anchor of ``v`` from a fresh exact pass state over ``coloring`` (or
+    the arena's own): the largest opposite-parity color below ``c(v)``
+    realized as the color of a simple cycle through ``v``, or -1."""
     colors = list(arena.colors if coloring is None else coloring)
-    return _PassState(arena, colors, mode, budget_limit, OracleStats()).anchor(v)
+    return _PassState(arena, colors, budget_limit, OracleStats()).anchor(v)
 
 
 class Attraction(NamedTuple):

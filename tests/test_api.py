@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import pkgutil
+from dataclasses import fields
 from pathlib import Path
 
 import rabinindex
@@ -37,6 +38,10 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert not hasattr(rabinindex.reduction.IterationTrace, "empty")
     assert not hasattr(rabinindex.ReductionReport, "to_records")
     assert "orders" not in inspect.signature(rabinindex.rabin).parameters
+    # The closed-walk anchor oracle that alpha mode's canonical form replaced.
+    assert not hasattr(rabinindex.cycles.SccDecomposition, "closes_walk_at")
+    stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
+    assert not stats & {"reach_steps", "scc_builds"}
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -72,7 +72,6 @@ def test_bench_batch_ladder():
     assert row.mu_c == 2
     assert row.mu_s_c == 2
     assert row.ri_alpha == 2
-    assert row.iterations == 1
     assert row.runs == 2
     for ms in (row.static_ms, row.alpha_ms, row.solve_ms, row.solve_static_ms, row.solve_alpha_ms):
         assert ms >= 0.0
@@ -119,8 +118,8 @@ def test_bench_columns_follow_bench_row_fields():
 def test_random_batch_means_print_with_two_decimals():
     lines = rows_to_csv(bench_run("random 40/1/4/40 runs=3 seed=2")).splitlines()
     record = dict(zip(BENCH_COLUMNS, lines[1].split(",")))
-    assert [record[c] for c in ("mu_c", "mu_s_c", "ri_alpha", "iterations", "runs")] == [
-        "39.67", "19", "6.67", "2", "3"
+    assert [record[c] for c in ("mu_c", "mu_s_c", "ri_alpha", "runs")] == [
+        "39.67", "19", "6.67", "3"
     ]
 
 

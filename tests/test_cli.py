@@ -59,7 +59,7 @@ def test_index_exact(fig1_path, capsys):
 
 def test_index_alpha(fig1_path, capsys):
     assert main(["index", str(fig1_path), "--mode", "alpha"]) == 0
-    assert capsys.readouterr().out == "index: 3 -> 3, iterations: 1\n"
+    assert capsys.readouterr().out == "index: 3 -> 3\n"
 
 
 def test_index_static(fig1_path, capsys):
@@ -111,7 +111,7 @@ def test_index_exact_budget_defaults_to_the_package_default(fig1_path, monkeypat
 def test_index_budget_fallback(fig1_path, capsys):
     assert main(["index", str(fig1_path), "--budget", "2", "--fallback", "alpha"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == "index: 3 -> 3, iterations: 1\n"
+    assert captured.out == "index: 3 -> 3\n"
     assert "falling back to alpha" in captured.err
 
 

@@ -9,8 +9,9 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabinindex import cycles, reduction
+from rabinindex import cycles
 from rabinindex.arena import Arena, cycle_color, index
 from rabinindex.cycles import (
     CycleAnswer,
@@ -18,7 +19,6 @@ from rabinindex.cycles import (
     SearchBudget,
     cycle_through_with_color,
     simple_cycle_through_with_color,
-    tarjan_scc,
 )
 from rabinindex.generators import RandomConfig, gen_family, gen_random
 from rabinindex.oracles import (
@@ -68,13 +68,14 @@ def test_exact_reduction_fig1(fig1_arena):
 
 
 def test_abstract_reduction_fig1(fig1_arena):
+    # Every closed walk through v4 passes v3, whose color 1 is its least,
+    # so v4 drops to 1; nothing else can go lower.
     colors, report = rabin(fig1_arena, mode=ABSTRACT)
-    assert colors == (3, 3, 2, 1, 2)
+    assert colors == (3, 3, 2, 1, 1)
     assert report.mode == ABSTRACT
-    assert report.final_index == 3
-    assert report.iteration_count == 1
-    assert report.iterations[0].cycle_changes == ()
-    assert report.iterations[0].pop_changes == ()
+    assert (report.initial_index, report.final_index) == (3, 3)
+    assert report.iteration_count == 0
+    assert report.rank_trace == [11, 10]
 
 
 def test_exact_reduction_chain(chain_arena):
@@ -91,11 +92,12 @@ def test_exact_reduction_chain(chain_arena):
 
 
 def test_abstract_reduction_chain(chain_arena):
+    # Every color switches parity, so each level peels one node; node 6
+    # lies on no cycle of its own and keeps node 5's value.
     colors, report = rabin(chain_arena, mode=ABSTRACT)
     assert colors == (0, 1, 2, 3, 4, 5, 5)
-    assert report.iteration_count == 2
-    assert report.iterations[0].cycle_changes == ()
-    assert report.iterations[0].pop_changes == ((6, 6, 5),)
+    assert report.iteration_count == 0
+    assert report.rank_trace == [21, 20]
 
 
 def test_rabin_rejects_unknown_mode(fig1_arena):
@@ -154,13 +156,13 @@ def test_zero_budget_answers_queries_that_need_no_search():
 
 def test_get_anchor_fig1(fig1_arena):
     colors = list(fig1_arena.colors)
-    assert get_anchor(fig1_arena, colors, 3, mode=EXACT) == -1
-    assert get_anchor(fig1_arena, colors, 4, mode=EXACT) == 1
-    assert get_anchor(fig1_arena, colors, 2, mode=EXACT) == 1
-    assert get_anchor(fig1_arena, colors, 0, mode=EXACT) == -1
-    assert get_anchor(fig1_arena, colors, 1, mode=EXACT) == 2
+    assert get_anchor(fig1_arena, colors, 3) == -1
+    assert get_anchor(fig1_arena, colors, 4) == 1
+    assert get_anchor(fig1_arena, colors, 2) == 1
+    assert get_anchor(fig1_arena, colors, 0) == -1
+    assert get_anchor(fig1_arena, colors, 1) == 2
     # Closed walks find a covering walk of minimum 2 through v0.
-    assert get_anchor(fig1_arena, colors, 0, mode=ABSTRACT) == 2
+    assert cycle_through_with_color(fig1_arena, colors, 0, 2)
 
 
 def test_exact_anchor_below_a_walk_that_is_no_simple_cycle():
@@ -168,48 +170,33 @@ def test_exact_anchor_below_a_walk_that_is_no_simple_cycle():
     # cycle; its exact anchor is the cycle 4 3 2 5 0 of color 1, which the
     # anchor must still find after the walk at color 3.
     arena = Arena(((2, 4), (2, 3), (1, 5), (2, 4), (3,), (0, 3)), (2, 3, 4, 5, 4, 1))
-    assert get_anchor(arena, None, 4, mode=ABSTRACT) == 3
-    assert get_anchor(arena, None, 4, mode=EXACT) == 1
+    assert cycle_through_with_color(arena, None, 4, 3)
+    assert get_anchor(arena, None, 4) == 1
 
 
-def _reference_anchor(arena, colors, v, mode):
-    """Anchor by a plain descending scan, one independent query per gamma."""
+def _reference_anchor(arena, colors, v):
+    """Exact anchor by a plain descending scan, one unbudgeted query per gamma."""
     for gamma in range(colors[v] - 1, -1, -2):
-        if mode is ABSTRACT:
-            hit = cycle_through_with_color(arena, colors, v, gamma)
-        else:
-            budget = SearchBudget(None)
-            hit = simple_cycle_through_with_color(arena, colors, v, gamma, budget)
-            hit = hit is CycleAnswer.YES
-        if hit:
+        answer = simple_cycle_through_with_color(arena, colors, v, gamma, SearchBudget(None))
+        if answer is CycleAnswer.YES:
             return gamma
     return -1
 
 
-@pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
-def test_pass_state_anchors_survive_recoloring(mode):
+def test_pass_state_anchors_survive_recoloring():
     # One state answers every anchor between random same-parity color
-    # decreases, so later answers come from reaches, from decompositions
-    # cached before a recoloring, and from ones rebuilt after it.
+    # decreases, so its colors present must follow each recoloring.
     rng = random.Random(2024)
-    builds = kept = 0
     for _ in range(60):
         arena = random_arena(rng, max_nodes=8, max_color=9, max_degree=3)
         colors = list(arena.colors)
-        state = _PassState(arena, colors, mode, None, OracleStats())
+        state = _PassState(arena, colors, None, OracleStats())
         for _ in range(12):
             for v in rng.sample(range(arena.node_count), arena.node_count):
-                assert state.anchor(v) == _reference_anchor(arena, colors, v, mode)
+                assert state.anchor(v) == _reference_anchor(arena, colors, v)
             v = rng.randrange(arena.node_count)
             if colors[v] >= 2:
-                cached = set(state._scc_cache)
                 state.set_color(v, colors[v] - 2 * rng.randint(1, colors[v] // 2))
-                kept += len(cached & set(state._scc_cache))
-            for gamma, scc in state._scc_cache.items():
-                fresh = tarjan_scc(arena.successors, [c >= gamma for c in colors])
-                assert scc == fresh, f"stale decomposition at threshold {gamma}"
-        builds += state.stats.scc_builds
-    assert builds > 0 and kept > 0
 
 
 def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
@@ -228,15 +215,13 @@ def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
     assert queries > 0
 
 
-@pytest.mark.parametrize("mode", [ABSTRACT, EXACT])
+@pytest.mark.parametrize("mode", [EXACT])
 def test_rabin_matches_reference_anchor(mode, monkeypatch):
     rng = random.Random(99)
     cases = [random_arena(rng, max_nodes=9, max_color=9) for _ in range(300)]
     results = [rabin(arena, mode=mode) for arena in cases]
     monkeypatch.setattr(
-        _PassState,
-        "anchor",
-        lambda self, v: _reference_anchor(self.arena, self.colors, v, self.mode),
+        _PassState, "anchor", lambda self, v: _reference_anchor(self.arena, self.colors, v)
     )
     for arena, (colors, report) in zip(cases, results):
         expected_colors, expected = rabin(arena, mode=mode)
@@ -247,8 +232,9 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
 
 def test_alpha_reduction_output_is_pinned():
     # The benchmark's seven families and its 24 random-dense games of seed
-    # 1: far above the reference anchor's 9 nodes, so a change to how the
-    # anchors search must still give the same colorings and traces.
+    # 1: a change to how the form is computed must still give the same
+    # colorings.  The indices are also those of the closed-walk fixpoint of
+    # cycle and pop passes, an independent optimum of the same relation.
     families = (
         ("clique", (100,)),
         ("ladder", (300,)),
@@ -264,12 +250,18 @@ def test_alpha_reduction_output_is_pinned():
         for seed in range(1000, 1024)
     ]
     digest = hashlib.sha256()
+    indices = []
     for arena in cases:
         colors, report = rabin(arena, mode=ABSTRACT)
-        trace = [(it.cycle_changes, it.pop_changes) for it in report.iterations]
-        digest.update(repr((colors, report.rank_trace, trace)).encode())
+        digest.update(repr((colors, report.rank_trace)).encode())
+        indices.append(index(colors))
+    assert indices == [
+        99, 2, 9, 11, 31, 0, 1,
+        39, 40, 52, 34, 39, 35, 39, 38, 39, 43, 30, 30,
+        34, 32, 39, 20, 44, 40, 36, 42, 37, 36, 35, 34,
+    ]
     assert digest.hexdigest() == (
-        "282508ee7516cc947a59374191a95df36d8e34c9689df292b447ba1253ba0d85"
+        "9b29d0c9e05ac966d7d11915ea5a2dea78156723a87ddb8b11e3006e032f4c35"
     )
 
 
@@ -289,18 +281,23 @@ def test_huge_priorities_reduce_like_small_ones(mode):
     assert time.perf_counter() - start < 2.0
 
 
-def _alpha_anchor_work(layers: int) -> int:
-    arena = gen_family("ladder", (layers,)).arena
-    _, report = rabin(arena, mode=ABSTRACT)
-    size = arena.node_count + sum(len(succ) for succ in arena.successors)
-    return report.stats.reach_steps + report.stats.scc_builds * size
-
-
-def test_alpha_anchor_work_is_linear_on_ladders():
-    # Every closed walk of a ladder wraps the whole ring, so reaches alone
-    # would cost n steps per node; the decomposition they pay for keeps the
-    # anchor work linear.
-    assert _alpha_anchor_work(1000) <= 2.5 * _alpha_anchor_work(500)
+@pytest.mark.parametrize(
+    "arena, runs",
+    [
+        # All even: one component, nothing of the other parity to keep live.
+        pytest.param(nested_path(1100), 1, id="nested_path"),
+        # Colors 1 and 2: the ring, then what is left of it above color 1.
+        pytest.param(gen_family("ladder", (1000,)).arena, 2, id="ladder"),
+        # 200 components, each split at its one switch to color 3.
+        pytest.param(
+            Arena.from_lists([[v ^ 1] for v in range(400)], [3, 2] * 200), 2, id="two_cycles"
+        ),
+    ],
+)
+def test_alpha_form_decomposes_once_per_parity_switch(arena, runs, monkeypatch):
+    calls = count_tarjan_calls(monkeypatch)
+    rabin(arena, mode=ABSTRACT)
+    assert len(calls) <= runs
 
 
 def _disjoint_two_cycles(k: int) -> Arena:
@@ -320,6 +317,20 @@ def test_exact_query_time_follows_its_component():
             rabin(arena)
             spent.append(time.perf_counter() - start)
     assert min(times[large]) < 8 * min(times[small])
+
+
+def test_exact_queries_hand_back_all_true_marks():
+    # A query unmarks only its backward reach and marks it again before it
+    # answers YES, NO or EXHAUSTED, so the marks kept for the next query of
+    # the same size block every node.
+    rng = random.Random(17)
+    for _ in range(200):
+        arena = random_arena(rng, max_nodes=9, max_color=9, allow_self_loops=True)
+        try:
+            rabin(arena, budget_limit=rng.choice([0, 2, None]))
+        except ReductionAborted:
+            pass
+        assert all(all(marks) for marks in cycles._spare_marks.values())
 
 
 def test_report_rendering(fig1_arena):
@@ -449,6 +460,35 @@ def test_abstract_bounds_exact_from_above(arena):
     assert index(static_compress(arena.colors)) >= index(abstract_colors)
 
 
+@given(arenas(max_nodes=8, max_color=6))
+@settings(max_examples=60)
+def test_alpha_form_index_is_the_brute_force_alpha_index(arena):
+    form, _ = rabin(arena, mode=ABSTRACT)
+    assert index(form) == brute_force_rabin_index(arena, relation="alpha")
+
+
+@given(arenas(max_nodes=8, max_color=6))
+@settings(max_examples=60)
+def test_alpha_form_is_an_equivalent_lowering_and_idempotent(arena):
+    form, _ = rabin(arena, mode=ABSTRACT)
+    assert colorings_equivalent(arena, arena.colors, form, relation="alpha")
+    assert all(new <= old for new, old in zip(form, arena.colors))
+    assert rabin(arena, form, mode=ABSTRACT)[0] == form
+
+
+@given(arenas(max_nodes=8, max_color=6), st.data())
+@settings(max_examples=80)
+def test_equal_alpha_forms_are_alpha_equivalence(arena, data):
+    # Even offsets keep each parity but may move a cycle's least node; an
+    # odd one flips a parity.  So both answers occur.
+    offsets = data.draw(
+        st.lists(st.sampled_from((0, 2, 1)), min_size=arena.node_count, max_size=arena.node_count)
+    )
+    other = tuple(c + d for c, d in zip(arena.colors, offsets))
+    same = rabin(arena, mode=ABSTRACT)[0] == rabin(arena, other, mode=ABSTRACT)[0]
+    assert same == colorings_equivalent(arena, arena.colors, other, relation="alpha")
+
+
 def test_rabin_a_fig1(fig1_arena):
     assert rabin_a(fig1_arena) == (3, 3, 0, 1, 2)
 
@@ -476,14 +516,7 @@ def test_rabin_a_decomposes_once_per_level(monkeypatch):
     # 200 disjoint 2-cycles colored (3, 2): the forest has two levels, where
     # a decomposition per component would take 401.
     arena = Arena.from_lists([[v ^ 1] for v in range(400)], [3 - v % 2 for v in range(400)])
-    calls = []
-    for module in (cycles, reduction):
-
-        def counting(successors, allowed=None, real=module.tarjan_scc):
-            calls.append(len(successors))
-            return real(successors, allowed)
-
-        monkeypatch.setattr(module, "tarjan_scc", counting)
+    calls = count_tarjan_calls(monkeypatch)
     assert rabin_a(arena) == (1, 0) * 200
     assert len(calls) <= 2
 
