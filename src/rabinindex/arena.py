@@ -166,7 +166,14 @@ class ParityGame:
         return self.arena.node_count
 
     def with_colors(self, colors: Iterable[int]) -> "ParityGame":
-        return ParityGame(self.arena.with_colors(colors), self.owners, self.names)
+        """Same game, different coloring; only the coloring is checked (see
+        :meth:`Arena.with_colors`).  The owners and names were checked when
+        this game was built, and the new game shares them."""
+        game = object.__new__(ParityGame)
+        game.__dict__.update(
+            arena=self.arena.with_colors(colors), owners=self.owners, names=self.names
+        )
+        return game
 
 
 @dataclass

@@ -7,7 +7,8 @@ coloring to that minimum using exact simple-cycle queries.  In ``alpha``
 mode it minimizes over the coarser relation of all closed walks instead,
 in polynomial time: that relation is the one of parity automata, so its
 optimum is a canonical form read off the nested strongly connected
-components (see :func:`_alpha_form`).
+components, which a divide and conquer over parity-run thresholds finds
+in O(m log k) for m edges and k parity runs (see :func:`_alpha_form`).
 
 The remaining entry points are cheaper companions: :func:`static_compress`
 squeezes gaps out of the color value set without looking at edges,
@@ -23,7 +24,7 @@ import enum
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass, field
-from math import inf
+from operator import itemgetter
 from typing import Sequence
 
 from .arena import Arena, Coloring, NodeId, ParityGame, check_coloring, index
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 Change = tuple[NodeId, int, int]  # node, old color, new color
+
+_first = itemgetter(0)
 
 
 class OracleMode(enum.Enum):
@@ -229,37 +232,178 @@ class _PassState:
         return tuple((v, old, colors[v]) for v, old in sorted(first_old.items()))
 
 
+class _Nesting:
+    """The nested nontrivial components of a graph, gathered as a tree
+    from the highest threshold down.
+
+    A union-find over the nodes holds the components joined so far, each
+    listing its members under its root.  Each root knows the last tree
+    node opened on its set; each tree node keeps its least color and the
+    next larger tree node.
+    """
+
+    def __init__(self, colors: Sequence[int]):
+        n = len(colors)
+        self.colors = colors
+        self.root = list(range(n))
+        self.members = [[u] for u in range(n)]
+        self.tree_of = [-1] * n
+        self.leaf = [-1] * n  # the least tree node holding each node
+        self.low: list[int] = []
+        self.up: list[int] = []
+
+    def join(self, edges: list[tuple[int, NodeId, NodeId]]) -> None:
+        """Join the ends of edges that first share a component at this
+        threshold, and open one tree node on each set they make: over the
+        tree nodes of the sets it joined, or over a node with a self-loop."""
+        root, members, colors, tree_of, low, up = (
+            self.root, self.members, self.colors, self.tree_of, self.low, self.up
+        )
+        joined = set()
+        for _, u, v in edges:
+            a, b = root[u], root[v]
+            joined.add(a)
+            if a != b:
+                joined.add(b)
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for x in members[b]:
+                    root[x] = a
+                members[a] += members[b]
+        opened: dict[int, int] = {}
+        for x in joined:
+            t = opened.get(root[x])
+            if t is None:
+                t = opened[root[x]] = len(low)
+                low.append(colors[x])
+                up.append(-1)
+            below = tree_of[x]
+            if below < 0:  # a node on its own so far
+                self.leaf[x] = t
+                least = colors[x]
+            else:
+                up[below] = t
+                least = low[below]
+            if least < low[t]:
+                low[t] = least
+        for r, t in opened.items():
+            tree_of[r] = t
+
+    def values(self) -> list[int]:
+        """Each tree node's ``base + (least color - base) % 2``, where
+        ``base`` is the value of the next larger one, or 0 at a root."""
+        value = [0] * (len(self.low) + 1)  # value[-1] = 0 stands above the roots
+        for t in range(len(self.low) - 1, -1, -1):
+            base = value[self.up[t]]
+            value[t] = base + (self.low[t] - base) % 2
+        return value
+
+
 def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
     """The pointwise least coloring alpha-equivalent to ``colors``: the
     min-parity form of Carton and Maceiras's reduction (RAIRO-ITA 33(6),
     1999), since closed walks are the strongly connected node sets.
 
-    Each level runs one :func:`tarjan_scc` over the live nodes and gives
-    every nontrivial component ``base + (least color - base) % 2``, where
-    ``base`` is the value of the component that held it (0 at first).  Only
-    its nodes at or above its least color of the other parity stay live, so
-    the pass costs one run per parity switch of the nesting.  The runs go
-    over ``arena.predecessors``: the reverse graph has the same components,
-    and the exact search and the solver build that index anyway, so timing
-    this pass charges it no work another stage would otherwise do.
+    Within a nontrivial component, rank each color by its parity run: the
+    number of parity switches below it among the component's colors.  The
+    components of the nodes ranked at least t nest as t falls, and each
+    nontrivial one gets ``base + (least color - base) % 2``, where ``base``
+    is the value of the next larger one (0 at the top).  Order and parity
+    are all this reads, so a component of one run gets its least color's
+    parity at once.
+
+    The rest share one divide and conquer over thresholds after Tarjan
+    ("An improved algorithm for hierarchical clustering using strong
+    components", IPL 17(1), 1983), which finds the threshold at which each
+    edge's ends first share a component in O(m log k) for k runs.  A task
+    holds edges whose ends share a component at threshold ``lo`` but not
+    above ``hi``, the components joined above ``hi`` contracted.  It
+    decomposes the edges ranked at least its middle: edges inside a
+    component go up, the rest go down with those components contracted.
+    Tasks of one threshold join their ends in :class:`_Nesting`, highest
+    first.  The first decomposition runs over ``arena.predecessors``: the
+    reverse graph has the same components, and the exact search and the
+    solver build that index anyway, so timing this pass charges it no work
+    another stage would otherwise do.
     """
     n = arena.node_count
+    predecessors = arena.predecessors
+    top = tarjan_scc(predecessors)
+    component_of = top.component_of
     form = [0] * n
-    live: list[bool] | None = None
-    while True:
-        scc = tarjan_scc(arena.predecessors, live)
-        live = [False] * n
-        for comp, nontrivial in zip(scc.members, scc.nontrivial):
-            if not nontrivial:
-                continue
-            low = min(colors[u] for u in comp)
-            value = form[comp[0]] + (low - form[comp[0]]) % 2
-            switch = min((colors[u] for u in comp if (colors[u] - low) % 2), default=inf)
+    key = [0] * n  # minus a node's rank
+    # Each edge inside a component of several runs as (-rank, end, end), its
+    # rank the lesser of its ends' ranks: in ascending order, those ranked
+    # at least t come first.
+    edges: list[tuple[int, NodeId, NodeId]] = []
+    runs = 0
+    for c, (comp, nontrivial) in enumerate(zip(top.members, top.nontrivial)):
+        if not nontrivial:
+            continue
+        present = sorted({colors[u] for u in comp})
+        rank_of = {present[0]: 0}
+        for below, color in zip(present, present[1:]):
+            rank_of[color] = rank_of[below] + (color - below) % 2
+        if rank_of[present[-1]] == 0:
             for u in comp:
-                form[u] = value
-                live[u] = colors[u] >= switch
-        if not any(live):
-            return tuple(form)
+                form[u] = present[0] % 2
+            continue
+        runs = max(runs, rank_of[present[-1]] + 1)
+        for u in comp:
+            key[u] = -rank_of[colors[u]]
+        edges += [
+            (kv if kv > (ku := key[u]) else ku, v, u)
+            for v in comp
+            for kv in (key[v],)
+            for u in predecessors[v]
+            if component_of[u] == c
+        ]
+    edges.sort(key=_first)
+    nesting = _Nesting(colors)
+    root = nesting.root
+    # Each task also says whether its ends still name the roots of their
+    # sets, as they do until a task of a higher threshold has joined some.
+    tasks = [(edges, 0, runs - 1, True)] if edges else []
+    while tasks:
+        edges, lo, hi, current = tasks.pop()
+        if lo == hi:
+            nesting.join(edges)
+            continue
+        mid = (lo + hi + 1) // 2
+        cut = bisect_left(edges, 1 - mid, key=_first)
+        if not cut:
+            tasks.append((edges, lo, mid - 1, current))
+            continue
+        if current:
+            ranked = edges[:cut]
+        else:
+            # Parallel edges between two sets rank alike up to hi: members
+            # of a set joined above hi all rank above hi, so each such edge
+            # ranks above hi or as its one end outside such a set.  One edge
+            # stands for them all.
+            best = {(root[u], root[v]): k for k, u, v in reversed(edges[:cut])}
+            ranked = sorted([(k, a, b) for (a, b), k in best.items()], key=_first)
+        local = {x: i for i, x in enumerate({x: None for _, a, b in ranked for x in (a, b)})}
+        tails = [local[a] for _, a, _ in ranked]
+        heads = [local[b] for _, _, b in ranked]
+        successors: list[list[int]] = [[] for _ in local]
+        for a, b in zip(tails, heads):
+            successors[a].append(b)
+        comp_of = tarjan_scc(successors).component_of
+        inside = [comp_of[a] == comp_of[b] for a, b in zip(tails, heads)]
+        down = [e for e, i in zip(ranked, inside) if not i] + edges[cut:]
+        up = [e for e, i in zip(ranked, inside) if i]
+        # The upper half goes on last and so runs first: every threshold
+        # above a task is joined before the task runs.
+        if down:
+            tasks.append((down, lo, mid - 1, False))
+        if up:
+            tasks.append((up, mid, hi, True))
+    value = nesting.values()
+    for u, t in enumerate(nesting.leaf):
+        if t >= 0:
+            form[u] = value[t]
+    return tuple(form)
 
 
 def rabin(

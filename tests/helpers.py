@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import inf
 from typing import NamedTuple
 
 from hypothesis import strategies as st
@@ -68,16 +69,51 @@ def threshold_reach(links, colors, v: int, gamma: int) -> set[int]:
 def count_tarjan_calls(monkeypatch) -> list[int]:
     """Count the decompositions run through ``cycles.tarjan_scc`` or
     ``reduction.tarjan_scc``: one entry, the node count, per call."""
+    return count_tarjan_work(monkeypatch)[0]
+
+
+def count_tarjan_work(monkeypatch) -> tuple[list[int], list[int]]:
+    """Like :func:`count_tarjan_calls`, and also the edges handed to each
+    call: the summed length of the successor lists it gets, mask or not."""
     calls: list[int] = []
+    edges: list[int] = []
     real = cycles.tarjan_scc
 
     def counting(successors, allowed=None):
         calls.append(len(successors))
+        edges.append(sum(map(len, successors)))
         return real(successors, allowed)
 
     for module in (cycles, reduction):
         monkeypatch.setattr(module, "tarjan_scc", counting)
-    return calls
+    return calls, edges
+
+
+def alpha_form_reference(arena: Arena) -> tuple[int, ...]:
+    """The alpha form by one decomposition per parity switch of the
+    nesting: each level runs one :func:`tarjan_scc` over the live nodes and
+    gives every nontrivial component ``base + (least color - base) % 2``,
+    where ``base`` is the value of the component that held it (0 at
+    first).  Only its nodes at or above its least color of the other
+    parity stay live for the next level."""
+    c = arena.colors
+    n = arena.node_count
+    form = [0] * n
+    live = None
+    while True:
+        scc = tarjan_scc(arena.predecessors, live)
+        live = [False] * n
+        for comp, nontrivial in zip(scc.members, scc.nontrivial):
+            if not nontrivial:
+                continue
+            low = min(c[u] for u in comp)
+            value = form[comp[0]] + (low - form[comp[0]]) % 2
+            switch = min((c[u] for u in comp if (c[u] - low) % 2), default=inf)
+            for u in comp:
+                form[u] = value
+                live[u] = c[u] >= switch
+        if not any(live):
+            return tuple(form)
 
 
 def rabin_a_reference(arena: Arena) -> tuple[int, ...]:

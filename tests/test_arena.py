@@ -83,6 +83,24 @@ def test_with_colors_shares_graph_indexes():
         arena.with_colors((3, -1, 5))
 
 
+def test_game_with_colors_checks_only_the_coloring(monkeypatch):
+    game = ParityGame(Arena(((1,), (0,)), (0, 1)), (0, 1), ("a", None))
+
+    def fail(self):
+        raise AssertionError("owners and names were checked again")
+
+    monkeypatch.setattr(ParityGame, "__post_init__", fail)
+    other = game.with_colors((2, 3))
+    assert other.owners is game.owners and other.names is game.names
+    assert other.arena.colors == (2, 3) and other.arena.successors is game.arena.successors
+    monkeypatch.undo()
+    assert other == ParityGame(Arena(((1,), (0,)), (2, 3)), (0, 1), ("a", None))
+    with pytest.raises(ValueError, match="negative color -1 at node 1"):
+        game.with_colors((2, -1))
+    with pytest.raises(ValueError, match="coloring has 1 entries for 2 nodes"):
+        game.with_colors((2,))
+
+
 def test_has_edge(fig1_arena):
     assert fig1_arena.has_edge(0, 4)
     assert not fig1_arena.has_edge(4, 0)

@@ -6,6 +6,7 @@ import hashlib
 import random
 import sys
 import time
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from rabinindex.cycles import (
     SearchBudget,
     cycle_through_with_color,
     simple_cycle_through_with_color,
+    tarjan_scc,
 )
 from rabinindex.generators import RandomConfig, gen_family, gen_random
 from rabinindex.oracles import (
@@ -32,6 +34,7 @@ from rabinindex.reduction import (
     OracleStats,
     ReductionAborted,
     _PassState,
+    _alpha_form,
     abstract_membership,
     all_cycles_even,
     rabin,
@@ -44,8 +47,10 @@ EXACT = OracleMode.EXACT
 ABSTRACT = OracleMode.ABSTRACT
 
 from helpers import (
+    alpha_form_reference,
     arenas,
     count_tarjan_calls,
+    count_tarjan_work,
     get_anchor,
     nested_path,
     rabin_a_reference,
@@ -300,6 +305,113 @@ def test_alpha_form_decomposes_once_per_parity_switch(arena, runs, monkeypatch):
     assert len(calls) <= runs
 
 
+def _blocks_arena(rng: random.Random) -> Arena:
+    """Strongly connected blocks and loose nodes in a row, each with edges
+    only to later ones, so each block is a component of its own; node ids
+    shuffled.  A block is a ring with chords, colored with one parity, a
+    few runs or many, or a two-way path whose colors climb from a point
+    near one end outward, so it nests one level per node.  Every arena has
+    a path of at least 40 nodes and a ring of one parity.  Some nodes have
+    self-loops, loose ones included."""
+
+    def ring(size: int, colors: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+        edges = [(v, (v + 1) % size) for v in range(size)]
+        edges += [(rng.randrange(size), rng.randrange(size)) for _ in range(size)]
+        return colors, edges
+
+    def path(size: int) -> tuple[list[int], list[tuple[int, int]]]:
+        steps = [rng.choice((1, 1, 2, 3)) for _ in range(size)]
+        start = rng.randrange(size // 4 + 1)
+        colors = [sum(steps[min(v, start) : max(v, start)]) for v in range(size)]
+        return colors, [(v, w) for v in range(size) for w in (v - 1, v + 1) if 0 <= w < size]
+
+    size = rng.randint(2, 30)
+    units = [
+        path(rng.randint(40, 80)),
+        ring(size, [2 * rng.randint(0, 9) + 1 for _ in range(size)]),
+    ]
+    for _ in range(rng.randint(3, 10)):
+        if rng.random() < 0.3:
+            units.append(([rng.randint(0, 60)], []))  # a loose node
+            continue
+        size = rng.randint(2, 30)
+        if rng.random() < 0.3:
+            units.append(path(size))
+        else:
+            top = rng.choice((3, 12, 80))
+            units.append(ring(size, [rng.randint(0, top) for _ in range(size)]))
+    rng.shuffle(units)
+    units.append(([1, 0, 2], [(0, 1), (1, 2), (2, 0)]))
+    offsets = [0]
+    for colors, _ in units:
+        offsets.append(offsets[-1] + len(colors))
+    n = offsets[-1]
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for i, (_, inner) in enumerate(units):
+        for v, w in inner:
+            succ[offsets[i] + v].add(offsets[i] + w)
+        for v in range(offsets[i], offsets[i + 1]):
+            if rng.random() < 0.1:
+                succ[v].add(v)
+            if i + 1 < len(units) and (not succ[v] or rng.random() < 0.2):
+                succ[v].add(rng.randrange(offsets[i + 1], n))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    lists: list[list[int]] = [[] for _ in range(n)]
+    colors = [0] * n
+    for v, c in enumerate(c for unit_colors, _ in units for c in unit_colors):
+        lists[ids[v]] = sorted(ids[w] for w in succ[v])
+        colors[ids[v]] = c
+    return Arena.from_lists(lists, colors)
+
+
+def _run_counts(arena: Arena) -> set[int]:
+    """Parity runs among the colors of each nontrivial component."""
+    scc = tarjan_scc(arena.successors)
+    counts = set()
+    for comp, nontrivial in zip(scc.members, scc.nontrivial):
+        if nontrivial:
+            present = sorted({arena.colors[u] for u in comp})
+            counts.add(1 + sum((b - a) % 2 for a, b in zip(present, present[1:])))
+    return counts
+
+
+def test_alpha_form_equals_the_per_switch_reference():
+    # The divide and conquer against one decomposition per parity switch,
+    # on arenas of up to about 300 nodes: self-loops, contracted ones
+    # included, and components of unequal run counts in one task tree.
+    rng = random.Random(2017)
+    for _ in range(60):
+        arena = _blocks_arena(rng)
+        form = _alpha_form(arena, arena.colors)
+        assert form == alpha_form_reference(arena)
+        assert len(_run_counts(arena)) >= 3
+        assert max(form) >= 20
+
+
+@pytest.mark.parametrize(
+    "arena, runs",
+    [
+        pytest.param(
+            Arena.from_lists(
+                [[w for w in (v - 1, v + 1) if 0 <= w < 2000] for v in range(2000)], range(2000)
+            ),
+            2000,
+            id="path_0_to_n",
+        ),
+        pytest.param(gen_family("clique", (100,)).arena, 100, id="clique_100"),
+    ],
+)
+def test_alpha_form_hands_tarjan_m_log_k_edges(arena, runs, monkeypatch):
+    # One decomposition of all m edges, then each level of the divide and
+    # conquer hands each edge on at most once.  A decomposition per parity
+    # switch hands about 166 and 12.5 times this bound.
+    _, edges = count_tarjan_work(monkeypatch)
+    rabin(arena, mode=ABSTRACT)
+    m = sum(map(len, arena.successors))
+    assert sum(edges) <= m * ((runs - 1).bit_length() + 1)
+
+
 def _disjoint_two_cycles(k: int) -> Arena:
     succ = [(v ^ 1,) for v in range(2 * k)]
     return Arena.from_lists(succ, [3, 2] * k)
@@ -474,6 +586,18 @@ def test_alpha_form_is_an_equivalent_lowering_and_idempotent(arena):
     assert colorings_equivalent(arena, arena.colors, form, relation="alpha")
     assert all(new <= old for new, old in zip(form, arena.colors))
     assert rabin(arena, form, mode=ABSTRACT)[0] == form
+
+
+def test_alpha_form_is_pointwise_least_in_its_class():
+    # Every coloring up to the input's greatest color that is alpha-
+    # equivalent to the input lies pointwise at or above the form.
+    rng = random.Random(29)
+    for _ in range(30):
+        arena = random_arena(rng, max_nodes=5, max_color=rng.choice((2, 3, 4)), allow_self_loops=True)
+        form = _alpha_form(arena, arena.colors)
+        for other in product(range(max(arena.colors) + 1), repeat=arena.node_count):
+            if colorings_equivalent(arena, arena.colors, other, relation="alpha"):
+                assert all(f <= o for f, o in zip(form, other)), other
 
 
 @given(arenas(max_nodes=8, max_color=6), st.data())
