@@ -53,7 +53,6 @@ from .reduction import (
     abstract_membership,
     all_cycles_even,
     rabin,
-    rabin_a,
     static_compress,
 )
 from .solver import VerificationResult, verify_solution, zielonka_solve
@@ -103,7 +102,6 @@ __all__ = [
     "parse_pgsolver",
     "parse_solution",
     "rabin",
-    "rabin_a",
     "rows_to_csv",
     "simple_cycle_with_max_color",
     "static_compress",

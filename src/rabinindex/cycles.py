@@ -36,7 +36,6 @@ __all__ = [
     "NodeCapExceeded",
     "SccDecomposition",
     "tarjan_scc",
-    "component_forest",
     "closed_walk_minima",
     "simple_cycle_through_with_color",
     "simple_cycle_with_max_color",
@@ -159,22 +158,21 @@ def tarjan_scc(
     return SccDecomposition(tuple(component_of), tuple(members), tuple(nontrivial))
 
 
-def component_forest(
+def closed_walk_minima(
     successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
-) -> tuple[list[tuple[tuple[NodeId, ...], int]], list[int]]:
-    """Nested nontrivial components, peeled level by level: each level
-    removes every component's least-colored nodes, and one
-    :func:`tarjan_scc` run splits what is left into the next level's
-    components (distinct components never merge).
+) -> list[bool]:
+    """Mark every node ``u`` on a closed walk whose minimal color is
+    ``colors[u]``.
 
-    Returns ``(entries, holder)``: one ``(peeled, parent)`` entry per
-    nontrivial component, parents first, with its least-colored nodes and
-    the position of its enclosing entry (or -1); and per node the last
-    entry that held it (the one that peeled it, if any), or -1.
+    Peels the nested nontrivial components one level per
+    :func:`tarjan_scc` run over the live nodes: each level marks every
+    component's least-colored nodes and leaves the rest live.  A closed
+    walk through any other node avoids the least color of its component,
+    so it stays inside what is left of that component, and distinct
+    components never merge.
     """
     n = len(successors)
-    entries: list[tuple[tuple[NodeId, ...], int]] = []
-    holder = [-1] * n
+    marked = [False] * n
     live: list[bool] | None = None
     while True:
         scc = tarjan_scc(successors, live)
@@ -184,27 +182,13 @@ def component_forest(
             if not nontrivial:
                 continue
             low = min(colors[u] for u in comp)
-            entries.append((tuple(u for u in comp if colors[u] == low), holder[comp[0]]))
             for u in comp:
-                holder[u] = len(entries) - 1
-                if colors[u] != low:
+                if colors[u] == low:
+                    marked[u] = True
+                else:
                     live[u] = left = True
         if not left:
-            return entries, holder
-
-
-def closed_walk_minima(
-    successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
-) -> list[bool]:
-    """Mark every node ``u`` on a closed walk whose minimal color is
-    ``colors[u]``: the nodes :func:`component_forest` peels.  A closed walk
-    through any other node avoids the least color of its component, so it
-    stays inside what is left of that component."""
-    marked = [False] * len(successors)
-    for peeled, _ in component_forest(successors, colors)[0]:
-        for u in peeled:
-            marked[u] = True
-    return marked
+            return marked
 
 
 def _check_query(arena: Arena, coloring: Sequence[int], v: NodeId, gamma: int) -> None:
@@ -370,7 +354,11 @@ def cycle_through_with_color(
     """
     c = arena.checked_colors(coloring)
     _check_query(arena, c, v, gamma)
-    return _outside_walk_reach(arena, c, v, gamma) is not None
+    found = _outside_walk_reach(arena, c, v, gamma)
+    if found is None:
+        return False
+    _release_marks(*found)
+    return True
 
 
 def enumerate_simple_cycles(

@@ -13,9 +13,7 @@ in O(m log k) for m edges and k parity runs (see :func:`_alpha_form`).
 The remaining entry points are cheaper companions: :func:`static_compress`
 squeezes gaps out of the color value set without looking at edges,
 :func:`all_cycles_even` decides whether the index can drop to zero, and
-:func:`rabin_a` is the Carton-Maceiras reduction known from parity word
-automata (which classify runs by maximal recurring color; on min-parity
-arenas it serves as an index baseline, see :func:`rabin_a`).
+:func:`abstract_membership` tests the abstract index against a bound.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from .cycles import (
     DEFAULT_BUDGET,
     CycleAnswer,
     SearchBudget,
-    component_forest,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
     tarjan_scc,
@@ -47,7 +44,6 @@ __all__ = [
     "rabin",
     "static_compress",
     "all_cycles_even",
-    "rabin_a",
     "abstract_membership",
 ]
 
@@ -491,38 +487,6 @@ def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool
     """
     c = arena.checked_colors(coloring)
     return not any(color % 2 for color in c) or not any(_alpha_form(arena, c))
-
-
-def rabin_a(arena: Arena, coloring: Sequence[int] | None = None) -> Coloring:
-    """Carton-Maceiras reduction, included as a baseline.
-
-    It stems from parity word automata, where a run is classified by the
-    maximal color recurring in it: the output preserves the parity of the
-    *maximal* color of every cycle.  On min-parity arenas it is therefore
-    only an index baseline, not an equivalent coloring, and it performs no
-    analogue of the pop pass.  The :func:`~rabinindex.cycles.component_forest`
-    of the negated coloring peels each nested component's greatest color
-    pi; those nodes get the least color of pi's parity not below any new
-    color inside the component, and every other node keeps its parity.
-
-    Reference: O. Carton, R. Maceiras, Computing the Rabin index of a
-    parity automaton, RAIRO-ITA 33(6), 1999.
-    """
-    c = arena.checked_colors(coloring)
-    entries, holder = component_forest(arena.successors, [-color for color in c])
-    out = [color % 2 for color in c]
-    # Largest new color inside each entry (peeled nodes add pi % 2, at most
-    # m); the extra last slot, best[-1], takes what lies in no entry.
-    best = [0] * (len(entries) + 1)
-    for u, e in enumerate(holder):
-        best[e] = max(best[e], out[u])
-    for e in range(len(entries) - 1, -1, -1):
-        peeled, parent = entries[e]
-        m = best[e] + (c[peeled[0]] - best[e]) % 2
-        for u in peeled:
-            out[u] = m
-        best[parent] = max(best[parent], m)
-    return tuple(out)
 
 
 def abstract_membership(game: ParityGame | Arena, k: int) -> bool:

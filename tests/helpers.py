@@ -116,39 +116,6 @@ def alpha_form_reference(arena: Arena) -> tuple[int, ...]:
             return tuple(form)
 
 
-def rabin_a_reference(arena: Arena) -> tuple[int, ...]:
-    """Carton-Maceiras relabeling by an explicit component tree: one
-    decomposition per component, trivial ones included, each component's
-    maximal color stripped to form its children."""
-    c = arena.colors
-    n = arena.node_count
-    out = list(c)
-    tree = []  # component, pi, parent; children come after their parent
-    pending = [(list(range(n)), -1)]
-    while pending:
-        nodes, parent = pending.pop()
-        allowed = [False] * n
-        for u in nodes:
-            allowed[u] = True
-        for comp in tarjan_scc(arena.successors, allowed).members:
-            pi = max(c[u] for u in comp)
-            tree.append((comp, pi, parent))
-            if pi > 0:
-                pending.append(([u for u in comp if c[u] != pi], len(tree) - 1))
-    best = [0] * len(tree)  # largest new color among each component's children
-    for i in range(len(tree) - 1, -1, -1):
-        comp, pi, parent = tree[i]
-        m = best[i]
-        if (pi - m) % 2 == 1:
-            m += 1
-        for u in comp:
-            if c[u] == pi:
-                out[u] = m
-        if parent >= 0:
-            best[parent] = max(best[parent], m)
-    return tuple(out)
-
-
 def get_anchor(arena: Arena, coloring, v: int, budget_limit=None) -> int:
     """Anchor of ``v`` from a fresh exact pass state over ``coloring`` (or
     the arena's own): the largest opposite-parity color below ``c(v)``

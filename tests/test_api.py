@@ -23,6 +23,9 @@ REMOVED = {
     "BudgetExhausted": "reduction",
     "get_anchor": "reduction",
     "all_choice_functions": "oracles",
+    # The max-parity baseline and the component tree only it read.
+    "rabin_a": "reduction",
+    "component_forest": "cycles",
 }
 
 

@@ -23,7 +23,6 @@ from rabinindex.cycles import (
     NodeCapExceeded,
     SearchBudget,
     closed_walk_minima,
-    component_forest,
     cycle_through_with_color,
     enumerate_simple_cycles,
     simple_cycle_through_with_color,
@@ -32,7 +31,13 @@ from rabinindex.cycles import (
     tarjan_scc,
 )
 
-from helpers import arenas, max_color_on_closed_walk, nested_path, threshold_reach
+from helpers import (
+    arenas,
+    count_tarjan_calls,
+    max_color_on_closed_walk,
+    nested_path,
+    threshold_reach,
+)
 
 
 def test_cycle_answer_is_not_a_bool():
@@ -248,17 +253,35 @@ def test_closed_walk_minima_matches_brute_force(arena, data):
     assert {u for u in range(n) if marked[u]} == expected
 
 
-def test_component_forest_entries_and_holders():
-    # Two sibling cycles, one peeled whole on a tie, and a node on no cycle.
+def test_closed_walk_minima_peels_each_level_inside_the_last():
+    # Two sibling cycles, one peeled whole on a tie, and a node on no cycle:
+    # node 3 is left alone once its cycle's least color is peeled.
     successors = ((1,), (0,), (3,), (2,), (0,))
-    entries, holder = component_forest(successors, (1, 1, 0, 2, 5))
-    assert entries == [((0, 1), -1), ((2,), -1)]
-    assert holder == [0, 0, 1, 1, -1]
+    assert closed_walk_minima(successors, (1, 1, 0, 2, 5)) == [True, True, True, False, False]
     # Each level of the nested path peels one end inside the last level.
     arena = nested_path(4)
-    entries, holder = component_forest(arena.successors, arena.colors)
-    assert entries == [((0,), -1), ((1,), 0), ((2,), 1)]
-    assert holder == [0, 1, 2, 2]
+    assert closed_walk_minima(arena.successors, arena.colors) == [True, True, True, False]
+
+
+def test_closed_walk_minima_decomposes_once_per_level(monkeypatch):
+    # 200 disjoint 2-cycles colored (3, 2): two levels, where a
+    # decomposition per component would take 401.
+    successors = [[v ^ 1] for v in range(400)]
+    calls = count_tarjan_calls(monkeypatch)
+    assert closed_walk_minima(successors, [3 - v % 2 for v in range(400)]) == [False, True] * 200
+    assert len(calls) <= 2
+
+
+def test_closed_walk_minima_deep_nesting_does_not_recurse():
+    n = 1100
+    arena = nested_path(n)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        marked = closed_walk_minima(arena.successors, arena.colors)
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert marked == [True] * (n - 1) + [False]
 
 
 _TRIANGLE = Arena(((1,), (2,), (0,)), (1, 2, 3))
@@ -292,6 +315,14 @@ def test_cycle_queries_check_the_coloring(query, coloring, message):
 def test_exact_query_reads_a_negative_color_as_below_every_threshold():
     answer = simple_cycle_through_with_color(_TRIANGLE, (1, -2, 5), 0, 1)
     assert answer is CycleAnswer.NO
+
+
+def test_closed_walk_query_hands_back_its_marks_after_yes():
+    # The next query of the same size reuses the all-True marks instead of
+    # allocating an n-long list.
+    cycles._spare_marks.clear()
+    assert cycle_through_with_color(_TRIANGLE, None, 0, 1)
+    assert cycles._spare_marks[3] == [True] * 3
 
 
 def test_import_loads_only_the_standard_library():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import sys
 import time
 from itertools import product
 
@@ -38,7 +37,6 @@ from rabinindex.reduction import (
     abstract_membership,
     all_cycles_even,
     rabin,
-    rabin_a,
     static_compress,
 )
 from rabinindex.cycles import enumerate_simple_cycles
@@ -53,7 +51,6 @@ from helpers import (
     count_tarjan_work,
     get_anchor,
     nested_path,
-    rabin_a_reference,
     random_arena,
 )
 
@@ -459,7 +456,6 @@ def test_report_rendering(fig1_arena):
 _ENTRY_POINTS = {
     "rabin": lambda arena, c: rabin(arena, c, mode=EXACT),
     "rabin-alpha": lambda arena, c: rabin(arena, c, mode=OracleMode.ABSTRACT),
-    "rabin_a": rabin_a,
     "all_cycles_even": all_cycles_even,
     "brute_force_rabin_index": brute_force_rabin_index,
     "equivalence_witness": lambda arena, c: equivalence_witness(arena, arena.colors, c),
@@ -611,49 +607,6 @@ def test_equal_alpha_forms_are_alpha_equivalence(arena, data):
     other = tuple(c + d for c, d in zip(arena.colors, offsets))
     same = rabin(arena, mode=ABSTRACT)[0] == rabin(arena, other, mode=ABSTRACT)[0]
     assert same == colorings_equivalent(arena, arena.colors, other, relation="alpha")
-
-
-def test_rabin_a_fig1(fig1_arena):
-    assert rabin_a(fig1_arena) == (3, 3, 0, 1, 2)
-
-
-@given(arenas(max_nodes=6, max_color=6))
-@settings(max_examples=60)
-def test_rabin_a_properties(arena):
-    relabeled = rabin_a(arena)
-    assert len(relabeled) == arena.node_count
-    assert max(relabeled) <= index(arena.colors)
-    # Every simple cycle keeps the parity of its maximal color.
-    for cycle in enumerate_simple_cycles(arena):
-        before = max(arena.colors[v] for v in cycle)
-        after = max(relabeled[v] for v in cycle)
-        assert before % 2 == after % 2
-
-
-@given(arenas(min_nodes=1, max_nodes=8, max_color=6, allow_self_loops=True))
-@settings(max_examples=150)
-def test_rabin_a_matches_the_component_tree(arena):
-    assert rabin_a(arena) == rabin_a_reference(arena)
-
-
-def test_rabin_a_decomposes_once_per_level(monkeypatch):
-    # 200 disjoint 2-cycles colored (3, 2): the forest has two levels, where
-    # a decomposition per component would take 401.
-    arena = Arena.from_lists([[v ^ 1] for v in range(400)], [3 - v % 2 for v in range(400)])
-    calls = count_tarjan_calls(monkeypatch)
-    assert rabin_a(arena) == (1, 0) * 200
-    assert len(calls) <= 2
-
-
-def test_rabin_a_deep_nesting_does_not_recurse():
-    n = 1100
-    arena = nested_path(n)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(1000)
-    try:
-        assert rabin_a(arena) == (0,) * n
-    finally:
-        sys.setrecursionlimit(old_limit)
 
 
 def test_all_cycles_even_skips_the_walk_without_odd_colors(monkeypatch):
