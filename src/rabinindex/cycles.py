@@ -61,10 +61,15 @@ class CycleAnswer(enum.Enum):
 
 @dataclass
 class SearchBudget:
-    """Mutable per-query allowance counted in expanded search nodes."""
+    """Mutable per-query allowance counted in expanded search nodes.
+
+    ``reused`` is the part of ``spent`` charged from the record of a
+    completed search instead of searching again.
+    """
 
     limit: int | None = DEFAULT_BUDGET
     spent: int = 0
+    reused: int = 0
 
     def spend(self, amount: int = 1) -> bool:
         """Consume budget; False once the limit would be exceeded."""
@@ -107,6 +112,7 @@ def tarjan_scc(
     members: list[tuple[int, ...]] = []
     nontrivial: list[bool] = []
     counter = 0
+    component = 0  # the id of the next component found
     # The depth-first path, and one successor iterator per node on it.
     path: list[int] = []
     branches: list[Iterator[NodeId]] = []
@@ -139,21 +145,25 @@ def tarjan_scc(
                 if low != index_of[v]:  # not a root: it has a parent
                     if low < lowlink[path[-1]]:
                         lowlink[path[-1]] = low
-                elif stack[-1] == v:
-                    stack.pop()
-                    index_of[v] = n
-                    component_of[v] = len(members)
+                    continue
+                # v is a root: its component is v and the stack above it.
+                w = stack.pop()
+                index_of[w] = n
+                component_of[w] = component
+                if w == v:
                     members.append((v,))
                     nontrivial.append(v in successors[v])
                 else:
-                    comp = [stack.pop()]
-                    while comp[-1] != v:
-                        comp.append(stack.pop())
-                    for w in comp:
+                    comp = [w]
+                    while w != v:
+                        w = stack.pop()
                         index_of[w] = n
-                        component_of[w] = len(members)
-                    members.append(tuple(sorted(comp)))
+                        component_of[w] = component
+                        comp.append(w)
+                    comp.sort()
+                    members.append(tuple(comp))
                     nontrivial.append(True)
+                component += 1
 
     return SccDecomposition(tuple(component_of), tuple(members), tuple(nontrivial))
 
@@ -253,12 +263,29 @@ def _release_marks(marks: list[bool], unmarked: list[NodeId]) -> None:
     _spare_marks[len(marks)] = marks
 
 
+# Completed searches by query (v, gamma): the backward reach, its
+# gamma-colored nodes, the answer and the number of nodes expanded.
+SearchMemo = dict[
+    tuple[NodeId, int], tuple[tuple[NodeId, ...], tuple[NodeId, ...], CycleAnswer, int]
+]
+
+
+def _what_search_reads(
+    reach: list[NodeId], c: Sequence[int], gamma: int
+) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...]]:
+    """All a search past the backward reach reads of the coloring: the
+    reach, in the order found, and its gamma-colored nodes."""
+    return tuple(reach), tuple(u for u in reach if c[u] == gamma)
+
+
 def simple_cycle_through_with_color(
     arena: Arena,
     coloring: Sequence[int] | None,
     v: NodeId,
     gamma: int,
     budget: SearchBudget | None = None,
+    *,
+    memo: SearchMemo | None = None,
 ) -> CycleAnswer:
     """Is there a simple cycle through ``v`` whose minimal color is ``gamma``?
 
@@ -274,10 +301,19 @@ def simple_cycle_through_with_color(
     certain.  Only the coloring's length is checked, so a query costs what
     its component costs; a negative color at a node other than ``v``
     counts as below every threshold.
+
+    ``memo`` holds completed searches, as one :func:`~rabinindex.reduction.rabin`
+    run keeps them.  Past the reach, the search reads the coloring only
+    through the reach and the reach's gamma-colored nodes, so a repeated
+    query whose reach and gamma-colored nodes are unchanged would make
+    the recorded search's pushes again.  It reuses the completed search
+    instead and is charged its recorded expansions (``EXHAUSTED`` at the
+    push where the search would run out), so budgets and aborts do not
+    depend on reuse.  A YES or NO whose search expanded more nodes than
+    its reach holds is recorded.
     """
     c = arena.colors if coloring is None else coloring
     _check_query(arena, c, v, gamma)
-    successors = arena.successors
     found = _outside_walk_reach(arena, c, v, gamma)
     if found is None:
         return CycleAnswer.NO
@@ -293,11 +329,40 @@ def simple_cycle_through_with_color(
     # The search counts its pushes locally and charges them on return; it
     # gives up at the push where SearchBudget.spend would first refuse.
     allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
-    expanded = 0
+    known = None if memo is None else memo.get((v, gamma))
+    if (
+        known is not None
+        and len(known[0]) == len(reach)
+        and known[:2] == _what_search_reads(reach, c, gamma)
+    ):
+        answer, expanded = known[2:]
+        if expanded > allowance:
+            answer, expanded = CycleAnswer.EXHAUSTED, max(allowance, 0) + 1
+        budget.spent += expanded
+        budget.reused += expanded
+    else:
+        answer, expanded = _search(arena.successors, c, blocked, v, gamma, allowance)
+        budget.spent += expanded
+        if memo is not None and answer is not CycleAnswer.EXHAUSTED and expanded > len(reach):
+            memo[v, gamma] = (*_what_search_reads(reach, c, gamma), answer, expanded)
+    _release_marks(blocked, reach)
+    return answer
 
-    # Depth-first enumeration of simple paths from v, counting how many
-    # gamma-colored nodes are on the current path.  v stays on the path, so
-    # reaching it again is the only way to close a cycle.
+
+def _search(
+    successors: Sequence[Sequence[NodeId]],
+    c: Sequence[int],
+    blocked: list[bool],
+    v: NodeId,
+    gamma: int,
+    allowance: int,
+) -> tuple[CycleAnswer, int]:
+    """Depth-first enumeration of simple paths from ``v`` among the
+    unblocked nodes, counting how many gamma-colored nodes are on the
+    current path.  ``v`` stays on the path, so reaching it again is the
+    only way to close a cycle.  Returns the answer and the nodes pushed,
+    giving up at push ``allowance + 1``."""
+    expanded = 0
     blocked[v] = True
     gamma_on_path = 0
     path = [v]
@@ -306,15 +371,11 @@ def simple_cycle_through_with_color(
         for w in branches[-1]:
             if blocked[w]:
                 if w == v and gamma_on_path:
-                    budget.spent += expanded
-                    _release_marks(blocked, reach)
-                    return CycleAnswer.YES
+                    return CycleAnswer.YES, expanded
                 continue
             expanded += 1
             if expanded > allowance:
-                budget.spent += expanded
-                _release_marks(blocked, reach)
-                return CycleAnswer.EXHAUSTED
+                return CycleAnswer.EXHAUSTED, expanded
             blocked[w] = True
             if c[w] == gamma:
                 gamma_on_path += 1
@@ -327,9 +388,7 @@ def simple_cycle_through_with_color(
             if c[node] == gamma:
                 gamma_on_path -= 1
             branches.pop()
-    budget.spent += expanded
-    _release_marks(blocked, reach)
-    return CycleAnswer.NO
+    return CycleAnswer.NO, expanded
 
 
 def simple_cycle_with_max_color(arena: Arena, coloring: Sequence[int] | None = None) -> bool:

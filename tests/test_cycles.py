@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 from itertools import combinations, permutations
@@ -36,6 +37,7 @@ from helpers import (
     count_tarjan_calls,
     max_color_on_closed_walk,
     nested_path,
+    random_arena,
     threshold_reach,
 )
 
@@ -411,6 +413,94 @@ def test_search_matches_reference_budget(arena, limit, already_spent):
             reference = _reference_search(arena, v, gamma, budgets[1])
             assert answer is reference
             assert budgets[0].spent == budgets[1].spent
+
+
+def _memo_arenas(seed: int, count: int) -> list[Arena]:
+    rng = random.Random(seed)
+    shape = dict(min_nodes=4, max_nodes=8, max_color=4, max_degree=4, allow_self_loops=True)
+    return [random_arena(rng, **shape) for _ in range(count)]
+
+
+def test_a_repeated_query_takes_the_recorded_search():
+    # A second query through the memo of a completed search answers and
+    # charges as the search would under its own budget, EXHAUSTED included
+    # where the recorded expansions do not fit, and hands its marks back.
+    hits = exhausted = 0
+    for arena in _memo_arenas(4242, 120):
+        for v in range(arena.node_count):
+            for gamma in range(arena.colors[v] + 1):
+                memo: cycles.SearchMemo = {}
+                first = SearchBudget(None)
+                simple_cycle_through_with_color(arena, None, v, gamma, first, memo=memo)
+                limits = [None, first.spent, max(first.spent - 1, 0), 0, 2]
+                for limit, already_spent in zip(limits, [0, 0, 0, 0, 3]):
+                    budgets = [SearchBudget(limit, already_spent) for _ in range(2)]
+                    answer = simple_cycle_through_with_color(
+                        arena, None, v, gamma, budgets[0], memo=memo
+                    )
+                    assert answer is _reference_search(arena, v, gamma, budgets[1])
+                    assert budgets[0].spent == budgets[1].spent
+                    assert all(cycles._spare_marks[arena.node_count])
+                    reused = budgets[0].reused
+                    assert (reused > 0) == ((v, gamma) in memo)
+                    assert reused in (0, budgets[0].spent - already_spent)
+                    hits += reused > 0
+                    exhausted += reused > 0 and answer is CycleAnswer.EXHAUSTED
+    assert hits > 0 and exhausted > 0
+
+
+def _recolorings(arena: Arena, v: int, gamma: int, change: str):
+    """Colorings that differ from the arena's in the reach of ``(v, gamma)``
+    or in its gamma-colored nodes, each by the named change."""
+    c = arena.colors
+    reach = threshold_reach(arena.predecessors, c, v, gamma)
+    for u in sorted(reach - {v}):
+        colors = list(c)
+        if change == "lower to gamma" and c[u] > gamma:
+            colors[u] = gamma
+            yield colors
+        elif change == "push gamma below" and c[u] == gamma > 0:
+            colors[u] = gamma - 1
+            yield colors
+        elif change == "trade a reach node" and c[u] > gamma > 0:
+            # One node leaves the reach and another joins it, both above
+            # gamma: the reach keeps its size and its gamma-colored nodes.
+            colors[u] = gamma - 1
+            for x in range(arena.node_count):
+                if c[x] < gamma:
+                    traded = colors[:x] + [gamma + 1] + colors[x + 1:]
+                    if len(threshold_reach(arena.predecessors, traded, v, gamma)) == len(reach):
+                        yield traded
+
+
+@pytest.mark.parametrize("change", ["lower to gamma", "push gamma below", "trade a reach node"])
+def test_a_changed_reach_or_gamma_node_searches_again(change):
+    # Between two queries, a node of the reach other than v drops to
+    # exactly gamma, a gamma-colored one drops below gamma, or one node
+    # leaves the reach as another joins it: the recorded search no longer
+    # applies, so the query searches again.
+    changed = 0
+    for arena in _memo_arenas(77, 120):
+        for v in range(arena.node_count):
+            for gamma in range(arena.colors[v] + 1):
+                memo: cycles.SearchMemo = {}
+                simple_cycle_through_with_color(
+                    arena, None, v, gamma, SearchBudget(None), memo=memo
+                )
+                if (v, gamma) not in memo:
+                    continue
+                for colors in _recolorings(arena, v, gamma, change):
+                    _assert_searches_again(arena, colors, v, gamma, dict(memo))
+                    changed += 1
+    assert changed > 0
+
+
+def _assert_searches_again(arena, colors, v, gamma, memo):
+    budgets = [SearchBudget(None) for _ in range(2)]
+    answer = simple_cycle_through_with_color(arena, colors, v, gamma, budgets[0], memo=memo)
+    assert budgets[0].reused == 0
+    assert answer is _reference_search(arena.with_colors(colors), v, gamma, budgets[1])
+    assert budgets[0].spent == budgets[1].spent
 
 
 @pytest.mark.parametrize(

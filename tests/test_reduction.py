@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rabinindex import cycles
+from rabinindex import cycles, reduction
 from rabinindex.arena import Arena, cycle_color, index
 from rabinindex.cycles import (
+    DEFAULT_BUDGET,
     CycleAnswer,
     NodeCapExceeded,
     SearchBudget,
@@ -230,6 +231,52 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
         assert colors == expected_colors
         assert report.rank_trace == expected.rank_trace
         assert report.iterations == expected.iterations
+
+
+def _exact_outcome(arena: Arena, budget_limit: int | None) -> tuple:
+    try:
+        colors, report = rabin(arena, budget_limit=budget_limit)
+    except ReductionAborted as exc:
+        return (exc.node, exc.gamma, exc.spent, exc.limit, str(exc)), exc.report
+    return colors, report
+
+
+def test_reused_searches_change_no_outcome(monkeypatch):
+    # Referee for the run's record of completed searches: every run gives
+    # the same coloring, trace, counts and abort when each query searches
+    # afresh instead.
+    rng = random.Random(1906)
+    small = [random_arena(rng, max_nodes=9, max_color=9) for _ in range(300)]
+    cases = [(arena, limit) for arena in small for limit in (0, 2, 50, None)]
+    cases += [
+        (gen_family(name, args).arena, DEFAULT_BUDGET)
+        for name, args in (("jurdzinski", (4, 6)), ("recursive_ladder", (30,)))
+    ]
+    results = [_exact_outcome(arena, limit) for arena, limit in cases]
+    assert sum(report.stats.reused_queries for _, report in results[:-2]) > 0
+    monkeypatch.setattr(
+        reduction,
+        "simple_cycle_through_with_color",
+        lambda *args, memo=None, **kwargs: cycles.simple_cycle_through_with_color(*args, **kwargs),
+    )
+    for (arena, limit), (outcome, report) in zip(cases, results):
+        expected_outcome, expected = _exact_outcome(arena, limit)
+        assert outcome == expected_outcome
+        assert report.rank_trace == expected.rank_trace
+        assert report.iterations == expected.iterations
+        assert report.stats.exact_queries == expected.stats.exact_queries
+        assert report.stats.nodes_expanded == expected.stats.nodes_expanded
+        assert expected.stats.reused_queries == 0
+
+
+def test_exact_run_reports_its_reused_searches():
+    # jurdzinski 4 6's last passes repeat searches of the passes before:
+    # they are charged in nodes_expanded as before, and counted apart.
+    _, report = rabin(gen_family("jurdzinski", (4, 6)).arena)
+    stats = report.stats
+    assert stats.nodes_expanded == 1_280_204
+    assert stats.nodes_reused >= 700_000
+    assert 0 < stats.reused_queries < stats.exact_queries
 
 
 def test_alpha_reduction_output_is_pinned():
