@@ -51,7 +51,6 @@ from .reduction import (
     ReductionAborted,
     ReductionReport,
     abstract_membership,
-    all_cycles_even,
     rabin,
     static_compress,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "Solution",
     "VerificationResult",
     "abstract_membership",
-    "all_cycles_even",
     "bench_run",
     "brute_force_rabin_index",
     "brute_force_winners",

@@ -24,11 +24,11 @@ import io
 import logging
 import time
 from dataclasses import dataclass, fields, replace
-from statistics import fmean
+from math import fsum
 from typing import Any, Callable
 
 from .arena import ParityGame, index
-from .generators import RandomConfig, check_family, gen_family, gen_random
+from .generators import RandomConfig, gen_family, gen_random, parse_game_spec
 from .reduction import OracleMode, rabin, static_compress
 from .solver import zielonka_solve
 
@@ -99,21 +99,12 @@ def _parse_batch(line: str) -> BatchSpec:
         else:
             raise ValueError(f"unknown option {tokens[-1]!r}")
         tokens.pop()
-    if not tokens:
-        raise ValueError("no game named")
-    kind = tokens[0]
-    if kind == "random":
-        if len(tokens) != 2:
-            raise ValueError("random takes one xx/yy/zz/cc argument")
-        config = RandomConfig.parse(tokens[1], seed=seed)
-        return BatchSpec(label=config.label(), random_config=config, runs=runs)
-    try:
-        params = tuple(int(tok) for tok in tokens[1:])
-    except ValueError:
-        raise ValueError(f"bad parameter in {line!r}") from None
-    check_family(kind, params)
-    label = f"{kind}[{' '.join(tokens[1:])}]"
-    return BatchSpec(label=label, name=kind, params=params, runs=runs)
+    game = parse_game_spec(tokens, seed=seed)
+    if isinstance(game, RandomConfig):
+        return BatchSpec(label=game.label(), random_config=game, runs=runs)
+    name, params = game
+    label = f"{name}[{' '.join(tokens[1:])}]"
+    return BatchSpec(label=label, name=name, params=params, runs=runs)
 
 
 def parse_bench_config(text: str) -> list[BatchSpec]:
@@ -167,7 +158,7 @@ def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
             ("solve_alpha_ms", reduced),
         ):
             _timed(samples[column], zielonka_solve, game.with_colors(variant))
-    means = {column: fmean(values) for column, values in samples.items()}
+    means = {column: fsum(values) / len(values) for column, values in samples.items()}
     return BenchRow(game=spec.label, runs=runs, **means)
 
 

@@ -6,8 +6,9 @@ for small games (``equiv``, ``oracle``), the polynomial membership test
 (``member``), and the CSV benchmark harness (``bench``).
 
 Exit codes: 0 success; 2 usage error, including an output path that
-cannot be written, a negative ``--budget``, and a ``-k`` or ``--runs``
-below 1; 3 unreadable or malformed input; 4 search budget exhausted; 5 node cap exceeded; 6 a requested check did not hold
+cannot be written, a negative ``--budget`` or ``--cap``, and a ``-k`` or
+``--runs`` below 1; 3 unreadable or malformed input; 4 search budget
+exhausted; 5 node cap exceeded; 6 a requested check did not hold
 (verification, equivalence, membership).  Failures print one
 ``error: <category>: <message>`` line on stderr.
 """
@@ -22,7 +23,7 @@ from pathlib import Path
 from .arena import ParityGame, index
 from .bench import bench_run, rows_to_csv
 from .cycles import NodeCapExceeded
-from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random
+from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random, parse_game_spec
 from .oracles import brute_force_rabin_index, equivalence_witness
 from .pgsolver import (
     DuplicateEdgeWarning,
@@ -89,20 +90,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.kind == "random":
-        if len(args.params) != 1:
-            raise CliError("usage", "random takes one xx/yy/zz/cc argument", EXIT_USAGE)
-        try:
-            config = RandomConfig.parse(args.params[0], seed=args.seed)
-        except ValueError as exc:
-            raise CliError("usage", str(exc), EXIT_USAGE) from exc
-        game = gen_random(config)
-    else:
-        try:
-            params = tuple(int(p) for p in args.params)
-            game = gen_family(args.kind, params)
-        except ValueError as exc:
-            raise CliError("usage", str(exc), EXIT_USAGE) from exc
+    try:
+        spec = parse_game_spec([args.kind, *args.params], seed=args.seed)
+        game = gen_random(spec) if isinstance(spec, RandomConfig) else gen_family(*spec)
+    except ValueError as exc:
+        raise CliError("usage", str(exc), EXIT_USAGE) from exc
     _emit(write_pgsolver(game), args.output)
     return EXIT_OK
 
@@ -163,7 +155,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     raise CliError("verify", result.reason, EXIT_CHECK)
 
 
+def _check_cap(cap: int | None) -> None:
+    if cap is not None and cap < 0:
+        raise CliError("usage", f"--cap must be at least 0, got {cap}", EXIT_USAGE)
+
+
 def _cmd_equiv(args: argparse.Namespace) -> int:
+    _check_cap(args.cap)
     first = _load_game(args.first)
     second = _load_game(args.second)
     if first.arena.successors != second.arena.successors:
@@ -184,6 +182,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    _check_cap(args.cap)
     game = _load_game(args.file)
     value = brute_force_rabin_index(game.arena, node_cap=args.cap)
     print(f"rabin index: {value}")

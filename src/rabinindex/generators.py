@@ -304,6 +304,27 @@ def gen_family(name: str, params: tuple[int, ...]) -> ParityGame:
     return _FAMILIES[name][0](*params)
 
 
+def parse_game_spec(
+    tokens: Sequence[str], seed: int = 0
+) -> RandomConfig | tuple[str, tuple[int, ...]]:
+    """Read a game named as ``kind params...``: ``random xx/yy/zz/cc`` gives
+    its :class:`RandomConfig` with ``seed``, a family its name and integer
+    parameters.  Raises ValueError naming the mistake."""
+    if not tokens:
+        raise ValueError("no game named")
+    kind, *rest = tokens
+    if kind == "random":
+        if len(rest) != 1:
+            raise ValueError("random takes one xx/yy/zz/cc argument")
+        return RandomConfig.parse(rest[0], seed=seed)
+    try:
+        params = tuple(map(int, rest))
+    except ValueError:
+        raise ValueError(f"bad parameter in {' '.join(tokens)!r}") from None
+    check_family(kind, params)
+    return kind, params
+
+
 def gen_hardness_gadget(
     base: Arena | Sequence[Sequence[NodeId]], s: NodeId, t: NodeId, k: int
 ) -> Arena:

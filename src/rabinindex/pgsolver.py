@@ -13,13 +13,13 @@ record per node.
 
 Parsing runs in two stages.  A whole-text pass matches every record line
 at once against a strict subset of the grammar (ASCII digits, no signs,
-owner and winner ``0`` or ``1``, no blank around a comma; no repeated id or
-successor, every successor spelled as its id, a solution's records
-``0..n-1`` in order) and builds the result without a second round of
-checks.  Any input it does not take in full goes, unchanged, to the
-per-line parser, which is the one definition of the format: it accepts
-every spelling the grammar allows and raises every error, with its line,
-and every :class:`DuplicateEdgeWarning`.
+owner and winner ``0`` or ``1``, no blank around a comma; the records
+``0..n-1`` in order, no repeated successor, every successor spelled as its
+id) and builds the result without a second round of checks.  Any input
+it does not take in full goes, unchanged, to the per-line parser, which is
+the one definition of the format: it accepts every spelling the grammar
+allows, renumbers sparse or unordered ids, and raises every error, with
+its line, and every :class:`DuplicateEdgeWarning`.
 """
 
 from __future__ import annotations
@@ -135,8 +135,8 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
 
 
 def _parse_pgsolver_whole(text: str | bytes) -> ParityGame | None:
-    """The game of ``text`` from one pass over all its records, or None
-    where the per-line parser must decide."""
+    """The game of ``text`` from one pass over its records ``0..n-1``,
+    listed in order, or None where the per-line parser must decide."""
     lines = _record_lines(text, "parity")
     if not lines:
         return None
@@ -144,37 +144,22 @@ def _parse_pgsolver_whole(text: str | bytes) -> ParityGame | None:
     if len(records) != len(lines):
         return None
     ids, priorities, owners, succ_lists, quoted = zip(*records)
-    try:
-        numbers = list(map(int, ids))
-        colors = tuple(map(int, priorities))
-    except ValueError:  # more digits than int() accepts
+    # Only the records 0..n-1, in order, each id spelled as its number.  A
+    # successor is looked up by its text among the ids: an undeclared one,
+    # or one spelled unlike its id ("07" for "7"), is missing.  Every
+    # mention of a node shares one int object, as in the per-line parser.
+    node = {str(v): v for v in range(len(ids))}
+    if ids != tuple(node):
         return None
-    n = len(numbers)
-    in_order = numbers == list(range(n))
-    order = range(n) if in_order else sorted(range(n), key=numbers.__getitem__)
-    if not in_order and len(set(numbers)) < n:
-        return None  # a repeated id
-    # A successor is looked up by its text among the ids' texts: an
-    # undeclared one, or one spelled unlike its id ("07" for "7"), is
-    # missing.  Every mention of a node shares one int object, as in the
-    # per-line parser.
-    dense = {ids[i]: new for new, i in enumerate(order)}.__getitem__
     try:
-        successors = tuple(tuple(map(dense, succ_lists[i].split(","))) for i in order)
-    except KeyError:
+        colors = tuple(map(int, priorities))
+        successors = tuple(tuple(map(node.__getitem__, s.split(","))) for s in succ_lists)
+    except (KeyError, ValueError):  # a missing successor, or too many digits for int()
         return None
     if max(colors) >= _MAX_PRIORITY or any(len(set(s)) < len(s) for s in successors):
         return None
-    owners = tuple(map(int, owners))
-    if not in_order:
-        colors = tuple(colors[i] for i in order)
-        owners = tuple(owners[i] for i in order)
-    renumbered = numbers[order[-1]] != n - 1
-    names = tuple(
-        quoted[i][1:-1] if quoted[i] else str(numbers[i]) if renumbered else None
-        for i in order
-    )
-    return ParityGame(Arena._unchecked(successors, colors), owners, names)
+    names = tuple(q[1:-1] if q else None for q in quoted)
+    return ParityGame(Arena._unchecked(successors, colors), tuple(map(int, owners)), names)
 
 
 def _parse_pgsolver_by_line(text: str | bytes) -> ParityGame:

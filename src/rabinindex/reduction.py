@@ -11,8 +11,7 @@ components, which a divide and conquer over parity-run thresholds finds
 in O(m log k) for m edges and k parity runs (see :func:`_alpha_form`).
 
 The remaining entry points are cheaper companions: :func:`static_compress`
-squeezes gaps out of the color value set without looking at edges,
-:func:`all_cycles_even` decides whether the index can drop to zero, and
+squeezes gaps out of the color value set without looking at edges, and
 :func:`abstract_membership` tests the abstract index against a bound.
 """
 
@@ -44,7 +43,6 @@ __all__ = [
     "ReductionAborted",
     "rabin",
     "static_compress",
-    "all_cycles_even",
     "abstract_membership",
 ]
 
@@ -351,9 +349,7 @@ def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
         if not nontrivial:
             continue
         present = sorted({colors[u] for u in comp})
-        rank_of = {present[0]: 0}
-        for below, color in zip(present, present[1:]):
-            rank_of[color] = rank_of[below] + (color - below) % 2
+        rank_of = _parity_runs(present, 0)
         if rank_of[present[-1]] == 0:
             for u in comp:
                 form[u] = present[0] % 2
@@ -473,6 +469,18 @@ def rabin(
     return tuple(colors), report
 
 
+def _parity_runs(present: Sequence[int], base: int) -> dict[int, int]:
+    """Map each of the ascending distinct colors ``present`` to ``base``
+    plus the number of parity switches below it among them."""
+    rank = {}
+    below = present[0]
+    for color in present:
+        base += (color - below) % 2
+        rank[color] = base
+        below = color
+    return rank
+
+
 def static_compress(coloring: Sequence[int]) -> Coloring:
     """Close gaps in the color value set, preserving parities and order.
 
@@ -483,36 +491,21 @@ def static_compress(coloring: Sequence[int]) -> Coloring:
     if not coloring:
         raise ValueError("coloring is empty")
     check_coloring(coloring, len(coloring))
-    mapping: dict[int, int] = {}
-    prev: int | None = None
-    for d in sorted(set(coloring)):
-        if prev is None:
-            mapping[d] = d % 2
-        elif (d - prev) % 2 == 0:
-            mapping[d] = mapping[prev]
-        else:
-            mapping[d] = mapping[prev] + 1
-        prev = d
-    return tuple(map(mapping.__getitem__, coloring))
-
-
-def all_cycles_even(arena: Arena, coloring: Sequence[int] | None = None) -> bool:
-    """Does every cycle have even color?  Holds iff the index can reach 0.
-
-    A simple cycle of odd color exists iff a closed walk of odd color
-    does, that is iff the alpha form is not all 0.
-    """
-    c = arena.checked_colors(coloring)
-    return not any(color % 2 for color in c) or not any(_alpha_form(arena, c))
+    present = sorted(set(coloring))
+    return tuple(map(_parity_runs(present, present[0] % 2).__getitem__, coloring))
 
 
 def abstract_membership(game: ParityGame | Arena, k: int) -> bool:
     """Is the cycle-abstracted Rabin index of the coloring below ``k``?
 
     This is the polynomial membership test for the k-th abstract index
-    class; ``k = 1`` coincides with :func:`all_cycles_even`.
+    class.  For ``k = 1`` it decides the exact question too, whether every
+    simple cycle is even: a simple cycle of odd color exists iff a closed
+    walk of odd color does.
     """
     if k < 1:
         raise ValueError(f"class bound k must be at least 1, got {k}")
     arena = game.arena if isinstance(game, ParityGame) else game
-    return index(_alpha_form(arena, arena.colors)) < k
+    colors = arena.colors
+    # With no odd color the form is all 0, below every bound.
+    return not any(c % 2 for c in colors) or index(_alpha_form(arena, colors)) < k

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -26,6 +29,8 @@ REMOVED = {
     # The max-parity baseline and the component tree only it read.
     "rabin_a": "reduction",
     "component_forest": "cycles",
+    # abstract_membership(game, 1) answers the same k = 1 question.
+    "all_cycles_even": "reduction",
 }
 
 
@@ -45,6 +50,19 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert not hasattr(rabinindex.cycles.SccDecomposition, "closes_walk_at")
     stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
     assert not stats & {"reach_steps", "scc_builds"}
+
+
+def test_import_loads_no_numeric_tower():
+    # The bench means need no statistics module, and with it go decimal,
+    # fractions and numbers; checked in a fresh interpreter.
+    src = str(Path(rabinindex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    heavy = ("statistics", "decimal", "fractions", "numbers")
+    run = f"import sys, rabinindex; print(*[m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -52,6 +52,17 @@ def test_gen_usage_errors(capsys):
     assert main(["gen", "jurdzinski", "2"]) == 2
 
 
+def test_gen_and_bench_word_a_bad_parameter_alike(tmp_path, capsys):
+    # One grammar for a named game: the command line and a bench spec
+    # report the same mistake in the same words.
+    assert main(["gen", "ladder", "abc"]) == 2
+    assert capsys.readouterr().err == "error: usage: bad parameter in 'ladder abc'\n"
+    spec = tmp_path / "bench.txt"
+    spec.write_text("ladder abc\n")
+    assert main(["bench", "--spec", str(spec)]) == 3
+    assert capsys.readouterr().err == "error: parse: line 1: bad parameter in 'ladder abc'\n"
+
+
 def test_index_exact(fig1_path, capsys):
     assert main(["index", str(fig1_path)]) == 0
     assert capsys.readouterr().out == "index: 3 -> 2, iterations: 2\n"
@@ -222,6 +233,15 @@ def test_oracle_rabin_index_on_a_long_ring(tmp_path, capsys):
     assert capsys.readouterr().out == "rabin index: 0\n"
 
 
+def test_negative_cap_is_a_usage_error(fig1_path, capsys):
+    for argv in (
+        ["equiv", str(fig1_path), str(fig1_path), "--cap", "-1"],
+        ["oracle", "rabin-index", str(fig1_path), "--cap", "-1"],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: usage: --cap must be at least 0, got -1\n"
+
+
 def test_oracle_node_cap(fig1_path, capsys):
     assert main(["oracle", "rabin-index", str(fig1_path), "--cap", "3"]) == 5
     assert capsys.readouterr().err == "error: cap: arena has 5 nodes, enumeration capped at 3\n"
@@ -232,6 +252,13 @@ def test_member(fig1_path, capsys):
     assert capsys.readouterr().out == "yes\n"
     assert main(["member", str(fig1_path), "-k", "3"]) == 6
     assert capsys.readouterr().out == "no\n"
+
+
+def test_member_all_even_colors(tmp_path, capsys):
+    game = tmp_path / "even.gm"
+    game.write_text("0 2 0 1;\n1 4 1 0,1;\n")
+    assert main(["member", str(game), "-k", "1"]) == 0
+    assert capsys.readouterr().out == "yes\n"
 
 
 def test_member_rejects_k_below_one(fig1_path, capsys):

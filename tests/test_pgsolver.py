@@ -408,10 +408,14 @@ def test_written_games_and_solutions_never_take_the_per_line_path(game, data):
             assert parse_solution(write_solution(solution), game) == solution
 
 
-def test_sparse_reordered_text_takes_the_whole_text_pass():
+def test_sparse_reordered_text_takes_the_per_line_path():
+    # The whole-text pass takes only the records 0..n-1 in order; the
+    # per-line parser renumbers anything else into the same game.
     text = '\ufeff-- c\n\nparity 30;\n30 2 1 10 "top";\r\n10 1 0 20,30;\n20 0 0 10 "";\n'
-    with _NO_PER_LINE_PATH:
+    by_line = mock.Mock(wraps=pgsolver._parse_pgsolver_by_line)
+    with mock.patch.object(pgsolver, "_parse_pgsolver_by_line", by_line):
         game = parse_pgsolver(text.encode("utf-8"))
+    by_line.assert_called_once()
     assert game == pgsolver._parse_pgsolver_by_line(text)
     assert game.arena.successors == ((1, 2), (0,), (0,))
     assert game.names == ("10", "", "top")

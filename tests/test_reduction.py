@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import sys
 import time
 from itertools import product
 
@@ -36,7 +38,6 @@ from rabinindex.reduction import (
     _PassState,
     _alpha_form,
     abstract_membership,
-    all_cycles_even,
     rabin,
     static_compress,
 )
@@ -461,13 +462,62 @@ def _disjoint_two_cycles(k: int) -> Arena:
     return Arena.from_lists(succ, [3, 2] * k)
 
 
-def test_exact_query_time_follows_its_component():
+def _package_lines(fn) -> int:
+    """The line events that ``fn()`` runs in this package's own code."""
+    package = os.path.dirname(cycles.__file__)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_exact_query_work_follows_its_component():
     # Each 3-colored node asks one exact query whose component is its own
-    # 2-cycle; the queries must not each pay for the whole arena, which
-    # would make four times the pairs cost about sixteen times as much.
+    # 2-cycle, so four times the pairs run four times the lines (324 168
+    # and 1 296 168); a query that scanned all n nodes would make it about
+    # sixteen times.
+    small, large = _disjoint_two_cycles(1000), _disjoint_two_cycles(4000)
+    lines = [_package_lines(lambda arena=arena: rabin(arena)) for arena in (small, large)]
+    assert lines[1] <= 4.5 * lines[0]
+
+
+def test_exact_queries_of_a_run_borrow_one_marks_list(monkeypatch):
+    # Past the first query none allocates an n-long list of its own.
+    borrowed = []
+    real = cycles._outside_walk_reach
+
+    def spy(*args):
+        found = real(*args)
+        if found is not None:
+            borrowed.append(found[0])
+        return found
+
+    monkeypatch.setattr(cycles, "_outside_walk_reach", spy)
+    _, report = rabin(_disjoint_two_cycles(500))
+    assert len(borrowed) == report.stats.exact_queries == 500
+    assert all(marks is borrowed[0] for marks in borrowed)
+
+
+def test_exact_query_time_follows_its_component():
+    # The wall-clock face of the line count above: the minimum of five
+    # alternating runs each.
     small, large = _disjoint_two_cycles(1000), _disjoint_two_cycles(4000)
     times = {small: [], large: []}
-    for _ in range(3):
+    for _ in range(5):
         for arena, spent in times.items():
             start = time.perf_counter()
             rabin(arena)
@@ -503,7 +553,6 @@ def test_report_rendering(fig1_arena):
 _ENTRY_POINTS = {
     "rabin": lambda arena, c: rabin(arena, c, mode=EXACT),
     "rabin-alpha": lambda arena, c: rabin(arena, c, mode=OracleMode.ABSTRACT),
-    "all_cycles_even": all_cycles_even,
     "brute_force_rabin_index": brute_force_rabin_index,
     "equivalence_witness": lambda arena, c: equivalence_witness(arena, arena.colors, c),
     "fixpoint_violations": fixpoint_violations,
@@ -569,10 +618,13 @@ def test_static_compress_is_equivalent(arena):
     assert colorings_equivalent(arena, arena.colors, compressed, relation="simple")
 
 
-def test_all_cycles_even(fig1_arena, data_dir):
-    assert not all_cycles_even(fig1_arena)
-    assert all_cycles_even(Arena(((1,), (0,)), (0, 2)))
-    assert not all_cycles_even(Arena(((0,),), (1,)))
+# The k = 1 question, whether every cycle is even, is abstract membership
+# at level 1: a simple cycle of odd color exists iff a closed walk of odd
+# color does.
+def test_all_cycles_even(fig1_arena):
+    assert not abstract_membership(fig1_arena, 1)
+    assert abstract_membership(Arena(((1,), (0,)), (0, 2)), 1)
+    assert not abstract_membership(Arena(((0,),), (1,)), 1)
 
 
 @given(arenas(max_nodes=6, max_color=5))
@@ -582,7 +634,7 @@ def test_all_cycles_even_matches_enumeration(arena):
         cycle_color(arena, cycle) % 2 == 0
         for cycle in enumerate_simple_cycles(arena)
     )
-    assert all_cycles_even(arena) == expected
+    assert abstract_membership(arena, 1) == expected
 
 
 @given(arenas(max_nodes=6, max_color=6))
@@ -657,9 +709,10 @@ def test_equal_alpha_forms_are_alpha_equivalence(arena, data):
 
 
 def test_all_cycles_even_skips_the_walk_without_odd_colors(monkeypatch):
+    # With no odd color the form is all 0, below every bound k >= 1.
     arena = nested_path(1100)
     calls = count_tarjan_calls(monkeypatch)
-    assert all_cycles_even(arena)
+    assert all(abstract_membership(arena, k) for k in (1, 2, 5))
     assert calls == []
 
 
@@ -673,4 +726,5 @@ def test_abstract_membership_fig1(fig1_game):
 @given(arenas(max_nodes=6, max_color=5))
 @settings(max_examples=50)
 def test_membership_level_one_is_all_cycles_even(arena):
-    assert abstract_membership(arena, 1) == all_cycles_even(arena)
+    form, _ = rabin(arena, mode=ABSTRACT)
+    assert abstract_membership(arena, 1) == (not any(form))
