@@ -99,9 +99,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_at_least(flag: str, value: int | None, low: int) -> None:
+    """Refuse a numeric option below ``low`` as a usage error (exit 2)."""
+    if value is not None and value < low:
+        raise CliError("usage", f"{flag} must be at least {low}, got {value}", EXIT_USAGE)
+
+
 def _cmd_index(args: argparse.Namespace) -> int:
-    if args.budget is not None and args.budget < 0:
-        raise CliError("usage", f"--budget must be at least 0, got {args.budget}", EXIT_USAGE)
+    _check_at_least("--budget", args.budget, 0)
     game = _load_game(args.file)
     arena = game.arena
     before = index(arena.colors)
@@ -155,13 +160,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     raise CliError("verify", result.reason, EXIT_CHECK)
 
 
-def _check_cap(cap: int | None) -> None:
-    if cap is not None and cap < 0:
-        raise CliError("usage", f"--cap must be at least 0, got {cap}", EXIT_USAGE)
-
-
 def _cmd_equiv(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
+    _check_at_least("--cap", args.cap, 0)
     first = _load_game(args.first)
     second = _load_game(args.second)
     if first.arena.successors != second.arena.successors:
@@ -182,7 +182,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    _check_cap(args.cap)
+    _check_at_least("--cap", args.cap, 0)
     game = _load_game(args.file)
     value = brute_force_rabin_index(game.arena, node_cap=args.cap)
     print(f"rabin index: {value}")
@@ -190,8 +190,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_member(args: argparse.Namespace) -> int:
-    if args.k < 1:
-        raise CliError("usage", f"-k must be at least 1, got {args.k}", EXIT_USAGE)
+    _check_at_least("-k", args.k, 1)
     game = _load_game(args.file)
     if abstract_membership(game, args.k):
         print("yes")
@@ -201,8 +200,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.runs < 1:
-        raise CliError("usage", f"--runs must be at least 1, got {args.runs}", EXIT_USAGE)
+    _check_at_least("--runs", args.runs, 1)
     text = _read_text(args.spec)
     try:
         rows = bench_run(text, default_runs=args.runs)

@@ -63,13 +63,11 @@ class CycleAnswer(enum.Enum):
 class SearchBudget:
     """Mutable per-query allowance counted in expanded search nodes.
 
-    ``reused`` is the part of ``spent`` charged from the record of a
-    completed search instead of searching again.
+    A query answered by a recorded cycle spends none of it.
     """
 
     limit: int | None = DEFAULT_BUDGET
     spent: int = 0
-    reused: int = 0
 
     def spend(self, amount: int = 1) -> bool:
         """Consume budget; False once the limit would be exceeded."""
@@ -263,19 +261,9 @@ def _release_marks(marks: list[bool], unmarked: list[NodeId]) -> None:
     _spare_marks[len(marks)] = marks
 
 
-# Completed searches by query (v, gamma): the backward reach, its
-# gamma-colored nodes, the answer and the number of nodes expanded.
-SearchMemo = dict[
-    tuple[NodeId, int], tuple[tuple[NodeId, ...], tuple[NodeId, ...], CycleAnswer, int]
-]
-
-
-def _what_search_reads(
-    reach: list[NodeId], c: Sequence[int], gamma: int
-) -> tuple[tuple[NodeId, ...], tuple[NodeId, ...]]:
-    """All a search past the backward reach reads of the coloring: the
-    reach, in the order found, and its gamma-colored nodes."""
-    return tuple(reach), tuple(u for u in reach if c[u] == gamma)
+# Simple cycles found by YES searches, by query (v, gamma): each a node
+# tuple starting at v, whose least color was gamma when it was found.
+CycleRecord = dict[tuple[NodeId, int], tuple[NodeId, ...]]
 
 
 def simple_cycle_through_with_color(
@@ -285,7 +273,7 @@ def simple_cycle_through_with_color(
     gamma: int,
     budget: SearchBudget | None = None,
     *,
-    memo: SearchMemo | None = None,
+    memo: CycleRecord | None = None,
 ) -> CycleAnswer:
     """Is there a simple cycle through ``v`` whose minimal color is ``gamma``?
 
@@ -302,15 +290,11 @@ def simple_cycle_through_with_color(
     its component costs; a negative color at a node other than ``v``
     counts as below every threshold.
 
-    ``memo`` holds completed searches, as one :func:`~rabinindex.reduction.rabin`
-    run keeps them.  Past the reach, the search reads the coloring only
-    through the reach and the reach's gamma-colored nodes, so a repeated
-    query whose reach and gamma-colored nodes are unchanged would make
-    the recorded search's pushes again.  It reuses the completed search
-    instead and is charged its recorded expansions (``EXHAUSTED`` at the
-    push where the search would run out), so budgets and aborts do not
-    depend on reuse.  A YES or NO whose search expanded more nodes than
-    its reach holds is recorded.
+    ``memo`` records the cycle each YES search finds, as one
+    :func:`~rabinindex.reduction.rabin` run keeps them.  The arena's edges
+    do not change, so a recorded cycle for ``(v, gamma)`` is still a simple
+    cycle through ``v``: when its least color under ``coloring`` is
+    ``gamma``, it answers YES without search and spends no budget.
     """
     c = arena.colors if coloring is None else coloring
     _check_query(arena, c, v, gamma)
@@ -324,27 +308,19 @@ def simple_cycle_through_with_color(
         # through v inside its component is a simple cycle of color gamma.
         _release_marks(blocked, reach)
         return CycleAnswer.YES
-    if budget is None:
-        budget = SearchBudget()
-    # The search counts its pushes locally and charges them on return; it
-    # gives up at the push where SearchBudget.spend would first refuse.
-    allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
-    known = None if memo is None else memo.get((v, gamma))
-    if (
-        known is not None
-        and len(known[0]) == len(reach)
-        and known[:2] == _what_search_reads(reach, c, gamma)
-    ):
-        answer, expanded = known[2:]
-        if expanded > allowance:
-            answer, expanded = CycleAnswer.EXHAUSTED, max(allowance, 0) + 1
-        budget.spent += expanded
-        budget.reused += expanded
+    cycle = None if memo is None else memo.get((v, gamma))
+    if cycle is not None and min(c[u] for u in cycle) == gamma:
+        answer = CycleAnswer.YES
     else:
-        answer, expanded = _search(arena.successors, c, blocked, v, gamma, allowance)
+        if budget is None:
+            budget = SearchBudget()
+        # The search counts its pushes locally and charges them on return;
+        # it gives up at the push where SearchBudget.spend would first refuse.
+        allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
+        answer, expanded, path = _search(arena.successors, c, blocked, v, gamma, allowance)
         budget.spent += expanded
-        if memo is not None and answer is not CycleAnswer.EXHAUSTED and expanded > len(reach):
-            memo[v, gamma] = (*_what_search_reads(reach, c, gamma), answer, expanded)
+        if memo is not None and answer is CycleAnswer.YES:
+            memo[v, gamma] = tuple(path)
     _release_marks(blocked, reach)
     return answer
 
@@ -356,12 +332,13 @@ def _search(
     v: NodeId,
     gamma: int,
     allowance: int,
-) -> tuple[CycleAnswer, int]:
+) -> tuple[CycleAnswer, int, list[NodeId]]:
     """Depth-first enumeration of simple paths from ``v`` among the
     unblocked nodes, counting how many gamma-colored nodes are on the
     current path.  ``v`` stays on the path, so reaching it again is the
-    only way to close a cycle.  Returns the answer and the nodes pushed,
-    giving up at push ``allowance + 1``."""
+    only way to close a cycle.  Returns the answer, the nodes pushed and
+    the path, which on YES is the cycle found; gives up at push
+    ``allowance + 1``."""
     expanded = 0
     blocked[v] = True
     gamma_on_path = 0
@@ -371,11 +348,11 @@ def _search(
         for w in branches[-1]:
             if blocked[w]:
                 if w == v and gamma_on_path:
-                    return CycleAnswer.YES, expanded
+                    return CycleAnswer.YES, expanded, path
                 continue
             expanded += 1
             if expanded > allowance:
-                return CycleAnswer.EXHAUSTED, expanded
+                return CycleAnswer.EXHAUSTED, expanded, path
             blocked[w] = True
             if c[w] == gamma:
                 gamma_on_path += 1
@@ -388,7 +365,7 @@ def _search(
             if c[node] == gamma:
                 gamma_on_path -= 1
             branches.pop()
-    return CycleAnswer.NO, expanded
+    return CycleAnswer.NO, expanded, path
 
 
 def simple_cycle_with_max_color(arena: Arena, coloring: Sequence[int] | None = None) -> bool:

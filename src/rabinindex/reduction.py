@@ -28,8 +28,8 @@ from .arena import Arena, Coloring, NodeId, ParityGame, check_coloring, index
 from .cycles import (
     DEFAULT_BUDGET,
     CycleAnswer,
+    CycleRecord,
     SearchBudget,
-    SearchMemo,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
     tarjan_scc,
@@ -66,10 +66,6 @@ class OracleStats:
     abstract_queries: int = 0
     max_color_checks: int = 0
     nodes_expanded: int = 0
-    # Queries answered from a completed search of the same run, and the
-    # expansions they were charged without searching (part of nodes_expanded).
-    reused_queries: int = 0
-    nodes_reused: int = 0
 
 
 @dataclass
@@ -149,9 +145,9 @@ class _PassState:
     """Shared bookkeeping for one exact reduction run, and its anchor oracle.
 
     Tracks how many nodes carry each color, and the sorted list of colors
-    in use, so an anchor scans only the colors present.  Keeps the run's
-    completed searches, which a repeated query reuses while its reach and
-    gamma-colored nodes are unchanged (see
+    in use, so an anchor scans only the colors present.  Keeps the simple
+    cycles the run's YES searches found, which answer a repeated query
+    without search while their least color is still its gamma (see
     :func:`~rabinindex.cycles.simple_cycle_through_with_color`).
     """
 
@@ -166,7 +162,7 @@ class _PassState:
         self.stats = stats
         self.color_count: Counter[int] = Counter(colors)
         self._present = sorted(self.color_count)
-        self._searches: SearchMemo = {}
+        self._cycles: CycleRecord = {}
 
     def set_color(self, v: NodeId, new: int) -> None:
         old = self.colors[v]
@@ -183,14 +179,11 @@ class _PassState:
     def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
         budget = SearchBudget(self.budget_limit)
         answer = simple_cycle_through_with_color(
-            self.arena, self.colors, v, gamma, budget, memo=self._searches
+            self.arena, self.colors, v, gamma, budget, memo=self._cycles
         )
         stats = self.stats
         stats.exact_queries += 1
         stats.nodes_expanded += budget.spent
-        if budget.reused:
-            stats.reused_queries += 1
-            stats.nodes_reused += budget.reused
         if answer is CycleAnswer.EXHAUSTED:
             raise ReductionAborted(
                 v, gamma, budget.spent, budget.limit, stats.nodes_expanded, stats.exact_queries
@@ -430,11 +423,10 @@ def rabin(
     Raises :class:`ReductionAborted` when an exact query exhausts its
     budget; the exception carries the partial report.  ``budget_limit`` caps
     each exact query's expanded nodes (``None``: unlimited).  Within one
-    run, a repeated query whose reach and gamma-colored nodes are unchanged
-    reuses the completed search and is charged its recorded expansions, so
-    budgets and aborts do not depend on reuse.  A negative
-    ``budget_limit`` raises :class:`ValueError` in exact mode; a limit of 0
-    answers only the queries that need no search.
+    run, a query whose earlier search found a simple cycle is answered YES
+    by that cycle, without search, while its least color is still the
+    query's.  A negative ``budget_limit`` raises :class:`ValueError` in
+    exact mode; a limit of 0 answers only the queries that need no search.
     """
     mode = OracleMode(mode)
     colors = list(arena.checked_colors(coloring))

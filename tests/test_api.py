@@ -31,6 +31,9 @@ REMOVED = {
     "component_forest": "cycles",
     # abstract_membership(game, 1) answers the same k = 1 question.
     "all_cycles_even": "reduction",
+    # An exact run keeps the cycles its YES searches found, not the searches.
+    "SearchMemo": "cycles",
+    "_what_search_reads": "cycles",
 }
 
 
@@ -49,7 +52,8 @@ def test_all_names_resolve_and_removed_names_are_gone():
     # The closed-walk anchor oracle that alpha mode's canonical form replaced.
     assert not hasattr(rabinindex.cycles.SccDecomposition, "closes_walk_at")
     stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
-    assert not stats & {"reach_steps", "scc_builds"}
+    assert not stats & {"reach_steps", "scc_builds", "reused_queries", "nodes_reused"}
+    assert "reused" not in {f.name for f in fields(rabinindex.cycles.SearchBudget)}
 
 
 def test_import_loads_no_numeric_tower():

@@ -415,92 +415,88 @@ def test_search_matches_reference_budget(arena, limit, already_spent):
             assert budgets[0].spent == budgets[1].spent
 
 
-def _memo_arenas(seed: int, count: int) -> list[Arena]:
+def _record_arenas(seed: int, count: int) -> list[Arena]:
     rng = random.Random(seed)
     shape = dict(min_nodes=4, max_nodes=8, max_color=4, max_degree=4, allow_self_loops=True)
     return [random_arena(rng, **shape) for _ in range(count)]
 
 
 def test_a_repeated_query_takes_the_recorded_search():
-    # A second query through the memo of a completed search answers and
-    # charges as the search would under its own budget, EXHAUSTED included
-    # where the recorded expansions do not fit, and hands its marks back.
-    hits = exhausted = 0
-    for arena in _memo_arenas(4242, 120):
+    # A YES search records the cycle it found.  The same query then answers
+    # YES from that cycle without spending budget, even with none left, and
+    # hands its marks back.  A NO, and a YES that needed no search, record
+    # nothing.
+    recorded = 0
+    for arena in _record_arenas(4242, 120):
         for v in range(arena.node_count):
             for gamma in range(arena.colors[v] + 1):
-                memo: cycles.SearchMemo = {}
-                first = SearchBudget(None)
-                simple_cycle_through_with_color(arena, None, v, gamma, first, memo=memo)
-                limits = [None, first.spent, max(first.spent - 1, 0), 0, 2]
-                for limit, already_spent in zip(limits, [0, 0, 0, 0, 3]):
-                    budgets = [SearchBudget(limit, already_spent) for _ in range(2)]
+                memo: cycles.CycleRecord = {}
+                answer = simple_cycle_through_with_color(
+                    arena, None, v, gamma, SearchBudget(None), memo=memo
+                )
+                searched = answer is CycleAnswer.YES and arena.colors[v] != gamma
+                assert list(memo) == ([(v, gamma)] if searched else [])
+                if not searched:
+                    continue
+                recorded += 1
+                for limit, already_spent in ((None, 0), (0, 0), (2, 3)):
+                    budget = SearchBudget(limit, already_spent)
                     answer = simple_cycle_through_with_color(
-                        arena, None, v, gamma, budgets[0], memo=memo
+                        arena, None, v, gamma, budget, memo=memo
                     )
-                    assert answer is _reference_search(arena, v, gamma, budgets[1])
-                    assert budgets[0].spent == budgets[1].spent
+                    assert answer is CycleAnswer.YES
+                    assert budget.spent == already_spent
                     assert all(cycles._spare_marks[arena.node_count])
-                    reused = budgets[0].reused
-                    assert (reused > 0) == ((v, gamma) in memo)
-                    assert reused in (0, budgets[0].spent - already_spent)
-                    hits += reused > 0
-                    exhausted += reused > 0 and answer is CycleAnswer.EXHAUSTED
-    assert hits > 0 and exhausted > 0
+    assert recorded > 0
 
 
-def _recolorings(arena: Arena, v: int, gamma: int, change: str):
-    """Colorings that differ from the arena's in the reach of ``(v, gamma)``
-    or in its gamma-colored nodes, each by the named change."""
+def _recolorings(arena: Arena, cycle: tuple[int, ...], gamma: int, change: str):
+    """Colorings under which the recorded ``cycle`` through ``cycle[0]``
+    no longer has least color ``gamma``, each by the named change."""
     c = arena.colors
-    reach = threshold_reach(arena.predecessors, c, v, gamma)
-    for u in sorted(reach - {v}):
-        colors = list(c)
-        if change == "lower to gamma" and c[u] > gamma:
-            colors[u] = gamma
-            yield colors
-        elif change == "push gamma below" and c[u] == gamma > 0:
-            colors[u] = gamma - 1
-            yield colors
-        elif change == "trade a reach node" and c[u] > gamma > 0:
-            # One node leaves the reach and another joins it, both above
-            # gamma: the reach keeps its size and its gamma-colored nodes.
-            colors[u] = gamma - 1
-            for x in range(arena.node_count):
-                if c[x] < gamma:
-                    traded = colors[:x] + [gamma + 1] + colors[x + 1:]
-                    if len(threshold_reach(arena.predecessors, traded, v, gamma)) == len(reach):
-                        yield traded
+    if change == "a cycle node below gamma":
+        for u in cycle[1:]:
+            if c[u] > gamma > 0:
+                yield c[:u] + (gamma - 1,) + c[u + 1:]
+    elif change == "a gamma node below gamma":
+        for u in cycle:
+            if c[u] == gamma > 0:
+                yield c[:u] + (gamma - 1,) + c[u + 1:]
+    elif change == "the gamma nodes above gamma":
+        yield tuple(x + 1 if x == gamma and u in cycle else x for u, x in enumerate(c))
 
 
-@pytest.mark.parametrize("change", ["lower to gamma", "push gamma below", "trade a reach node"])
+@pytest.mark.parametrize(
+    "change", ["a cycle node below gamma", "a gamma node below gamma", "the gamma nodes above gamma"]
+)
 def test_a_changed_reach_or_gamma_node_searches_again(change):
-    # Between two queries, a node of the reach other than v drops to
-    # exactly gamma, a gamma-colored one drops below gamma, or one node
-    # leaves the reach as another joins it: the recorded search no longer
-    # applies, so the query searches again.
+    # Between two queries, a node of the recorded cycle other than v drops
+    # below gamma, one of its gamma-colored nodes does, or all of them rise
+    # above gamma: the cycle's least color is no longer gamma, so the query
+    # searches again as if nothing were recorded.
     changed = 0
-    for arena in _memo_arenas(77, 120):
+    for arena in _record_arenas(77, 120):
         for v in range(arena.node_count):
             for gamma in range(arena.colors[v] + 1):
-                memo: cycles.SearchMemo = {}
+                memo: cycles.CycleRecord = {}
                 simple_cycle_through_with_color(
                     arena, None, v, gamma, SearchBudget(None), memo=memo
                 )
                 if (v, gamma) not in memo:
                     continue
-                for colors in _recolorings(arena, v, gamma, change):
-                    _assert_searches_again(arena, colors, v, gamma, dict(memo))
+                for colors in _recolorings(arena, memo[v, gamma], gamma, change):
+                    _assert_searches_again(arena.with_colors(colors), v, gamma, dict(memo))
                     changed += 1
     assert changed > 0
 
 
-def _assert_searches_again(arena, colors, v, gamma, memo):
+def _assert_searches_again(arena, v, gamma, memo):
     budgets = [SearchBudget(None) for _ in range(2)]
-    answer = simple_cycle_through_with_color(arena, colors, v, gamma, budgets[0], memo=memo)
-    assert budgets[0].reused == 0
-    assert answer is _reference_search(arena.with_colors(colors), v, gamma, budgets[1])
+    answer = simple_cycle_through_with_color(arena, None, v, gamma, budgets[0], memo=memo)
+    assert answer is _reference_search(arena, v, gamma, budgets[1])
     assert budgets[0].spent == budgets[1].spent
+    if answer is CycleAnswer.YES:
+        assert cycle_color(arena, memo[v, gamma]) == gamma
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import random
 import sys
 import time
 from itertools import product
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -238,14 +239,14 @@ def _exact_outcome(arena: Arena, budget_limit: int | None) -> tuple:
     try:
         colors, report = rabin(arena, budget_limit=budget_limit)
     except ReductionAborted as exc:
-        return (exc.node, exc.gamma, exc.spent, exc.limit, str(exc)), exc.report
+        return (exc.node, exc.gamma, exc.spent, exc.limit, exc.exact_queries), exc.report
     return colors, report
 
 
 def test_reused_searches_change_no_outcome(monkeypatch):
-    # Referee for the run's record of completed searches: every run gives
-    # the same coloring, trace, counts and abort when each query searches
-    # afresh instead.
+    # Referee for the run's record of found cycles: every run gives the
+    # same coloring, trace, query count and abort when each query searches
+    # afresh instead, and never expands more nodes.
     rng = random.Random(1906)
     small = [random_arena(rng, max_nodes=9, max_color=9) for _ in range(300)]
     cases = [(arena, limit) for arena in small for limit in (0, 2, 50, None)]
@@ -254,30 +255,55 @@ def test_reused_searches_change_no_outcome(monkeypatch):
         for name, args in (("jurdzinski", (4, 6)), ("recursive_ladder", (30,)))
     ]
     results = [_exact_outcome(arena, limit) for arena, limit in cases]
-    assert sum(report.stats.reused_queries for _, report in results[:-2]) > 0
     monkeypatch.setattr(
         reduction,
         "simple_cycle_through_with_color",
         lambda *args, memo=None, **kwargs: cycles.simple_cycle_through_with_color(*args, **kwargs),
     )
+    fell = 0
     for (arena, limit), (outcome, report) in zip(cases, results):
         expected_outcome, expected = _exact_outcome(arena, limit)
         assert outcome == expected_outcome
         assert report.rank_trace == expected.rank_trace
         assert report.iterations == expected.iterations
         assert report.stats.exact_queries == expected.stats.exact_queries
-        assert report.stats.nodes_expanded == expected.stats.nodes_expanded
-        assert expected.stats.reused_queries == 0
+        assert report.stats.nodes_expanded <= expected.stats.nodes_expanded
+        fell += report.stats.nodes_expanded < expected.stats.nodes_expanded
+    assert fell > 0
 
 
 def test_exact_run_reports_its_reused_searches():
-    # jurdzinski 4 6's last passes repeat searches of the passes before:
-    # they are charged in nodes_expanded as before, and counted apart.
-    _, report = rabin(gen_family("jurdzinski", (4, 6)).arena)
-    stats = report.stats
-    assert stats.nodes_expanded == 1_280_204
-    assert stats.nodes_reused >= 700_000
-    assert 0 < stats.reused_queries < stats.exact_queries
+    # jurdzinski 4 6's last passes repeat queries of the passes before: the
+    # cycles the first searches found answer them, and each still counts as
+    # an exact query.  Searching each afresh expands 1 280 204 nodes.
+    colors, report = rabin(gen_family("jurdzinski", (4, 6)).arena)
+    assert colors == (1, 2) * 6 + (3, 4) * 6 + (5,) * 5 + (3, 5) * 3 + (3, 4) * 2 + (1, 2) * 5 + (1,)
+    assert report.iteration_count == 7
+    assert report.stats.exact_queries == 320
+    assert report.stats.nodes_expanded <= 400_000
+
+
+def _checked_query(arena, colors, v, gamma, budget=None, *, memo):
+    """The exact query, checking every cycle it records against the
+    coloring it was asked under."""
+    before = dict(memo)
+    answer = cycles.simple_cycle_through_with_color(arena, colors, v, gamma, budget, memo=memo)
+    for key, cycle in memo.items():
+        if before.get(key) != cycle:
+            assert key == (v, gamma) and answer is CycleAnswer.YES
+            assert cycle[0] == v and len(set(cycle)) == len(cycle)
+            assert cycle_color(arena.with_colors(colors), cycle) == gamma
+    return answer
+
+
+@given(arenas(max_nodes=8, max_color=6, max_degree=4, allow_self_loops=True))
+@settings(max_examples=80)
+def test_recorded_cycles_are_simple_cycles_of_their_query(arena):
+    # Every entry of an exact run's record is a simple cycle through its
+    # node along arena edges, whose least color was the query's gamma when
+    # it was recorded.
+    with patch.object(reduction, "simple_cycle_through_with_color", _checked_query):
+        rabin(arena, budget_limit=None)
 
 
 def test_alpha_reduction_output_is_pinned():
