@@ -3,12 +3,11 @@
 Core pieces: arena and game types with PGSolver-format I/O, the iterated
 cycle/pop color reduction in exact and abstract variants, static color
 compression, a Zielonka solver with independent solution verification,
-brute-force oracles for small instances, benchmark game generators, and a
-CSV benchmark harness.
+brute-force oracles for small instances and benchmark game generators.
+The CSV benchmark harness, :mod:`rabinindex.bench`, is not imported here.
 """
 
 from .arena import Arena, Coloring, NodeId, ParityGame, Solution, cycle_color, index
-from .bench import BENCH_COLUMNS, BenchRow, bench_run, rows_to_csv
 from .cycles import (
     CycleAnswer,
     NodeCapExceeded,
@@ -60,8 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arena",
-    "BENCH_COLUMNS",
-    "BenchRow",
     "Coloring",
     "CycleAnswer",
     "FAMILY_NAMES",
@@ -77,7 +74,6 @@ __all__ = [
     "Solution",
     "VerificationResult",
     "abstract_membership",
-    "bench_run",
     "brute_force_rabin_index",
     "brute_force_winners",
     "colorings_equivalent",
@@ -100,7 +96,6 @@ __all__ = [
     "parse_pgsolver",
     "parse_solution",
     "rabin",
-    "rows_to_csv",
     "simple_cycle_with_max_color",
     "static_compress",
     "strongly_connected_subsets",

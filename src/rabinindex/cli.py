@@ -3,7 +3,8 @@
 Subcommands cover generation (``gen``), color reduction (``index``),
 solving (``solve``), solution checking (``verify``), brute-force oracles
 for small games (``equiv``, ``oracle``), the polynomial membership test
-(``member``), and the CSV benchmark harness (``bench``).
+(``member``), and the CSV benchmark harness (``bench``).  ``index
+--budget`` caps the nodes all queries of an exact run expand together.
 
 Exit codes: 0 success; 2 usage error, including an output path that
 cannot be written, a negative ``--budget`` or ``--cap``, and a ``-k`` or
@@ -21,7 +22,6 @@ import warnings
 from pathlib import Path
 
 from .arena import ParityGame, index
-from .bench import bench_run, rows_to_csv
 from .cycles import NodeCapExceeded
 from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random, parse_game_spec
 from .oracles import brute_force_rabin_index, equivalence_witness
@@ -200,6 +200,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .bench import bench_run, rows_to_csv  # the harness loads csv and logging
     _check_at_least("--runs", args.runs, 1)
     text = _read_text(args.spec)
     try:

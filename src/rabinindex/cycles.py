@@ -61,9 +61,9 @@ class CycleAnswer(enum.Enum):
 
 @dataclass
 class SearchBudget:
-    """Mutable per-query allowance counted in expanded search nodes.
-
-    A query answered by a recorded cycle spends none of it.
+    """Mutable allowance counted in expanded search nodes.  All exact
+    queries of one :func:`~rabinindex.reduction.rabin` run share one; a
+    query answered by a recorded cycle spends none of it.
     """
 
     limit: int | None = DEFAULT_BUDGET
@@ -261,8 +261,8 @@ def _release_marks(marks: list[bool], unmarked: list[NodeId]) -> None:
     _spare_marks[len(marks)] = marks
 
 
-# Simple cycles found by YES searches, by query (v, gamma): each a node
-# tuple starting at v, whose least color was gamma when it was found.
+# Simple cycles found by YES searches that backtracked, by query (v, gamma):
+# each a node tuple starting at v, whose least color was gamma when found.
 CycleRecord = dict[tuple[NodeId, int], tuple[NodeId, ...]]
 
 
@@ -290,14 +290,19 @@ def simple_cycle_through_with_color(
     its component costs; a negative color at a node other than ``v``
     counts as below every threshold.
 
-    ``memo`` records the cycle each YES search finds, as one
-    :func:`~rabinindex.reduction.rabin` run keeps them.  The arena's edges
-    do not change, so a recorded cycle for ``(v, gamma)`` is still a simple
-    cycle through ``v``: when its least color under ``coloring`` is
-    ``gamma``, it answers YES without search and spends no budget.
+    ``budget`` may arrive partly spent.  ``memo`` records the cycle a YES
+    search found after backtracking, as one :func:`~rabinindex.reduction.rabin`
+    run keeps them.  The arena's edges do not change, so a recorded cycle
+    for ``(v, gamma)`` is still a simple cycle through ``v``: when its least
+    color under ``coloring`` is ``gamma``, it answers YES before the reach,
+    spending no budget.  Colors only fall within a run, so a search that
+    never backtracked is not worth recording: repeated while its cycle's
+    least color is ``gamma``, it walks the same path in no more pushes.
     """
     c = arena.colors if coloring is None else coloring
     _check_query(arena, c, v, gamma)
+    if memo and (cycle := memo.get((v, gamma))) and min(c[u] for u in cycle) == gamma:
+        return CycleAnswer.YES
     found = _outside_walk_reach(arena, c, v, gamma)
     if found is None:
         return CycleAnswer.NO
@@ -308,20 +313,17 @@ def simple_cycle_through_with_color(
         # through v inside its component is a simple cycle of color gamma.
         _release_marks(blocked, reach)
         return CycleAnswer.YES
-    cycle = None if memo is None else memo.get((v, gamma))
-    if cycle is not None and min(c[u] for u in cycle) == gamma:
-        answer = CycleAnswer.YES
-    else:
-        if budget is None:
-            budget = SearchBudget()
-        # The search counts its pushes locally and charges them on return;
-        # it gives up at the push where SearchBudget.spend would first refuse.
-        allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
-        answer, expanded, path = _search(arena.successors, c, blocked, v, gamma, allowance)
-        budget.spent += expanded
-        if memo is not None and answer is CycleAnswer.YES:
-            memo[v, gamma] = tuple(path)
+    if budget is None:
+        budget = SearchBudget()
+    # The search counts its pushes locally and charges them on return;
+    # it gives up at the push where SearchBudget.spend would first refuse.
+    allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
+    answer, expanded, path = _search(arena.successors, c, blocked, v, gamma, allowance)
+    budget.spent += expanded
     _release_marks(blocked, reach)
+    # Without backtracking the search pushed each node of its cycle but v once.
+    if memo is not None and answer is CycleAnswer.YES and expanded >= len(path):
+        memo[v, gamma] = tuple(path)
     return answer
 
 

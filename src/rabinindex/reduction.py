@@ -65,7 +65,7 @@ class OracleStats:
     # benchmark's report (perfbench/worker.py) still reads the counter.
     abstract_queries: int = 0
     max_color_checks: int = 0
-    nodes_expanded: int = 0
+    nodes_expanded: int = 0  # what the run's one search budget spent
 
 
 @dataclass
@@ -110,34 +110,26 @@ class ReductionReport:
 
 
 class ReductionAborted(RuntimeError):
-    """An exact simple-cycle query ran out of search budget, so the exact
-    reduction gave up.
+    """The exact reduction ran out of search budget, so it gave up.
 
-    ``spent`` and ``limit`` are the aborting query's budget; the run's
-    ``nodes_expanded`` and ``exact_queries`` so far include that query.
+    ``node`` and ``gamma`` name the query that ran out; ``spent`` and
+    ``limit`` are the run's budget, which that query exhausted, and
+    ``exact_queries`` counts the run's queries so far, that one included.
     :func:`rabin` attaches its partial ``report`` for inspection.
     """
 
     def __init__(
-        self,
-        node: NodeId,
-        gamma: int,
-        spent: int,
-        limit: int | None,
-        nodes_expanded: int,
-        exact_queries: int,
+        self, node: NodeId, gamma: int, spent: int, limit: int | None, exact_queries: int
     ):
         self.node = node
         self.gamma = gamma
         self.spent = spent
         self.limit = limit
-        self.nodes_expanded = nodes_expanded
         self.exact_queries = exact_queries
         self.report: ReductionReport | None = None
         super().__init__(
             f"exact reduction aborted: budget exhausted at node {node}, color {gamma} "
-            f"after {spent} expanded nodes (limit {limit}); {nodes_expanded} expanded "
-            f"over {exact_queries} exact queries"
+            f"after {spent} expanded nodes (limit {limit}) over {exact_queries} exact queries"
         )
 
 
@@ -145,9 +137,11 @@ class _PassState:
     """Shared bookkeeping for one exact reduction run, and its anchor oracle.
 
     Tracks how many nodes carry each color, and the sorted list of colors
-    in use, so an anchor scans only the colors present.  Keeps the simple
-    cycles the run's YES searches found, which answer a repeated query
-    without search while their least color is still its gamma (see
+    in use, so an anchor scans only the colors present.  Every query of
+    the run spends from one :class:`~rabinindex.cycles.SearchBudget`, so
+    ``budget_limit`` caps the whole run.  Keeps the simple cycles the run's
+    backtracking YES searches found, which answer a repeated query without
+    search while their least color is still its gamma (see
     :func:`~rabinindex.cycles.simple_cycle_through_with_color`).
     """
 
@@ -158,7 +152,7 @@ class _PassState:
             raise ValueError(f"budget limit {budget_limit} is negative")
         self.arena = arena
         self.colors = colors
-        self.budget_limit = budget_limit
+        self.budget = SearchBudget(budget_limit)
         self.stats = stats
         self.color_count: Counter[int] = Counter(colors)
         self._present = sorted(self.color_count)
@@ -177,17 +171,15 @@ class _PassState:
         self.colors[v] = new
 
     def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
-        budget = SearchBudget(self.budget_limit)
+        budget = self.budget
         answer = simple_cycle_through_with_color(
             self.arena, self.colors, v, gamma, budget, memo=self._cycles
         )
         stats = self.stats
         stats.exact_queries += 1
-        stats.nodes_expanded += budget.spent
+        stats.nodes_expanded = budget.spent
         if answer is CycleAnswer.EXHAUSTED:
-            raise ReductionAborted(
-                v, gamma, budget.spent, budget.limit, stats.nodes_expanded, stats.exact_queries
-            )
+            raise ReductionAborted(v, gamma, budget.spent, budget.limit, stats.exact_queries)
         return answer is CycleAnswer.YES
 
     def anchor(self, v: NodeId) -> int:
@@ -420,12 +412,14 @@ def rabin(
     minimizes over closed walks in polynomial time, and returns their
     canonical form with no iterations (see :func:`_alpha_form`).
 
-    Raises :class:`ReductionAborted` when an exact query exhausts its
-    budget; the exception carries the partial report.  ``budget_limit`` caps
-    each exact query's expanded nodes (``None``: unlimited).  Within one
-    run, a query whose earlier search found a simple cycle is answered YES
-    by that cycle, without search, while its least color is still the
-    query's.  A negative ``budget_limit`` raises :class:`ValueError` in
+    ``budget_limit`` caps the nodes expanded by all exact queries of the
+    run together (``None``: unlimited), and the report's
+    ``stats.nodes_expanded`` is what they spent.  Raises
+    :class:`ReductionAborted` when a query finds the budget exhausted; the
+    exception carries the partial report.  Within one run, a query whose
+    earlier search backtracked to find a simple cycle is answered YES by
+    that cycle, without search or budget, while its least color is still
+    the query's.  A negative ``budget_limit`` raises :class:`ValueError` in
     exact mode; a limit of 0 answers only the queries that need no search.
     """
     mode = OracleMode(mode)

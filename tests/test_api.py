@@ -54,19 +54,31 @@ def test_all_names_resolve_and_removed_names_are_gone():
     stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
     assert not stats & {"reach_steps", "scc_builds", "reused_queries", "nodes_reused"}
     assert "reused" not in {f.name for f in fields(rabinindex.cycles.SearchBudget)}
+    # One budget counts the whole exact run, so an abort has one count.
+    assert "nodes_expanded" not in inspect.signature(rabinindex.ReductionAborted).parameters
+
+
+def _loaded_by_import(modules: tuple[str, ...]) -> list[str]:
+    """Which of ``modules`` a fresh interpreter holds after ``import rabinindex``."""
+    src = str(Path(rabinindex.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = f"import sys, rabinindex; print(*[m for m in {modules!r} if m in sys.modules])"
+    result = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
 
 
 def test_import_loads_no_numeric_tower():
     # The bench means need no statistics module, and with it go decimal,
-    # fractions and numbers; checked in a fresh interpreter.
-    src = str(Path(rabinindex.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    heavy = ("statistics", "decimal", "fractions", "numbers")
-    run = f"import sys, rabinindex; print(*[m for m in {heavy!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == []
+    # fractions and numbers.
+    assert _loaded_by_import(("statistics", "decimal", "fractions", "numbers")) == []
+
+
+def test_import_loads_no_bench_harness():
+    # The CSV harness stays in rabinindex.bench, which the package does not
+    # import, so csv and logging load only with it.
+    assert _loaded_by_import(("rabinindex.bench", "csv", "logging")) == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

@@ -368,32 +368,33 @@ def test_closed_walk_query_matches_enumeration(arena):
 
 def _reference_search(arena, v, gamma, budget):
     """Backtracking over simple paths from ``v`` inside its component of
-    the color->=gamma subgraph, charging ``budget.spend()`` per push."""
+    the color->=gamma subgraph, charging ``budget.spend()`` per push.
+    Returns the answer, and the cycle where a search found one."""
     c = arena.colors
     reach = threshold_reach(arena.predecessors, c, v, gamma)
     component = reach & threshold_reach(arena.successors, c, v, gamma)
     on_cycle = any(u in component for u in arena.successors[v])
     if not on_cycle or all(c[u] != gamma for u in component):
-        return CycleAnswer.NO
+        return CycleAnswer.NO, None
     if c[v] == gamma:
-        return CycleAnswer.YES
+        return CycleAnswer.YES, None
     path = [v]
     branches = [iter(sorted(arena.successors[v]))]
     while branches:
         for w in branches[-1]:
             if w == v and any(c[u] == gamma for u in path):
-                return CycleAnswer.YES
+                return CycleAnswer.YES, tuple(path)
             if w not in reach or w in path:
                 continue
             if not budget.spend():
-                return CycleAnswer.EXHAUSTED
+                return CycleAnswer.EXHAUSTED, None
             path.append(w)
             branches.append(iter(sorted(arena.successors[w])))
             break
         else:
             path.pop()
             branches.pop()
-    return CycleAnswer.NO
+    return CycleAnswer.NO, None
 
 
 @given(
@@ -410,7 +411,7 @@ def test_search_matches_reference_budget(arena, limit, already_spent):
         for gamma in range(arena.colors[v] + 1):
             budgets = [SearchBudget(limit, already_spent) for _ in range(2)]
             answer = simple_cycle_through_with_color(arena, None, v, gamma, budgets[0])
-            reference = _reference_search(arena, v, gamma, budgets[1])
+            reference, _ = _reference_search(arena, v, gamma, budgets[1])
             assert answer is reference
             assert budgets[0].spent == budgets[1].spent
 
@@ -421,32 +422,40 @@ def _record_arenas(seed: int, count: int) -> list[Arena]:
     return [random_arena(rng, **shape) for _ in range(count)]
 
 
+def _backtracked(arena, v, gamma) -> bool:
+    """Does the query's search find a cycle only after backtracking?"""
+    budget = SearchBudget(None)
+    _, cycle = _reference_search(arena, v, gamma, budget)
+    return cycle is not None and budget.spent >= len(cycle)
+
+
 def test_a_repeated_query_takes_the_recorded_search():
-    # A YES search records the cycle it found.  The same query then answers
-    # YES from that cycle without spending budget, even with none left, and
-    # hands its marks back.  A NO, and a YES that needed no search, record
-    # nothing.
+    # A YES search that backtracked records the cycle it found.  The same
+    # query then answers YES from that cycle without spending budget, even
+    # with none left, and without borrowing the marks.  A NO, a YES that
+    # needed no search, and a search that never backtracked record nothing.
     recorded = 0
     for arena in _record_arenas(4242, 120):
         for v in range(arena.node_count):
             for gamma in range(arena.colors[v] + 1):
                 memo: cycles.CycleRecord = {}
-                answer = simple_cycle_through_with_color(
+                simple_cycle_through_with_color(
                     arena, None, v, gamma, SearchBudget(None), memo=memo
                 )
-                searched = answer is CycleAnswer.YES and arena.colors[v] != gamma
+                searched = _backtracked(arena, v, gamma)
                 assert list(memo) == ([(v, gamma)] if searched else [])
                 if not searched:
                     continue
                 recorded += 1
                 for limit, already_spent in ((None, 0), (0, 0), (2, 3)):
                     budget = SearchBudget(limit, already_spent)
+                    cycles._spare_marks.clear()
                     answer = simple_cycle_through_with_color(
                         arena, None, v, gamma, budget, memo=memo
                     )
                     assert answer is CycleAnswer.YES
                     assert budget.spent == already_spent
-                    assert all(cycles._spare_marks[arena.node_count])
+                    assert not cycles._spare_marks
     assert recorded > 0
 
 
@@ -473,8 +482,9 @@ def test_a_changed_reach_or_gamma_node_searches_again(change):
     # Between two queries, a node of the recorded cycle other than v drops
     # below gamma, one of its gamma-colored nodes does, or all of them rise
     # above gamma: the cycle's least color is no longer gamma, so the query
-    # searches again as if nothing were recorded.
-    changed = 0
+    # searches again as if nothing were recorded.  Some of those searches
+    # backtrack to a new cycle, which replaces the record.
+    changed = rerecorded = 0
     for arena in _record_arenas(77, 120):
         for v in range(arena.node_count):
             for gamma in range(arena.colors[v] + 1):
@@ -485,18 +495,27 @@ def test_a_changed_reach_or_gamma_node_searches_again(change):
                 if (v, gamma) not in memo:
                     continue
                 for colors in _recolorings(arena, memo[v, gamma], gamma, change):
-                    _assert_searches_again(arena.with_colors(colors), v, gamma, dict(memo))
+                    recolored = arena.with_colors(colors)
+                    rerecorded += _assert_searches_again(recolored, v, gamma, dict(memo))
                     changed += 1
-    assert changed > 0
+    assert changed > rerecorded > 0
 
 
-def _assert_searches_again(arena, v, gamma, memo):
+def _assert_searches_again(arena, v, gamma, memo) -> bool:
+    """Check the query against a fresh search; True where its search
+    backtracked to a cycle, which then replaces the record."""
+    before = dict(memo)
     budgets = [SearchBudget(None) for _ in range(2)]
     answer = simple_cycle_through_with_color(arena, None, v, gamma, budgets[0], memo=memo)
-    assert answer is _reference_search(arena, v, gamma, budgets[1])
+    expected, cycle = _reference_search(arena, v, gamma, budgets[1])
+    assert answer is expected
     assert budgets[0].spent == budgets[1].spent
-    if answer is CycleAnswer.YES:
-        assert cycle_color(arena, memo[v, gamma]) == gamma
+    if cycle is None or budgets[1].spent < len(cycle):
+        assert memo == before
+        return False
+    assert memo == {**before, (v, gamma): cycle}
+    assert cycle_color(arena, cycle) == gamma
+    return True
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from rabinindex.cycles import (
     simple_cycle_through_with_color,
     tarjan_scc,
 )
-from rabinindex.generators import RandomConfig, gen_family, gen_random
+from rabinindex.generators import RandomConfig, gen_family, gen_ladder, gen_random
 from rabinindex.oracles import (
     brute_force_rabin_index,
     colorings_equivalent,
@@ -124,15 +124,17 @@ def test_rabin_budget_abort(fig1_arena):
     assert 0 <= aborted.node < 5
     assert aborted.gamma >= 0
     assert aborted.report.mode == EXACT
-    # The message names the query, its budget, and the run's work so far.
+    # The message names the query, the run's budget, and its queries so
+    # far; the budget is the run's, so it holds all the run expanded.
     stats = aborted.report.stats
     assert (aborted.spent, aborted.limit) == (3, 2)
-    assert aborted.nodes_expanded == stats.nodes_expanded >= aborted.spent
+    assert aborted.spent == stats.nodes_expanded
     assert aborted.exact_queries == stats.exact_queries >= 1
+    assert not hasattr(aborted, "nodes_expanded")
     assert str(aborted) == (
         f"exact reduction aborted: budget exhausted at node {aborted.node}, "
-        f"color {aborted.gamma} after 3 expanded nodes (limit 2); "
-        f"{stats.nodes_expanded} expanded over {stats.exact_queries} exact queries"
+        f"color {aborted.gamma} after 3 expanded nodes (limit 2) "
+        f"over {stats.exact_queries} exact queries"
     )
 
 
@@ -236,17 +238,20 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
 
 
 def _exact_outcome(arena: Arena, budget_limit: int | None) -> tuple:
+    """An exact run's coloring, or None where it aborts, and its report."""
     try:
-        colors, report = rabin(arena, budget_limit=budget_limit)
+        return rabin(arena, budget_limit=budget_limit)
     except ReductionAborted as exc:
-        return (exc.node, exc.gamma, exc.spent, exc.limit, exc.exact_queries), exc.report
-    return colors, report
+        return None, exc.report
 
 
 def test_reused_searches_change_no_outcome(monkeypatch):
-    # Referee for the run's record of found cycles: every run gives the
-    # same coloring, trace, query count and abort when each query searches
-    # afresh instead, and never expands more nodes.
+    # Referee for the run's record of found cycles, against runs in which
+    # each query searches afresh.  A record hit saves the run's budget for
+    # later queries, so the two agree on coloring, trace and query count
+    # wherever both finish, and never expand more nodes with the record.
+    # Without a budget every run finishes, so there the outcomes are
+    # identical.
     rng = random.Random(1906)
     small = [random_arena(rng, max_nodes=9, max_color=9) for _ in range(300)]
     cases = [(arena, limit) for arena in small for limit in (0, 2, 50, None)]
@@ -260,16 +265,54 @@ def test_reused_searches_change_no_outcome(monkeypatch):
         "simple_cycle_through_with_color",
         lambda *args, memo=None, **kwargs: cycles.simple_cycle_through_with_color(*args, **kwargs),
     )
-    fell = 0
-    for (arena, limit), (outcome, report) in zip(cases, results):
-        expected_outcome, expected = _exact_outcome(arena, limit)
-        assert outcome == expected_outcome
+    fell = finished = 0
+    for (arena, limit), (colors, report) in zip(cases, results):
+        expected_colors, expected = _exact_outcome(arena, limit)
+        if colors is None:
+            # Hits only save budget, so with the record a run aborts no
+            # earlier, and only where it aborts without it.
+            assert expected_colors is None and limit is not None
+            assert report.stats.exact_queries >= expected.stats.exact_queries
+            continue
+        if expected_colors is None:
+            continue
+        finished += 1
+        assert colors == expected_colors
         assert report.rank_trace == expected.rank_trace
         assert report.iterations == expected.iterations
         assert report.stats.exact_queries == expected.stats.exact_queries
         assert report.stats.nodes_expanded <= expected.stats.nodes_expanded
         fell += report.stats.nodes_expanded < expected.stats.nodes_expanded
-    assert fell > 0
+    assert finished > len(small) and fell > 0
+
+
+def test_one_budget_caps_the_whole_run():
+    # Each of ladder 300's exact queries needs 599 pushes.  A budget of 1000
+    # covers any one of them, but not two: the run's budget runs out in its
+    # second query, one push past the limit.
+    arena = gen_ladder(300).arena
+    with pytest.raises(ReductionAborted) as excinfo:
+        rabin(arena, budget_limit=1000)
+    aborted = excinfo.value
+    assert (aborted.spent, aborted.limit, aborted.exact_queries) == (1001, 1000, 2)
+    assert aborted.report.stats.nodes_expanded == 1001
+    _, report = rabin(arena, budget_limit=300 * 599)
+    assert (report.stats.exact_queries, report.stats.nodes_expanded) == (300, 300 * 599)
+
+
+def test_searches_that_never_backtrack_record_nothing():
+    # ladder 300's searches each walk straight round their cycle, so the
+    # run records none of the 300 cycles of 600 nodes.
+    records = []
+
+    def query(*args, memo, **kwargs):
+        records.append(memo)
+        return cycles.simple_cycle_through_with_color(*args, memo=memo, **kwargs)
+
+    with patch.object(reduction, "simple_cycle_through_with_color", query):
+        _, report = rabin(gen_ladder(300).arena)
+    assert report.stats.exact_queries == len(records) == 300
+    assert records[0] is records[-1] == {}
 
 
 def test_exact_run_reports_its_reused_searches():
