@@ -118,10 +118,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
         budget = {} if args.budget is None else {"budget_limit": args.budget}
         try:
             reduced, report = rabin(arena, mode=mode, **budget)
-        except ReductionAborted:
+        except ReductionAborted as exc:
             if args.fallback != "alpha":
                 raise
-            print("warning: budget exhausted, falling back to alpha", file=sys.stderr)
+            print(f"warning: budget: {exc}; falling back to alpha", file=sys.stderr)
             reduced, report = rabin(arena, mode=OracleMode.ABSTRACT)
         line = f"index: {before} -> {index(reduced)}"
         if report.mode is OracleMode.EXACT:  # alpha's form takes no iterations

@@ -336,38 +336,74 @@ def _search(
     allowance: int,
 ) -> tuple[CycleAnswer, int, list[NodeId]]:
     """Depth-first enumeration of simple paths from ``v`` among the
-    unblocked nodes, counting how many gamma-colored nodes are on the
-    current path.  ``v`` stays on the path, so reaching it again is the
+    unblocked nodes.  ``v`` stays on the path, so reaching it again is the
     only way to close a cycle.  Returns the answer, the nodes pushed and
     the path, which on YES is the cycle found; gives up at push
-    ``allowance + 1``."""
+    ``allowance + 1``.
+
+    The search alternates between two phases, so that a push or a
+    successor tried costs O(1) and never scans the path:
+
+    * phase A, while no gamma-colored node is on the path: each push tests
+      the new node's color, and an edge back to ``v`` is skipped like any
+      other blocked node;
+    * phase B, from the push of the first gamma-colored node until that
+      node is popped: a push tests no color, and an edge back to ``v``
+      closes a cycle of color gamma at once.
+
+    The successor iterator of the last path node is a local; those of the
+    earlier path nodes wait on a stack.
+    """
     expanded = 0
     blocked[v] = True
-    gamma_on_path = 0
     path = [v]
-    branches = [iter(successors[v])]
-    while branches:
-        for w in branches[-1]:
-            if blocked[w]:
-                if w == v and gamma_on_path:
-                    return CycleAnswer.YES, expanded, path
+    branches: list[Iterator[NodeId]] = []
+    push, pop = path.append, path.pop
+    save, restore = branches.append, branches.pop
+    branch = iter(successors[v])
+    while True:
+        # Phase A: find the next unblocked successor, or pop.
+        for w in branch:
+            if not blocked[w]:
+                break
+        else:
+            blocked[pop()] = False
+            if not branches:
+                return CycleAnswer.NO, expanded, path
+            branch = restore()
+            continue
+        expanded += 1
+        if expanded > allowance:
+            return CycleAnswer.EXHAUSTED, expanded, path
+        blocked[w] = True
+        push(w)
+        save(branch)
+        branch = iter(successors[w])
+        if c[w] != gamma:
+            continue
+        # Phase B, until ``first`` leaves the path.
+        first = w
+        while True:
+            for w in branch:
+                if blocked[w]:
+                    if w == v:
+                        return CycleAnswer.YES, expanded, path
+                    continue
+                break
+            else:
+                node = pop()
+                blocked[node] = False
+                branch = restore()
+                if node == first:
+                    break
                 continue
             expanded += 1
             if expanded > allowance:
                 return CycleAnswer.EXHAUSTED, expanded, path
             blocked[w] = True
-            if c[w] == gamma:
-                gamma_on_path += 1
-            path.append(w)
-            branches.append(iter(successors[w]))
-            break
-        else:
-            node = path.pop()
-            blocked[node] = False
-            if c[node] == gamma:
-                gamma_on_path -= 1
-            branches.pop()
-    return CycleAnswer.NO, expanded, path
+            push(w)
+            save(branch)
+            branch = iter(successors[w])
 
 
 def simple_cycle_with_max_color(arena: Arena, coloring: Sequence[int] | None = None) -> bool:

@@ -123,7 +123,12 @@ def test_index_budget_fallback(fig1_path, capsys):
     assert main(["index", str(fig1_path), "--budget", "2", "--fallback", "alpha"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "index: 3 -> 3\n"
-    assert "falling back to alpha" in captured.err
+    # The warning keeps what the abort said: the query, the budget spent and
+    # its limit, and the queries so far.
+    assert captured.err == (
+        "warning: budget: exact reduction aborted: budget exhausted at node 2, color 1 "
+        "after 3 expanded nodes (limit 2) over 1 exact queries; falling back to alpha\n"
+    )
 
 
 def test_solve_and_verify_roundtrip(fig1_path, tmp_path, capsys):

@@ -422,6 +422,60 @@ def _record_arenas(seed: int, count: int) -> list[Arena]:
     return [random_arena(rng, **shape) for _ in range(count)]
 
 
+# Arenas whose search for (0, 1) crosses between the search's phases, before
+# and after a node colored 1 joins the path: successors, colors, the cycle
+# found and the pushes it takes.
+_PHASE_ARENAS = [
+    # 2, colored 1, is pushed and popped after 1 is.
+    (((1,), (2, 3), (1,), (0,)), (2, 1, 1, 2), (0, 1, 3), 3),
+    # The edge 2 -> 0 comes before any node colored 1 and is skipped; 1 is
+    # pushed and popped again.
+    (((2,), (2,), (0, 1, 3), (0,)), (2, 1, 2, 1), (0, 2, 3), 3),
+    # A self-loop at v.
+    (((0, 1), (0,)), (2, 1), (0, 1), 1),
+    # 1's self-loop is skipped like any node on the path.
+    (((1,), (1, 2), (0,)), (2, 1, 2), (0, 1, 2), 2),
+]
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, None])
+def test_search_finds_the_reference_cycle(monkeypatch, limit):
+    # On every query the search answers as the reference does and charges
+    # the same budget; on every YES it searched for, it returns the cycle
+    # the reference finds, node for node.
+    found = []
+    search = cycles._search
+
+    def recording(*args):
+        answer, expanded, path = search(*args)
+        found.append((answer, tuple(path)))
+        return answer, expanded, path
+
+    monkeypatch.setattr(cycles, "_search", recording)
+    hand = [Arena(succ, colors) for succ, colors, _, _ in _PHASE_ARENAS]
+    compared = 0
+    for arena in hand + _record_arenas(2024, 120):
+        for v in range(arena.node_count):
+            for gamma in range(arena.colors[v] + 1):
+                found.clear()
+                budgets = [SearchBudget(limit) for _ in range(2)]
+                answer = simple_cycle_through_with_color(arena, None, v, gamma, budgets[0])
+                reference, cycle = _reference_search(arena, v, gamma, budgets[1])
+                assert answer is reference
+                assert budgets[0].spent == budgets[1].spent
+                if cycle is not None:
+                    assert found == [(CycleAnswer.YES, cycle)]
+                    compared += 1
+    # A cycle the search finds takes at least one push.
+    assert (compared > 0) == (limit != 0)
+    # Each hand-built arena's search for (0, 1) takes the path its comment
+    # names.
+    for arena, (_, _, cycle, pushes) in zip(hand, _PHASE_ARENAS):
+        budget = SearchBudget(None)
+        assert _reference_search(arena, 0, 1, budget) == (CycleAnswer.YES, cycle)
+        assert budget.spent == pushes
+
+
 def _backtracked(arena, v, gamma) -> bool:
     """Does the query's search find a cycle only after backtracking?"""
     budget = SearchBudget(None)

@@ -323,7 +323,18 @@ def test_exact_run_reports_its_reused_searches():
     assert colors == (1, 2) * 6 + (3, 4) * 6 + (5,) * 5 + (3, 5) * 3 + (3, 4) * 2 + (1, 2) * 5 + (1,)
     assert report.iteration_count == 7
     assert report.stats.exact_queries == 320
-    assert report.stats.nodes_expanded <= 400_000
+    assert report.stats.nodes_expanded == 325_226
+
+
+def test_jurdzinski_5_10_aborts_at_its_pinned_query():
+    # The exact run's pushes are pinned: at a budget of 10^6 it runs out at
+    # node 101, gamma 4, in its 187th query, one push past the limit.
+    with pytest.raises(ReductionAborted) as excinfo:
+        rabin(gen_family("jurdzinski", (5, 10)).arena, budget_limit=10**6)
+    aborted = excinfo.value
+    assert (aborted.node, aborted.gamma, aborted.exact_queries) == (101, 4, 187)
+    assert (aborted.spent, aborted.limit) == (1_000_001, 10**6)
+    assert aborted.report.stats.nodes_expanded == 1_000_001
 
 
 def _checked_query(arena, colors, v, gamma, budget=None, *, memo):
