@@ -6,7 +6,8 @@ cycle drive the reductions in :mod:`rabinindex.reduction`:
 * exact queries about *simple* cycles through a given node, which are
   NP-hard in general and answered by a budgeted backtracking search, and
 * arbitrary cycles (closed walks), whose node sets are exactly the
-  strongly connected ones, so decompositions answer for all at once.
+  strongly connected ones: :func:`tarjan_scc` lists the cyclic components,
+  those that hold a closed walk, and answers for all of them at once.
 
 :func:`simple_cycle_through_with_color` and :func:`cycle_through_with_color`
 begin with the same polynomial step: a backward reach from the node over
@@ -34,7 +35,6 @@ __all__ = [
     "SearchBudget",
     "DEFAULT_BUDGET",
     "NodeCapExceeded",
-    "SccDecomposition",
     "tarjan_scc",
     "closed_walk_minima",
     "simple_cycle_through_with_color",
@@ -79,91 +79,72 @@ class NodeCapExceeded(ValueError):
     """Enumeration was refused because the arena is too large."""
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
-    """Strongly connected components of an (induced sub)graph.
-
-    ``component_of[v]`` is -1 for nodes outside the induced subgraph.
-    Components are numbered in reverse topological order of discovery and
-    ``nontrivial[c]`` says whether component ``c`` contains a cycle, i.e.
-    has at least two nodes or a self-loop.
-    """
-
-    component_of: tuple[int, ...]
-    members: tuple[tuple[NodeId, ...], ...]
-    nontrivial: tuple[bool, ...]
-
-
 def tarjan_scc(
     successors: Sequence[Sequence[NodeId]],
     allowed: Sequence[bool] | None = None,
-) -> SccDecomposition:
-    """Iterative Tarjan decomposition of the subgraph induced by ``allowed``."""
+) -> list[list[NodeId]]:
+    """The cyclic strongly connected components of the subgraph induced by
+    ``allowed``: those of two or more nodes, or of one node with a
+    self-loop, each a node list, in the order the search completes them.
+
+    A component completes after every component it reaches, so the list
+    runs from the sinks up.  Iterative Tarjan (SIAM J. Comput. 1(2), 1972)
+    with one number per node, as in Pearce's variant (IPL 116(1), 2016):
+    its position on the component stack while it is there, which orders
+    the nodes on the stack as their discovery does.  The node being
+    expanded, its low value and its successor iterator are locals; those
+    of its ancestors on the search path wait on a stack.
+    """
     n = len(successors)
-    UNVISITED = -1
     # A node outside the mask or already in a component has index n, above
-    # every lowlink, so the search needs no other test to skip it.
-    index_of = [UNVISITED] * n if allowed is None else [UNVISITED if a else n for a in allowed]
-    lowlink = [0] * n
-    component_of = [-1] * n
-    stack: list[int] = []
-    members: list[tuple[int, ...]] = []
-    nontrivial: list[bool] = []
-    counter = 0
-    component = 0  # the id of the next component found
-    # The depth-first path, and one successor iterator per node on it.
-    path: list[int] = []
-    branches: list[Iterator[NodeId]] = []
-
-    for root in range(n):
-        if index_of[root] != UNVISITED:
+    # every position, so the search needs no other test to skip it.
+    index_of = [-1] * n if allowed is None else [-1 if a else n for a in allowed]
+    stack = [0] * n  # the component stack is stack[:top]
+    top = 0
+    cyclic: list[list[NodeId]] = []
+    path: list[tuple[NodeId, int, Iterator[NodeId]]] = []
+    save, restore = path.append, path.pop
+    for v in range(n):
+        if index_of[v] != -1:
             continue
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        path.append(root)
-        branches.append(iter(successors[root]))
-        while branches:
-            v = path[-1]
-            for w in branches[-1]:
+        low = index_of[v] = top
+        stack[top] = v
+        top += 1
+        branch = iter(successors[v])
+        while True:
+            for w in branch:
                 i = index_of[w]
-                if i == UNVISITED:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    path.append(w)
-                    branches.append(iter(successors[w]))
+                if i < 0:
                     break
-                if i < lowlink[v]:
-                    lowlink[v] = i
+                if i < low:
+                    low = i
             else:
-                branches.pop()
-                path.pop()
-                low = lowlink[v]
-                if low != index_of[v]:  # not a root: it has a parent
-                    if low < lowlink[path[-1]]:
-                        lowlink[path[-1]] = low
-                    continue
-                # v is a root: its component is v and the stack above it.
-                w = stack.pop()
-                index_of[w] = n
-                component_of[w] = component
-                if w == v:
-                    members.append((v,))
-                    nontrivial.append(v in successors[v])
-                else:
-                    comp = [w]
-                    while w != v:
-                        w = stack.pop()
-                        index_of[w] = n
-                        component_of[w] = component
-                        comp.append(w)
-                    comp.sort()
-                    members.append(tuple(comp))
-                    nontrivial.append(True)
-                component += 1
-
-    return SccDecomposition(tuple(component_of), tuple(members), tuple(nontrivial))
+                if low == index_of[v]:
+                    # v is a root: its component is v and the stack above it.
+                    if top - low == 1:
+                        index_of[v] = n
+                        if v in successors[v]:
+                            cyclic.append([v])
+                    else:
+                        comp = stack[low:top]
+                        for w in comp:
+                            index_of[w] = n
+                        cyclic.append(comp)
+                    top = low
+                if not path:
+                    break
+                child_low = low
+                v, low, branch = restore()
+                if child_low < low:
+                    low = child_low
+                continue
+            save((v, low, branch))
+            v = w
+            low = index_of[v] = top
+            stack[top] = v
+            top += 1
+            branch = iter(successors[v])
+    return cyclic
 
 
 def closed_walk_minima(
@@ -172,24 +153,22 @@ def closed_walk_minima(
     """Mark every node ``u`` on a closed walk whose minimal color is
     ``colors[u]``.
 
-    Peels the nested nontrivial components one level per
-    :func:`tarjan_scc` run over the live nodes: each level marks every
-    component's least-colored nodes and leaves the rest live.  A closed
-    walk through any other node avoids the least color of its component,
-    so it stays inside what is left of that component, and distinct
-    components never merge.
+    Peels the nested cyclic components one level per :func:`tarjan_scc`
+    run, the first over the whole graph and each later one masked to the
+    live nodes: each level marks every component's least-colored nodes and
+    leaves the rest live.  A closed walk through any other node avoids the
+    least color of its component, so it stays inside what is left of that
+    component, and distinct components never merge.
     """
     n = len(successors)
     marked = [False] * n
     live: list[bool] | None = None
     while True:
-        scc = tarjan_scc(successors, live)
+        components = tarjan_scc(successors, live)
         live = [False] * n
         left = False
-        for comp, nontrivial in zip(scc.members, scc.nontrivial):
-            if not nontrivial:
-                continue
-            low = min(colors[u] for u in comp)
+        for comp in components:
+            low = min(map(colors.__getitem__, comp))
             for u in comp:
                 if colors[u] == low:
                     marked[u] = True
@@ -414,7 +393,7 @@ def simple_cycle_with_max_color(arena: Arena, coloring: Sequence[int] | None = N
     """
     c = arena.checked_colors(coloring)
     m = max(c)
-    return any(tarjan_scc(arena.successors, [color == m for color in c]).nontrivial)
+    return bool(tarjan_scc(arena.successors, [color == m for color in c]))
 
 
 def cycle_through_with_color(

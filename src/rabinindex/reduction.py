@@ -321,8 +321,7 @@ def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
     """
     n = arena.node_count
     predecessors = arena.predecessors
-    top = tarjan_scc(predecessors)
-    component_of = top.component_of
+    component_of = [-1] * n  # numbers the components of several runs
     form = [0] * n
     key = [0] * n  # minus a node's rank
     # Each edge inside a component of several runs as (-rank, end, end), its
@@ -330,9 +329,7 @@ def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
     # at least t come first.
     edges: list[tuple[int, NodeId, NodeId]] = []
     runs = 0
-    for c, (comp, nontrivial) in enumerate(zip(top.members, top.nontrivial)):
-        if not nontrivial:
-            continue
+    for c, comp in enumerate(tarjan_scc(predecessors)):
         present = sorted({colors[u] for u in comp})
         rank_of = _parity_runs(present, 0)
         if rank_of[present[-1]] == 0:
@@ -341,6 +338,7 @@ def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
             continue
         runs = max(runs, rank_of[present[-1]] + 1)
         for u in comp:
+            component_of[u] = c
             key[u] = -rank_of[colors[u]]
         edges += [
             (kv if kv > (ku := key[u]) else ku, v, u)
@@ -380,8 +378,11 @@ def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
         successors: list[list[int]] = [[] for _ in local]
         for a, b in zip(tails, heads):
             successors[a].append(b)
-        comp_of = tarjan_scc(successors).component_of
-        inside = [comp_of[a] == comp_of[b] for a, b in zip(tails, heads)]
+        comp_of = [-1] * len(local)
+        for c, comp in enumerate(tarjan_scc(successors)):
+            for x in comp:
+                comp_of[x] = c
+        inside = [comp_of[a] == comp_of[b] >= 0 for a, b in zip(tails, heads)]
         down = [e for e, i in zip(ranked, inside) if not i] + edges[cut:]
         up = [e for e, i in zip(ranked, inside) if i]
         # The upper half goes on last and so runs first: every threshold

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, mul
 from typing import Sequence
 
 from .arena import NodeId, ParityGame, Solution
@@ -166,12 +168,16 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
     (strategy moves stay inside, opponent moves cannot leave); and neither
     region admits a cycle of the wrong parity under its winner's strategy.
 
-    The closure check records the strategy-restricted graph as it goes: the
+    Each strategy is checked entry by entry.  Every valid entry is one of
+    the nodes its player owns inside its region, so a node without a move
+    is looked for only when the entries are fewer than those nodes.  The
+    closure check records the strategy-restricted graph as it goes: the
     strategy move at a node its winner owns, every successor elsewhere, and
     no move in a region without a color of its winner's wrong parity.  No
     move leaves its region, so one :func:`closed_walk_minima` walk checks
-    both: no wrong-parity node may lie on a closed walk whose minimal color
-    is its own.  Player 0's region is reported before player 1's, with its
+    both, one :func:`~rabinindex.cycles.tarjan_scc` run per nesting level:
+    no wrong-parity node may lie on a closed walk whose minimal color is
+    its own.  Player 0's region is reported before player 1's, with its
     smallest such color d and the shortest cycle through its lowest
     d-colored culprit.
     """
@@ -183,10 +189,14 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
 
     if len(winner) != n:
         return _failure(f"winner labeling has {len(winner)} entries for {n} nodes")
-    if any(w not in (0, 1) for w in winner):
+    if winner.count(0) + winner.count(1) != n:
         return _failure("winner labeling contains values other than 0 and 1")
 
+    successors = arena.successors
     strategies = (solution.strategy0, solution.strategy1)
+    # Nodes each player owns inside its own region: those need a move.
+    owned1 = sum(map(mul, owners, winner))
+    owned = (sum(map(eq, owners, winner)) - owned1, owned1)
     for s in (0, 1):
         for v, w in strategies[s].items():
             if not (isinstance(v, int) and 0 <= v < n):
@@ -201,11 +211,12 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
                     f"strategy for player {s} defined at node {v} outside the claimed region",
                     (v,),
                 )
-            if not (isinstance(w, int) and 0 <= w < n) or not arena.has_edge(v, w):
+            if not (isinstance(w, int) and 0 <= w < n) or w not in successors[v]:
                 return _failure(f"strategy move {v} -> {w!r} is not an edge", (v, w))
-        for v in range(n):
-            if owners[v] == s and winner[v] == s and v not in strategies[s]:
-                return _failure(f"player {s} has no strategy move at node {v}", (v,))
+        if len(strategies[s]) != owned[s]:
+            for v in range(n):
+                if owners[v] == s and winner[v] == s and v not in strategies[s]:
+                    return _failure(f"player {s} has no strategy move at node {v}", (v,))
 
     # The regions that hold a color of the wrong parity; only these walk.
     walked = {s for s, c in zip(winner, colors) if c % 2 != s}
@@ -220,7 +231,7 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
                 )
             out: Sequence[NodeId] = (w,)
         else:
-            out = arena.successors[v]
+            out = successors[v]
             for w in out:
                 if winner[w] != s:
                     return _failure(
@@ -231,7 +242,7 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
 
     if walked:
         marked = closed_walk_minima(moves, colors)
-        bad = [v for v in range(n) if marked[v] and colors[v] % 2 != winner[v]]
+        bad = [v for v in compress(range(n), marked) if colors[v] % 2 != winner[v]]
         if bad:
             s = min(winner[v] for v in bad)
             culprit = min((v for v in bad if winner[v] == s), key=colors.__getitem__)

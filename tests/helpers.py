@@ -72,27 +72,30 @@ def count_tarjan_calls(monkeypatch) -> list[int]:
     return count_tarjan_work(monkeypatch)[0]
 
 
-def count_tarjan_work(monkeypatch) -> tuple[list[int], list[int]]:
+def count_tarjan_work(monkeypatch) -> tuple[list[int], list[int], list]:
     """Like :func:`count_tarjan_calls`, and also the edges handed to each
-    call: the summed length of the successor lists it gets, mask or not."""
+    call (the summed length of the successor lists it gets, mask or not)
+    and each call's mask, None for the whole graph."""
     calls: list[int] = []
     edges: list[int] = []
+    masks: list = []
     real = cycles.tarjan_scc
 
     def counting(successors, allowed=None):
         calls.append(len(successors))
         edges.append(sum(map(len, successors)))
+        masks.append(allowed)
         return real(successors, allowed)
 
     for module in (cycles, reduction):
         monkeypatch.setattr(module, "tarjan_scc", counting)
-    return calls, edges
+    return calls, edges, masks
 
 
 def alpha_form_reference(arena: Arena) -> tuple[int, ...]:
     """The alpha form by one decomposition per parity switch of the
     nesting: each level runs one :func:`tarjan_scc` over the live nodes and
-    gives every nontrivial component ``base + (least color - base) % 2``,
+    gives every cyclic component ``base + (least color - base) % 2``,
     where ``base`` is the value of the component that held it (0 at
     first).  Only its nodes at or above its least color of the other
     parity stay live for the next level."""
@@ -101,11 +104,9 @@ def alpha_form_reference(arena: Arena) -> tuple[int, ...]:
     form = [0] * n
     live = None
     while True:
-        scc = tarjan_scc(arena.predecessors, live)
+        components = tarjan_scc(arena.predecessors, live)
         live = [False] * n
-        for comp, nontrivial in zip(scc.members, scc.nontrivial):
-            if not nontrivial:
-                continue
+        for comp in components:
             low = min(c[u] for u in comp)
             value = form[comp[0]] + (low - form[comp[0]]) % 2
             switch = min((c[u] for u in comp if (c[u] - low) % 2), default=inf)

@@ -34,6 +34,9 @@ REMOVED = {
     # An exact run keeps the cycles its YES searches found, not the searches.
     "SearchMemo": "cycles",
     "_what_search_reads": "cycles",
+    # tarjan_scc returns the cyclic components as node lists; no caller
+    # read the whole decomposition.
+    "SccDecomposition": "cycles",
 }
 
 
@@ -49,8 +52,6 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert not hasattr(rabinindex.reduction.IterationTrace, "empty")
     assert not hasattr(rabinindex.ReductionReport, "to_records")
     assert "orders" not in inspect.signature(rabinindex.rabin).parameters
-    # The closed-walk anchor oracle that alpha mode's canonical form replaced.
-    assert not hasattr(rabinindex.cycles.SccDecomposition, "closes_walk_at")
     stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
     assert not stats & {"reach_steps", "scc_builds", "reused_queries", "nodes_reused"}
     assert "reused" not in {f.name for f in fields(rabinindex.cycles.SearchBudget)}

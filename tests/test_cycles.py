@@ -56,25 +56,18 @@ def test_search_budget_spend():
 
 
 def test_tarjan_two_components():
-    # 0 <-> 1 feeding an isolated sink component {2}
-    scc = tarjan_scc(((1,), (0, 2), (2,)), None)
-    comp0 = scc.component_of[0]
-    assert comp0 == scc.component_of[1] != scc.component_of[2]
-    assert scc.nontrivial[comp0]
-    assert scc.nontrivial[scc.component_of[2]]  # 2 has a self-loop
-    assert sorted(len(m) for m in scc.members) == [1, 2]
+    # 0 <-> 1 feeding a sink {2} with a self-loop, beside a node 3 on no cycle.
+    assert tarjan_scc(((1,), (0, 2), (2,), (0,)), None) == [[2], [0, 1]]
 
 
 def test_tarjan_allowed_mask():
-    scc = tarjan_scc(((1,), (0,)), [True, False])
-    assert scc.component_of[1] == -1
-    assert scc.component_of[0] >= 0
-    assert not scc.nontrivial[scc.component_of[0]]
+    assert tarjan_scc(((1,), (0,)), [True, False]) == []
+    assert tarjan_scc(((1,), (0,)), [True, True]) == [[0, 1]]
 
 
 def test_tarjan_singleton_self_loop():
-    scc = tarjan_scc(((0,),), None)
-    assert scc.nontrivial == (True,)
+    assert tarjan_scc(((0,),), None) == [[0]]
+    assert tarjan_scc(((0,),), [False]) == []
 
 
 @given(st.data())
@@ -95,18 +88,18 @@ def test_tarjan_matches_brute_force(data):
                 for w in range(n):
                     reach[u][w] = reach[u][w] or reach[k][w]
 
-    scc = tarjan_scc(arena.successors, allowed)
-    comp = scc.component_of
-    for u in range(n):
-        assert (comp[u] == -1) == (not allowed[u])
-        for w in range(n):
-            if allowed[u] and allowed[w] and u != w:
-                assert (comp[u] == comp[w]) == (reach[u][w] and reach[w][u])
-    for c, members in enumerate(scc.members):
-        assert members == tuple(u for u in range(n) if comp[u] == c)
-        assert scc.nontrivial[c] == reach[members[0]][members[0]]
+    components = tarjan_scc(arena.successors, allowed)
+    comp = {u: c for c, members in enumerate(components) for u in members}
+    # No node twice, and a node is listed iff it lies on a cycle in the mask.
+    assert sum(map(len, components)) == len(comp)
+    assert set(comp) == {u for u in range(n) if allowed[u] and reach[u][u]}
+    # Each list is a maximal mutually reachable set inside the mask.
+    for members in components:
+        for u in members:
+            assert {w for w in range(n) if reach[u][w] and reach[w][u]} == set(members)
     for u, w in edges:
-        assert comp[u] >= comp[w]  # reverse topological numbering
+        if u in comp and w in comp:
+            assert comp[u] >= comp[w]  # completion order: sinks first
 
 
 def test_simple_cycle_through_fig1(fig1_arena):

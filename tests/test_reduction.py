@@ -491,13 +491,11 @@ def _blocks_arena(rng: random.Random) -> Arena:
 
 
 def _run_counts(arena: Arena) -> set[int]:
-    """Parity runs among the colors of each nontrivial component."""
-    scc = tarjan_scc(arena.successors)
+    """Parity runs among the colors of each cyclic component."""
     counts = set()
-    for comp, nontrivial in zip(scc.members, scc.nontrivial):
-        if nontrivial:
-            present = sorted({arena.colors[u] for u in comp})
-            counts.add(1 + sum((b - a) % 2 for a, b in zip(present, present[1:])))
+    for comp in tarjan_scc(arena.successors):
+        present = sorted({arena.colors[u] for u in comp})
+        counts.add(1 + sum((b - a) % 2 for a, b in zip(present, present[1:])))
     return counts
 
 
@@ -531,7 +529,7 @@ def test_alpha_form_hands_tarjan_m_log_k_edges(arena, runs, monkeypatch):
     # One decomposition of all m edges, then each level of the divide and
     # conquer hands each edge on at most once.  A decomposition per parity
     # switch hands about 166 and 12.5 times this bound.
-    _, edges = count_tarjan_work(monkeypatch)
+    _, edges, _ = count_tarjan_work(monkeypatch)
     rabin(arena, mode=ABSTRACT)
     m = sum(map(len, arena.successors))
     assert sum(edges) <= m * ((runs - 1).bit_length() + 1)

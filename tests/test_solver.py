@@ -14,7 +14,14 @@ from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
 from rabinindex.solver import verify_solution, zielonka_solve
 
-from helpers import attract, count_tarjan_calls, games, nested_path, random_game
+from helpers import (
+    attract,
+    count_tarjan_calls,
+    count_tarjan_work,
+    games,
+    nested_path,
+    random_game,
+)
 
 
 def test_attract_whole_arena(fig1_game):
@@ -154,6 +161,11 @@ def test_verify_rejects_bad_winner_shape(fig1_game):
         winner=(1, 0, 2, 1, 1), strategy0=good.strategy0, strategy1=good.strategy1
     )
     assert "other than 0 and 1" in verify_solution(fig1_game, junk).reason
+    # An unhashable entry is reported the same way, not raised.
+    listed = Solution(
+        winner=(1, 0, [0], 1, 1), strategy0=good.strategy0, strategy1=good.strategy1
+    )
+    assert "other than 0 and 1" in verify_solution(fig1_game, listed).reason
 
 
 def test_verify_rejects_swapped_winners(fig1_game):
@@ -242,6 +254,50 @@ def test_verify_rejects_solution_of_parity_flipped_game(game):
     assert all(solution.winner[v] == s for v in result.witness)
 
 
+def _tampered_solutions(rng: random.Random):
+    """About 200 seeded random games of at most 40 nodes, each with its
+    Zielonka solution and four tamperings of it: one winner flipped, one
+    strategy move redirected (to a successor or any node), one strategy
+    entry dropped, and every color raised by one."""
+    for _ in range(200):
+        game = random_game(
+            rng, min_nodes=2, max_nodes=40, max_color=8, max_degree=3, allow_self_loops=True
+        )
+        n = game.arena.node_count
+        good = zielonka_solve(game)
+        yield game, good
+        winner = list(good.winner)
+        winner[rng.randrange(n)] ^= 1
+        yield game, Solution(tuple(winner), good.strategy0, good.strategy1)
+        entries = [(s, v) for s in (0, 1) for v in sorted((good.strategy0, good.strategy1)[s])]
+        if entries:
+            s, v = rng.choice(entries)
+            redirected = [dict(good.strategy0), dict(good.strategy1)]
+            redirected[s][v] = rng.choice(game.arena.successors[v] + (rng.randrange(n),))
+            yield game, Solution(good.winner, *redirected)
+            s, v = rng.choice(entries)
+            dropped = [dict(good.strategy0), dict(good.strategy1)]
+            del dropped[s][v]
+            yield game, Solution(good.winner, *dropped)
+        yield game.with_colors([c + 1 for c in game.arena.colors]), good
+
+
+# sha256 over (ok, reason, witness) of every verdict above, in order.
+VERDICT_DIGEST = "9f5ffc6f8fbb7ba42517222300d43a481ecdfd5065b08fc281f4786c3eb3c840"
+
+
+def test_verify_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    reasons = set()
+    for game, solution in _tampered_solutions(random.Random(2024)):
+        result = verify_solution(game, solution)
+        digest.update(repr((result.ok, result.reason, result.witness)).encode())
+        reasons.add(re.sub(r"\d+", "#", result.reason))
+    # Acceptance and five kinds of rejection are among them.
+    assert len(reasons) >= 6, reasons
+    assert digest.hexdigest() == VERDICT_DIGEST
+
+
 def test_verify_skips_the_walk_without_wrong_parity_colors(monkeypatch):
     # Player 1 owns every node of an all-even nested path, so player 0
     # wins everywhere without a strategy entry; no region holds a color of
@@ -268,6 +324,20 @@ def test_verify_walks_both_regions_at_once(monkeypatch):
     solution = Solution((1, 1, 0, 0))
     assert verify_solution(game, solution)
     assert calls == [4]
+
+
+def test_verify_decomposes_once_per_level_through_the_traced_name(monkeypatch):
+    # perfbench's --trace 1 counts verify's SCC work by rebinding
+    # cycles.tarjan_scc and summing each mask.  This benchmark game's
+    # strategy graph nests three levels deep: one call per level, the first
+    # over the whole graph, each later one masked to the live nodes.
+    game = gen_random(RandomConfig.parse("400/3/5/400", seed=1006))
+    solution = zielonka_solve(game)
+    calls, _, masks = count_tarjan_work(monkeypatch)
+    assert verify_solution(game, solution)
+    assert calls == [400] * 3
+    assert masks[0] is None
+    assert [(len(mask), sum(mask)) for mask in masks[1:]] == [(400, 128), (400, 2)]
 
 
 def test_verify_walks_no_region_without_wrong_parity_colors(monkeypatch):
