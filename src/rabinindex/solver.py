@@ -5,8 +5,8 @@ min-parity winning condition used throughout this package: player 0 wins a
 play iff the minimal color occurring infinitely often is even.  The
 recursion therefore peels off the *minimal* color class instead of the
 maximal one, and runs as a loop over an explicit stack of subgames, so
-its depth is not bounded by Python's recursion limit.  Subgames are node
-lists and per-node marks, never copied sets.
+its depth is not bounded by Python's recursion limit.  Subgames are
+per-node marks, never listed or copied.
 
 W. Zielonka, "Infinite games on finitely coloured graphs with applications
 to automata on infinite trees", TCS 200(1-2), 1998.
@@ -14,9 +14,10 @@ to automata on infinite trees", TCS 200(1-2), 1998.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress, islice, repeat
 from operator import eq, mul
 from typing import Sequence
 
@@ -29,20 +30,18 @@ def _attract(
     game: ParityGame,
     player: int,
     targets: list[NodeId],
-    nodes: list[NodeId] | range,
     level: list[int],
     d: int,
 ) -> tuple[list[NodeId], dict[NodeId, NodeId]]:
-    """Attractor of ``targets`` for ``player`` inside ``nodes``, every other
-    node being marked below ``d`` in ``level``.  Marks ``nodes`` d + 1, then
-    each attracted node d, and lists those in breadth-first order, targets
-    first; the list is the search's queue."""
+    """Attractor of ``targets`` for ``player`` inside the subgame opened at
+    depth d.  ``level`` marks each of the subgame's nodes free (the node
+    count, above every depth) or d, and every other node below d.  Marks
+    each attracted node d, targets first, and lists them in breadth-first
+    order; the list is the search's queue."""
     successors = game.arena.successors
     predecessors = game.arena.predecessors
     owners = game.owners
-    outside = d + 1
-    for v in nodes:
-        level[v] = outside
+    free = len(level)
     region = list(targets)
     for v in region:
         level[v] = d
@@ -50,7 +49,7 @@ def _attract(
     escapes: dict[NodeId, int] = {}
     for w in region:
         for u in predecessors[w]:
-            if level[u] != outside:
+            if level[u] != free:
                 continue
             if owners[u] == player:
                 level[u] = d
@@ -86,10 +85,15 @@ def zielonka_solve(game: ParityGame) -> Solution:
     a subgame that re-solves it, so the table ends up holding each
     winner-owned node's move.
 
-    A subgame opened at stack depth d is an ascending node list; ``level``
-    marks its head d, the rest (the next subgame) d + 1 and a trapped node
-    -1.  ``won`` holds each settled node's winner, written last by the
-    outermost subgame that settles it.
+    A level costs only its head's attractor work: no subgame is ever
+    listed.  ``level`` marks the nodes of the innermost open subgame free
+    (n), each head's nodes the depth of the subgame that took them, and
+    trapped nodes -1.  One color order serves every subgame: a cursor into
+    it finds the least free color, and a subgame's rest starts where its
+    head's color ends.  A closing subgame hands its opener the regions
+    each player won, as the node lists its attractors made; the
+    opponent's are sorted into the trap's targets.  Closing or starting
+    over, a subgame frees only the nodes it marked.
     """
     arena = game.arena
     n = arena.node_count
@@ -97,47 +101,68 @@ def zielonka_solve(game: ParityGame) -> Solution:
     owners = game.owners
     colors = arena.colors
 
-    level = [0] * n
-    won = [0] * n
+    free = n
+    level = [free] * n
+    order = sorted(range(n), key=colors.__getitem__)
+    ordered = [colors[v] for v in order]
     move: dict[NodeId, NodeId] = {}
-    # A paused subgame: its nodes, and its head's player, targets and
+    # A paused subgame: its cursor, node count and traps (each player's,
+    # as node lists), and its head's player, target count, nodes and
     # attractor witnesses.
-    stack: list[tuple[list[NodeId], int, list[NodeId], dict[NodeId, NodeId]]] = []
-    nodes = list(range(n))
+    stack: list[tuple[int, int, list, int, int, list[NodeId], dict[NodeId, NodeId]]] = []
+    # The subgame to open next, by its cursor, node count and traps (size 0
+    # once one has closed instead), and the regions of the subgame that
+    # closed last: the node lists each player won.
+    first, size, traps = 0, n, [[], []]
+    regions: list[list[list[NodeId]]] = [[], []]
     while True:
-        # Pause each subgame and open the one outside its head.
-        while nodes:
+        if size:  # pause this subgame at its head and open its rest
             d = len(stack)
-            p = min(map(colors.__getitem__, nodes))
+            while level[order[first]] != free:
+                first += 1
+            p = ordered[first]
+            end = bisect_right(ordered, p, first)
+            targets = [v for v in order[first:end] if level[v] == free]
             s = p % 2
-            targets = [v for v in nodes if colors[v] == p]
-            _, head_witness = _attract(game, s, targets, nodes, level, d)
-            stack.append((nodes, s, targets, head_witness))
-            nodes = [v for v in nodes if level[v] != d]
+            head, head_witness = _attract(game, s, targets, level, d)
+            stack.append((first, size, traps, s, len(targets), head, head_witness))
+            first, size, traps = end, size - len(head), [[], []]
+            regions = [[], []]
+            continue
         if not stack:
             break
-        nodes, s, targets, head_witness = stack.pop()
+        first, size, traps, s, t, head, head_witness = stack.pop()
         d = len(stack)
         opp = 1 - s
-        # The head is still marked d; the rest was settled one level down.
-        lost = [v for v in nodes if level[v] != d and won[v] == opp]
-        if lost:
-            trap, trap_witness = _attract(game, opp, lost, nodes, level, d)
+        for v in head:
+            level[v] = free
+        if regions[opp]:
+            lost = sorted(chain.from_iterable(regions[opp]))
+            trap, trap_witness = _attract(game, opp, lost, level, d)
             move.update(trap_witness)
             for v in trap:
-                won[v] = opp
                 level[v] = -1
-            nodes = [v for v in nodes if level[v] != -1]
+            traps[opp].append(trap)
+            size -= len(trap)
+            regions = [[], []]
         else:
             move.update(head_witness)
-            for v in nodes:
-                level[v] = d
-                won[v] = s
-            for v in targets:
+            for v in islice(head, t):
                 if owners[v] == s:
-                    move[v] = next(w for w in successors[v] if level[w] == d)
-            nodes = []  # settled: its winners go back to its opener
+                    move[v] = next(w for w in successors[v] if level[w] == free)
+            regions[s].append(head)
+            size = 0
+        if not size:  # closed: its traps go back to its opener too
+            for lists, trapped in zip(regions, traps):
+                for trap in trapped:
+                    for v in trap:
+                        level[v] = free
+                lists += trapped
 
+    won = [0] * n
+    for region in regions[1]:
+        for v in region:
+            won[v] = 1
     strategy0 = {v: move[v] for v in range(n) if won[v] == 0 and owners[v] == 0}
     strategy1 = {v: move[v] for v in range(n) if won[v] == 1 and owners[v] == 1}
     return Solution(winner=tuple(won), strategy0=strategy0, strategy1=strategy1)
@@ -189,7 +214,8 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
 
     if len(winner) != n:
         return _failure(f"winner labeling has {len(winner)} entries for {n} nodes")
-    if winner.count(0) + winner.count(1) != n:
+    # 0.0 and 1.0 count as 0 and 1 but cannot index the strategies.
+    if winner.count(0) + winner.count(1) != n or not all(map(isinstance, winner, repeat(int))):
         return _failure("winner labeling contains values other than 0 and 1")
 
     successors = arena.successors

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 from math import inf
 from typing import NamedTuple
 
 from hypothesis import strategies as st
 
-from rabinindex.arena import Arena, ParityGame
+from rabinindex.arena import Arena, ParityGame, Solution
 from rabinindex import cycles, reduction, solver
 from rabinindex.cycles import closed_walk_minima, tarjan_scc
 from rabinindex.reduction import OracleStats, _PassState
@@ -134,8 +136,118 @@ def attract(game: ParityGame, player: int, target: set[int]) -> Attraction:
     """The solver's attractor of ``target`` for ``player`` over the whole
     game, and the successor each attracted player node was pulled through."""
     n = game.node_count
-    region, witness = solver._attract(game, player, sorted(target), range(n), [0] * n, 0)
+    region, witness = solver._attract(game, player, sorted(target), [n] * n, 0)
     return Attraction(frozenset(region), witness)
+
+
+def _attract_reference(game, player, targets, nodes, level, d):
+    """The attractor of :func:`zielonka_reference`: marks all of ``nodes``
+    d + 1 (every other node is below d), then each attracted node d, and
+    lists those in breadth-first order, targets first."""
+    successors = game.arena.successors
+    predecessors = game.arena.predecessors
+    owners = game.owners
+    outside = d + 1
+    for v in nodes:
+        level[v] = outside
+    region = list(targets)
+    for v in region:
+        level[v] = d
+    witness = {}
+    escapes = {}
+    for w in region:
+        for u in predecessors[w]:
+            if level[u] != outside:
+                continue
+            if owners[u] == player:
+                level[u] = d
+                witness[u] = w
+                region.append(u)
+            else:
+                left = escapes.get(u)
+                if left is None:
+                    left = sum(1 for x in successors[u] if level[x] >= d)
+                left -= 1
+                escapes[u] = left
+                if left == 0:
+                    level[u] = d
+                    region.append(u)
+    return region, witness
+
+
+def zielonka_reference(game: ParityGame) -> Solution:
+    """The same loop as :func:`solver.zielonka_solve` over subgames kept as
+    ascending node lists: every level lists its rest and re-marks its whole
+    subgame, so it costs time linear in the subgame.  A subgame opened at
+    depth d marks its head d, the rest d + 1 and a trapped node -1; ``won``
+    holds each settled node's winner."""
+    arena = game.arena
+    n = arena.node_count
+    successors = arena.successors
+    owners = game.owners
+    colors = arena.colors
+    level = [0] * n
+    won = [0] * n
+    move = {}
+    stack = []
+    nodes = list(range(n))
+    while True:
+        while nodes:
+            d = len(stack)
+            p = min(colors[v] for v in nodes)
+            s = p % 2
+            targets = [v for v in nodes if colors[v] == p]
+            _, head_witness = _attract_reference(game, s, targets, nodes, level, d)
+            stack.append((nodes, s, targets, head_witness))
+            nodes = [v for v in nodes if level[v] != d]
+        if not stack:
+            break
+        nodes, s, targets, head_witness = stack.pop()
+        d = len(stack)
+        opp = 1 - s
+        lost = [v for v in nodes if level[v] != d and won[v] == opp]
+        if lost:
+            trap, trap_witness = _attract_reference(game, opp, lost, nodes, level, d)
+            move.update(trap_witness)
+            for v in trap:
+                won[v] = opp
+                level[v] = -1
+            nodes = [v for v in nodes if level[v] != -1]
+        else:
+            move.update(head_witness)
+            for v in nodes:
+                level[v] = d
+                won[v] = s
+            for v in targets:
+                if owners[v] == s:
+                    move[v] = next(w for w in successors[v] if level[w] == d)
+            nodes = []
+    strategy0 = {v: move[v] for v in range(n) if won[v] == 0 and owners[v] == 0}
+    strategy1 = {v: move[v] for v in range(n) if won[v] == 1 and owners[v] == 1}
+    return Solution(winner=tuple(won), strategy0=strategy0, strategy1=strategy1)
+
+
+def package_lines(fn) -> int:
+    """The line events that ``fn()`` runs in this package's own code."""
+    package = os.path.dirname(cycles.__file__)
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "line":
+            count += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+    return count
 
 
 def random_game(rng: random.Random, **kwargs) -> ParityGame:

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import os
 import random
-import sys
 import time
 from itertools import product
 from unittest.mock import patch
@@ -54,6 +52,7 @@ from helpers import (
     count_tarjan_work,
     get_anchor,
     nested_path,
+    package_lines,
     random_arena,
 )
 
@@ -540,36 +539,13 @@ def _disjoint_two_cycles(k: int) -> Arena:
     return Arena.from_lists(succ, [3, 2] * k)
 
 
-def _package_lines(fn) -> int:
-    """The line events that ``fn()`` runs in this package's own code."""
-    package = os.path.dirname(cycles.__file__)
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
-        return local
-
-    def calls(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(package) else None
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        fn()
-    finally:
-        sys.settrace(previous)
-    return count
-
-
 def test_exact_query_work_follows_its_component():
     # Each 3-colored node asks one exact query whose component is its own
     # 2-cycle, so four times the pairs run four times the lines (324 168
     # and 1 296 168); a query that scanned all n nodes would make it about
     # sixteen times.
     small, large = _disjoint_two_cycles(1000), _disjoint_two_cycles(4000)
-    lines = [_package_lines(lambda arena=arena: rabin(arena)) for arena in (small, large)]
+    lines = [package_lines(lambda arena=arena: rabin(arena)) for arena in (small, large)]
     assert lines[1] <= 4.5 * lines[0]
 
 

@@ -20,7 +20,9 @@ from helpers import (
     count_tarjan_work,
     games,
     nested_path,
+    package_lines,
     random_game,
+    zielonka_reference,
 )
 
 
@@ -146,6 +148,36 @@ def test_zielonka_output_is_pinned():
     assert digest.hexdigest() == PINNED_DIGEST
 
 
+def test_zielonka_matches_the_list_based_reference():
+    # The subgames-as-marks loop makes the same attractor calls, with the
+    # same targets in the same order, as the loop over node lists.
+    rng = random.Random(2510)
+    for _ in range(1000):
+        game = random_game(
+            rng,
+            max_nodes=40,
+            max_color=rng.randint(1, 40),
+            max_degree=rng.randint(1, 4),
+            allow_self_loops=True,
+        )
+        assert zielonka_solve(game) == zielonka_reference(game)
+    for name, params in PINNED_FAMILIES:
+        game = gen_family(name, params)
+        assert zielonka_solve(game) == zielonka_reference(game)
+
+
+def test_zielonka_level_costs_its_head():
+    # Player 1 owns every node of an all-even nested path: each level's
+    # head is one end of the path, so four times the nodes should run about
+    # four times the lines (20 458 and 81 958).  A level that passed over
+    # its whole subgame made it about fifteen times.
+    lines = []
+    for n in (250, 1000):
+        game = ParityGame(arena=nested_path(n), owners=(1,) * n)
+        lines.append(package_lines(lambda game=game: zielonka_solve(game)))
+    assert lines[1] <= 6 * lines[0]
+
+
 @given(games(max_nodes=7, max_color=6))
 @settings(max_examples=60, deadline=None)
 def test_zielonka_solutions_verify(game):
@@ -166,6 +198,17 @@ def test_verify_rejects_bad_winner_shape(fig1_game):
         winner=(1, 0, [0], 1, 1), strategy0=good.strategy0, strategy1=good.strategy1
     )
     assert "other than 0 and 1" in verify_solution(fig1_game, listed).reason
+
+
+def test_verify_rejects_float_winner_entries():
+    # 0.0 and 1.0 equal 0 and 1, so only their type tells them apart.
+    for owner in (0, 1):
+        game = ParityGame(Arena(((0,),), (0,)), (owner,))
+        strategies = [{}, {}]
+        strategies[owner] = {0: 0}
+        result = verify_solution(game, Solution((float(owner),), *strategies))
+        assert not result
+        assert result.reason == "winner labeling contains values other than 0 and 1"
 
 
 def test_verify_rejects_swapped_winners(fig1_game):
