@@ -8,6 +8,10 @@ cycle drive the reductions in :mod:`rabinindex.reduction`:
 * arbitrary cycles (closed walks), whose node sets are exactly the
   strongly connected ones: :func:`tarjan_scc` lists the cyclic components,
   those that hold a closed walk, and answers for all of them at once.
+  :func:`nesting_tree` nests the cyclic components of the subgraphs above
+  each color rank, each inside the next larger one: it is the one
+  hierarchy behind :func:`closed_walk_minima` and the alpha form of
+  :mod:`rabinindex.reduction`.
 
 :func:`simple_cycle_through_with_color` and :func:`cycle_through_with_color`
 begin with the same polynomial step: a backward reach from the node over
@@ -24,9 +28,11 @@ from __future__ import annotations
 
 import enum
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import chain, combinations, compress, count
+from operator import not_
+from typing import Callable, Iterator, Sequence
 
 from .arena import Arena, NodeId
 
@@ -36,6 +42,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "NodeCapExceeded",
     "tarjan_scc",
+    "nesting_tree",
     "closed_walk_minima",
     "simple_cycle_through_with_color",
     "simple_cycle_with_max_color",
@@ -147,35 +154,183 @@ def tarjan_scc(
     return cyclic
 
 
+def nesting_tree(
+    links: Sequence[Sequence[NodeId]],
+    colors: Sequence[int],
+    rank_starts: Callable[[list[int]], list[int]],
+) -> tuple[list[int], list[int], list[int]]:
+    """The nested cyclic components of a graph as a tree: each node's
+    least enclosing component (-1 for a node on no closed walk), and each
+    component's least color and next larger component (-1 at a root).
+
+    ``rank_starts`` maps a component's ascending distinct colors to the
+    least color of each of its ranks.  Below a component hang the cyclic
+    components among its nodes of rank 1 or more.  The first two levels
+    rank each component anew; below them, a component of several ranks
+    ranks its descendants as it ranks its own nodes, so the tree also
+    holds its components at each higher rank.  Either way gives the same
+    answers to :func:`closed_walk_minima`, which ranks each color on its
+    own, and to ``reduction._alpha_form``, which ranks each parity run.
+
+    One :func:`tarjan_scc` run over the whole graph and one masked to the
+    nodes of rank 1 or more peel the first two levels.  The children that
+    still hold several ranks share one divide and conquer over their ranks
+    (Tarjan, "An improved algorithm for hierarchical clustering using
+    strong components", IPL 17(1), 1983), which finds the rank at which
+    each edge's ends first share a component in O(m log k) for k ranks.
+    A task holds edges whose ends share a component at rank ``lo`` but not
+    above ``hi``, the components joined above ``hi`` contracted.  It
+    decomposes the edges ranked at least its middle: edges inside a
+    component go up, the rest go down.  Tasks of one rank join their ends
+    in a union-find, highest rank first, and open a tree node on each set
+    they make.
+    """
+    n = len(links)
+    leaf = [-1] * n
+    low: list[int] = []
+    up: list[int] = []
+    live = None
+    for _ in range(2):
+        components = tarjan_scc(links, live)
+        live = [False] * n
+        deep: list[tuple[list[NodeId], list[int]]] = []  # of several ranks
+        for comp in components:
+            present = sorted({colors[u] for u in comp})
+            starts = rank_starts(present)
+            t = len(low)
+            low.append(present[0])
+            up.append(leaf[comp[0]])
+            if len(starts) > 1:
+                deep.append((comp, starts))
+                first = starts[1]
+            else:
+                first = present[-1] + 1  # no node ranks 1
+            for u in comp:
+                leaf[u] = t
+                if colors[u] >= first:
+                    live[u] = True
+        if not deep:
+            return leaf, low, up
+    # Each edge between nodes of rank 1 or more inside one child of several
+    # ranks, numbered by ascending rank, the lesser of its ends' ranks: its
+    # tail, head and rank are in three flat lists at its number.
+    rank = [0] * n
+    for comp, starts in deep:
+        for u in comp:
+            rank[u] = bisect_right(starts, colors[u]) - 1
+    runs = max(len(starts) for _, starts in deep)
+    tails_at: list[list[NodeId]] = [[] for _ in range(runs)]
+    heads_at: list[list[NodeId]] = [[] for _ in range(runs)]
+    for comp, _ in deep:
+        for v in comp:
+            rv = rank[v]
+            if rv:
+                t = leaf[v]
+                for u in links[v]:
+                    if leaf[u] == t and rank[u]:
+                        r = rank[u] if rank[u] < rv else rv
+                        tails_at[r].append(v)
+                        heads_at[r].append(u)
+    edge_rank = [r for r, ends in enumerate(tails_at) for _ in ends]
+    edge_tail = list(chain.from_iterable(tails_at))
+    edge_head = list(chain.from_iterable(heads_at))
+    del tails_at, heads_at
+    # A union-find over the nodes holds the sets joined so far, each
+    # listing its members under its root, which knows the last tree node
+    # opened on its set.  A tree node hangs under the child that holds its
+    # nodes until a lower rank joins it.
+    root = list(range(n))
+    members = [[u] for u in range(n)]
+    tree_of = [-1] * n
+    # A task lists the numbers of its edges by ascending rank.  It also
+    # says whether it was made after the last join: a later join can make
+    # some of its edges parallel.
+    edges = list(range(len(edge_rank)))
+    tasks = [(edges, 0, runs - 1, True)] if edges else []
+    while tasks:
+        edges, lo, hi, current = tasks.pop()
+        # No two ends first share a component above the highest edge rank.
+        hi = min(hi, edge_rank[edges[-1]])
+        if lo == hi:
+            joined = set()
+            for e in edges:
+                a, b = root[edge_tail[e]], root[edge_head[e]]
+                joined.add(a)
+                if a != b:
+                    joined.add(b)
+                    if len(members[a]) < len(members[b]):
+                        a, b = b, a
+                    for x in members[b]:
+                        root[x] = a
+                    members[a] += members[b]
+            opened: dict[int, int] = {}
+            for x in joined:
+                below = tree_of[x]  # -1 for a node on its own so far
+                t = opened.get(root[x], -1)
+                if t < 0:
+                    t = opened[root[x]] = len(low)
+                    low.append(colors[x])
+                    up.append(up[below] if below >= 0 else leaf[x])
+                if below < 0:
+                    leaf[x] = t
+                    least = colors[x]
+                else:
+                    up[below] = t
+                    least = low[below]
+                if least < low[t]:
+                    low[t] = least
+            for r, t in opened.items():
+                tree_of[r] = t
+            continue
+        mid = (lo + hi + 1) // 2
+        cut = bisect_left(edges, mid, key=edge_rank.__getitem__)
+        ranked = edges[cut:]
+        tails = [root[edge_tail[e]] for e in ranked]
+        heads = [root[edge_head[e]] for e in ranked]
+        if not current:
+            # Parallel edges between two sets rank alike up to hi: members
+            # of a set joined above hi all rank above hi, so each such edge
+            # ranks above hi or as its one end outside such a set.  One edge
+            # stands for them all, and the order by rank up to hi holds.
+            kept = dict(zip(zip(tails, heads), ranked))
+            ranked = list(kept.values())
+            tails = [a for a, _ in kept]
+            heads = [b for _, b in kept]
+        local = dict(zip(dict.fromkeys(chain(tails, heads)), count()))
+        tails = [local[a] for a in tails]
+        heads = [local[b] for b in heads]
+        successors: list[list[int]] = [[] for _ in local]
+        for a, b in zip(tails, heads):
+            successors[a].append(b)
+        comp_of = list(range(-len(local), 0))  # one of its own off every cycle
+        for c, comp in enumerate(tarjan_scc(successors)):
+            for x in comp:
+                comp_of[x] = c
+        inside = [comp_of[a] == comp_of[b] for a, b in zip(tails, heads)]
+        # The upper half goes on last and so runs first: every rank above a
+        # task is joined before the task runs.  Rank 0 is the child itself,
+        # so edges left below rank 1 are dropped.
+        down = edges[:cut] + list(compress(ranked, map(not_, inside)))
+        if down and mid > 1:
+            tasks.append((down, lo, mid - 1, False))
+        above = list(compress(ranked, inside))
+        if above:
+            tasks.append((above, mid, hi, True))
+    return leaf, low, up
+
+
 def closed_walk_minima(
     successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
 ) -> list[bool]:
     """Mark every node ``u`` on a closed walk whose minimal color is
-    ``colors[u]``.
-
-    Peels the nested cyclic components one level per :func:`tarjan_scc`
-    run, the first over the whole graph and each later one masked to the
-    live nodes: each level marks every component's least-colored nodes and
-    leaves the rest live.  A closed walk through any other node avoids the
-    least color of its component, so it stays inside what is left of that
-    component, and distinct components never merge.
+    ``colors[u]``: those whose least enclosing component in the
+    :func:`nesting_tree` ranked by color has ``colors[u]`` as its least.
+    A closed walk with minimal color ``colors[u]`` lies in the component
+    of ``u`` among the nodes colored at least that, which the tree holds.
     """
-    n = len(successors)
-    marked = [False] * n
-    live: list[bool] | None = None
-    while True:
-        components = tarjan_scc(successors, live)
-        live = [False] * n
-        left = False
-        for comp in components:
-            low = min(map(colors.__getitem__, comp))
-            for u in comp:
-                if colors[u] == low:
-                    marked[u] = True
-                else:
-                    live[u] = left = True
-        if not left:
-            return marked
+    leaf, low, _ = nesting_tree(successors, colors, lambda present: present)
+    low.append(-1)  # at leaf -1, below every color
+    return [low[t] == c for t, c in zip(leaf, colors)]
 
 
 def _check_query(arena: Arena, coloring: Sequence[int], v: NodeId, gamma: int) -> None:

@@ -199,12 +199,11 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
     closure check records the strategy-restricted graph as it goes: the
     strategy move at a node its winner owns, every successor elsewhere, and
     no move in a region without a color of its winner's wrong parity.  No
-    move leaves its region, so one :func:`closed_walk_minima` walk checks
-    both, one :func:`~rabinindex.cycles.tarjan_scc` run per nesting level:
-    no wrong-parity node may lie on a closed walk whose minimal color is
-    its own.  Player 0's region is reported before player 1's, with its
-    smallest such color d and the shortest cycle through its lowest
-    d-colored culprit.
+    move leaves its region, so one :func:`closed_walk_minima` over that
+    graph's nesting tree checks both: no wrong-parity node may lie on a
+    closed walk whose minimal color is its own.  Player 0's region is
+    reported before player 1's, with its smallest such color d and the
+    shortest cycle through its lowest d-colored culprit.
     """
     arena = game.arena
     n = arena.node_count
@@ -245,7 +244,8 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
                     return _failure(f"player {s} has no strategy move at node {v}", (v,))
 
     # The regions that hold a color of the wrong parity; only these walk.
-    walked = {s for s, c in zip(winner, colors) if c % 2 != s}
+    # Each test stops at its region's first such color.
+    walked = {s for s in (0, 1) if any(c % 2 != s for c, w in zip(colors, winner) if w == s)}
     moves: list[Sequence[NodeId]] = [()] * n
     for v in range(n):
         s = winner[v]

@@ -6,7 +6,7 @@ import os
 import random
 import sys
 from math import inf
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from hypothesis import strategies as st
 
@@ -117,6 +117,93 @@ def alpha_form_reference(arena: Arena) -> tuple[int, ...]:
                 live[u] = c[u] >= switch
         if not any(live):
             return tuple(form)
+
+
+def closed_walk_minima_reference(
+    successors: Sequence[Sequence[int]], colors: Sequence[int]
+) -> list[bool]:
+    """:func:`closed_walk_minima` by one :func:`tarjan_scc` run per level
+    of the nesting, the first over the whole graph and each later one
+    masked to the live nodes: each level marks every component's
+    least-colored nodes and leaves the rest live.  A closed walk through
+    any other node avoids the least color of its component, so it stays
+    inside what is left of that component."""
+    n = len(successors)
+    marked = [False] * n
+    live = None
+    while True:
+        components = tarjan_scc(successors, live)
+        live = [False] * n
+        left = False
+        for comp in components:
+            low = min(colors[u] for u in comp)
+            for u in comp:
+                if colors[u] == low:
+                    marked[u] = True
+                else:
+                    live[u] = left = True
+        if not left:
+            return marked
+
+
+def blocks_arena(rng: random.Random) -> Arena:
+    """Strongly connected blocks and loose nodes in a row, each with edges
+    only to later ones, so each block is a component of its own; node ids
+    shuffled.  A block is a ring with chords, colored with one parity, a
+    few runs or many, or a two-way path whose colors climb from a point
+    near one end outward, so it nests one level per node.  Every arena has
+    a path of at least 40 nodes and a ring of one parity.  Some nodes have
+    self-loops, loose ones included."""
+
+    def ring(size: int, colors: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+        edges = [(v, (v + 1) % size) for v in range(size)]
+        edges += [(rng.randrange(size), rng.randrange(size)) for _ in range(size)]
+        return colors, edges
+
+    def path(size: int) -> tuple[list[int], list[tuple[int, int]]]:
+        steps = [rng.choice((1, 1, 2, 3)) for _ in range(size)]
+        start = rng.randrange(size // 4 + 1)
+        colors = [sum(steps[min(v, start) : max(v, start)]) for v in range(size)]
+        return colors, [(v, w) for v in range(size) for w in (v - 1, v + 1) if 0 <= w < size]
+
+    size = rng.randint(2, 30)
+    units = [
+        path(rng.randint(40, 80)),
+        ring(size, [2 * rng.randint(0, 9) + 1 for _ in range(size)]),
+    ]
+    for _ in range(rng.randint(3, 10)):
+        if rng.random() < 0.3:
+            units.append(([rng.randint(0, 60)], []))  # a loose node
+            continue
+        size = rng.randint(2, 30)
+        if rng.random() < 0.3:
+            units.append(path(size))
+        else:
+            top = rng.choice((3, 12, 80))
+            units.append(ring(size, [rng.randint(0, top) for _ in range(size)]))
+    rng.shuffle(units)
+    units.append(([1, 0, 2], [(0, 1), (1, 2), (2, 0)]))
+    offsets = [0]
+    for colors, _ in units:
+        offsets.append(offsets[-1] + len(colors))
+    n = offsets[-1]
+    succ: list[set[int]] = [set() for _ in range(n)]
+    for i, (_, inner) in enumerate(units):
+        for v, w in inner:
+            succ[offsets[i] + v].add(offsets[i] + w)
+        for v in range(offsets[i], offsets[i + 1]):
+            if rng.random() < 0.1:
+                succ[v].add(v)
+            if i + 1 < len(units) and (not succ[v] or rng.random() < 0.2):
+                succ[v].add(rng.randrange(offsets[i + 1], n))
+    ids = list(range(n))
+    rng.shuffle(ids)
+    lists: list[list[int]] = [[] for _ in range(n)]
+    colors = [0] * n
+    for v, c in enumerate(c for unit_colors, _ in units for c in unit_colors):
+        lists[ids[v]] = sorted(ids[w] for w in succ[v])
+        colors[ids[v]] = c
+    return Arena.from_lists(lists, colors)
 
 
 def get_anchor(arena: Arena, coloring, v: int, budget_limit=None) -> int:

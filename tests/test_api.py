@@ -51,6 +51,7 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert not hasattr(rabinindex.Solution, "region")
     assert not hasattr(rabinindex.reduction.IterationTrace, "empty")
     assert not hasattr(rabinindex.ReductionReport, "to_records")
+    assert not hasattr(rabinindex.ReductionReport, "to_text")
     assert "orders" not in inspect.signature(rabinindex.rabin).parameters
     stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
     assert not stats & {"reach_steps", "scc_builds", "reused_queries", "nodes_reused"}

@@ -34,7 +34,10 @@ from rabinindex.cycles import (
 
 from helpers import (
     arenas,
+    blocks_arena,
+    closed_walk_minima_reference,
     count_tarjan_calls,
+    count_tarjan_work,
     max_color_on_closed_walk,
     nested_path,
     random_arena,
@@ -277,6 +280,41 @@ def test_closed_walk_minima_deep_nesting_does_not_recurse():
     finally:
         sys.setrecursionlimit(old_limit)
     assert marked == [True] * (n - 1) + [False]
+
+
+@given(arenas(max_nodes=8, max_color=9, max_degree=4, allow_self_loops=True))
+@settings(max_examples=200)
+def test_closed_walk_minima_equals_the_peel(arena):
+    for links in (arena.successors, arena.predecessors):
+        assert closed_walk_minima(links, arena.colors) == closed_walk_minima_reference(
+            links, arena.colors
+        )
+
+
+def test_closed_walk_minima_equals_the_peel_on_deep_paths(monkeypatch):
+    # Blocks of up to 80 nested levels, self-loops and ties among them, so
+    # every arena's nesting reaches the divide and conquer below the peel.
+    calls = count_tarjan_calls(monkeypatch)
+    rng = random.Random(2018)
+    for _ in range(40):
+        arena = blocks_arena(rng)
+        for links in (arena.successors, arena.predecessors):
+            del calls[:]
+            marked = closed_walk_minima(links, arena.colors)
+            assert len(calls) > 2
+            assert marked == closed_walk_minima_reference(links, arena.colors)
+
+
+def test_closed_walk_minima_hands_tarjan_m_log_k_edges(monkeypatch):
+    # Two peel runs over all m edges, then each level of the divide and
+    # conquer over the k = 4 000 colors hands each edge on at most once.
+    # One run per level, as the peel does alone, hands about 2 000 m.
+    arena = nested_path(4000)
+    _, edges, _ = count_tarjan_work(monkeypatch)
+    marked = closed_walk_minima(arena.successors, arena.colors)
+    assert marked == [True] * 3999 + [False]
+    m = sum(map(len, arena.successors))
+    assert sum(edges) <= m * ((4000 - 1).bit_length() + 3)
 
 
 _TRIANGLE = Arena(((1,), (2,), (0,)), (1, 2, 3))

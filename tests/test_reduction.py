@@ -48,6 +48,7 @@ ABSTRACT = OracleMode.ABSTRACT
 from helpers import (
     alpha_form_reference,
     arenas,
+    blocks_arena,
     count_tarjan_calls,
     count_tarjan_work,
     get_anchor,
@@ -417,6 +418,9 @@ def test_huge_priorities_reduce_like_small_ones(mode):
         pytest.param(nested_path(1100), 1, id="nested_path"),
         # Colors 1 and 2: the ring, then what is left of it above color 1.
         pytest.param(gen_family("ladder", (1000,)).arena, 2, id="ladder"),
+        # Two runs per component: the peel's two levels, no divide and
+        # conquer.
+        pytest.param(gen_family("tower_of_hanoi", (5,)).arena, 2, id="tower_of_hanoi"),
         # 200 components, each split at its one switch to color 3.
         pytest.param(
             Arena.from_lists([[v ^ 1] for v in range(400)], [3, 2] * 200), 2, id="two_cycles"
@@ -427,66 +431,6 @@ def test_alpha_form_decomposes_once_per_parity_switch(arena, runs, monkeypatch):
     calls = count_tarjan_calls(monkeypatch)
     rabin(arena, mode=ABSTRACT)
     assert len(calls) <= runs
-
-
-def _blocks_arena(rng: random.Random) -> Arena:
-    """Strongly connected blocks and loose nodes in a row, each with edges
-    only to later ones, so each block is a component of its own; node ids
-    shuffled.  A block is a ring with chords, colored with one parity, a
-    few runs or many, or a two-way path whose colors climb from a point
-    near one end outward, so it nests one level per node.  Every arena has
-    a path of at least 40 nodes and a ring of one parity.  Some nodes have
-    self-loops, loose ones included."""
-
-    def ring(size: int, colors: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-        edges = [(v, (v + 1) % size) for v in range(size)]
-        edges += [(rng.randrange(size), rng.randrange(size)) for _ in range(size)]
-        return colors, edges
-
-    def path(size: int) -> tuple[list[int], list[tuple[int, int]]]:
-        steps = [rng.choice((1, 1, 2, 3)) for _ in range(size)]
-        start = rng.randrange(size // 4 + 1)
-        colors = [sum(steps[min(v, start) : max(v, start)]) for v in range(size)]
-        return colors, [(v, w) for v in range(size) for w in (v - 1, v + 1) if 0 <= w < size]
-
-    size = rng.randint(2, 30)
-    units = [
-        path(rng.randint(40, 80)),
-        ring(size, [2 * rng.randint(0, 9) + 1 for _ in range(size)]),
-    ]
-    for _ in range(rng.randint(3, 10)):
-        if rng.random() < 0.3:
-            units.append(([rng.randint(0, 60)], []))  # a loose node
-            continue
-        size = rng.randint(2, 30)
-        if rng.random() < 0.3:
-            units.append(path(size))
-        else:
-            top = rng.choice((3, 12, 80))
-            units.append(ring(size, [rng.randint(0, top) for _ in range(size)]))
-    rng.shuffle(units)
-    units.append(([1, 0, 2], [(0, 1), (1, 2), (2, 0)]))
-    offsets = [0]
-    for colors, _ in units:
-        offsets.append(offsets[-1] + len(colors))
-    n = offsets[-1]
-    succ: list[set[int]] = [set() for _ in range(n)]
-    for i, (_, inner) in enumerate(units):
-        for v, w in inner:
-            succ[offsets[i] + v].add(offsets[i] + w)
-        for v in range(offsets[i], offsets[i + 1]):
-            if rng.random() < 0.1:
-                succ[v].add(v)
-            if i + 1 < len(units) and (not succ[v] or rng.random() < 0.2):
-                succ[v].add(rng.randrange(offsets[i + 1], n))
-    ids = list(range(n))
-    rng.shuffle(ids)
-    lists: list[list[int]] = [[] for _ in range(n)]
-    colors = [0] * n
-    for v, c in enumerate(c for unit_colors, _ in units for c in unit_colors):
-        lists[ids[v]] = sorted(ids[w] for w in succ[v])
-        colors[ids[v]] = c
-    return Arena.from_lists(lists, colors)
 
 
 def _run_counts(arena: Arena) -> set[int]:
@@ -504,7 +448,7 @@ def test_alpha_form_equals_the_per_switch_reference():
     # included, and components of unequal run counts in one task tree.
     rng = random.Random(2017)
     for _ in range(60):
-        arena = _blocks_arena(rng)
+        arena = blocks_arena(rng)
         form = _alpha_form(arena, arena.colors)
         assert form == alpha_form_reference(arena)
         assert len(_run_counts(arena)) >= 3
@@ -591,14 +535,6 @@ def test_exact_queries_hand_back_all_true_marks():
         except ReductionAborted:
             pass
         assert all(all(marks) for marks in cycles._spare_marks.values())
-
-
-def test_report_rendering(fig1_arena):
-    _, report = rabin(fig1_arena)
-    text = report.to_text()
-    assert "initial index 3" in text
-    assert "final index 2" in text
-    assert "cycle: v0 3->1 | pop: v1 3->2" in text
 
 
 # Every entry point that takes a caller's coloring for an arena, each given

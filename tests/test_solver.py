@@ -9,13 +9,14 @@ import sys
 
 from hypothesis import given, settings
 
-from rabinindex import RandomConfig, gen_family, gen_random, solver
+from rabinindex import RandomConfig, gen_family, gen_random, rabin, solver, static_compress
 from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
 from rabinindex.solver import verify_solution, zielonka_solve
 
 from helpers import (
     attract,
+    closed_walk_minima_reference,
     count_tarjan_calls,
     count_tarjan_work,
     games,
@@ -372,15 +373,41 @@ def test_verify_walks_both_regions_at_once(monkeypatch):
 def test_verify_decomposes_once_per_level_through_the_traced_name(monkeypatch):
     # perfbench's --trace 1 counts verify's SCC work by rebinding
     # cycles.tarjan_scc and summing each mask.  This benchmark game's
-    # strategy graph nests three levels deep: one call per level, the first
-    # over the whole graph, each later one masked to the live nodes.
+    # strategy graph nests three levels deep: the peel runs over the whole
+    # graph and then masked to the 128 nodes above their components' least
+    # colors; the one component left with two colors goes to the divide
+    # and conquer, which decomposes its 2 higher nodes alone.
     game = gen_random(RandomConfig.parse("400/3/5/400", seed=1006))
     solution = zielonka_solve(game)
     calls, _, masks = count_tarjan_work(monkeypatch)
     assert verify_solution(game, solution)
-    assert calls == [400] * 3
-    assert masks[0] is None
-    assert [(len(mask), sum(mask)) for mask in masks[1:]] == [(400, 128), (400, 2)]
+    assert calls == [400, 400, 2]
+    assert masks[0] is None and masks[2] is None
+    assert (len(masks[1]), sum(masks[1])) == (400, 128)
+
+
+def test_verify_walks_equal_the_peel_on_benchmark_games(monkeypatch):
+    # Every strategy graph verify walks for the benchmark's seed-1
+    # random-dense and random-sparse games, on the colorings it verifies.
+    walks = []
+    real = solver.closed_walk_minima
+
+    def refereed(successors, colors):
+        marked = real(successors, colors)
+        assert marked == closed_walk_minima_reference(successors, colors)
+        walks.append(len(successors))
+        return marked
+
+    monkeypatch.setattr(solver, "closed_walk_minima", refereed)
+    for config, count, alpha in (("100/1/20/100", 24, True), ("400/3/5/400", 32, False)):
+        for i in range(count):
+            game = gen_random(RandomConfig.parse(config, seed=1000 + i))
+            variants = [game, game.with_colors(static_compress(game.arena.colors))]
+            if alpha:
+                variants.append(game.with_colors(rabin(game.arena, mode="alpha")[0]))
+            for variant in variants:
+                assert verify_solution(variant, zielonka_solve(variant))
+    assert len(walks) >= 100
 
 
 def test_verify_walks_no_region_without_wrong_parity_colors(monkeypatch):
