@@ -5,6 +5,10 @@ cycle/pop color reduction in exact and abstract variants, static color
 compression, a Zielonka solver with independent solution verification,
 brute-force oracles for small instances and benchmark game generators.
 The CSV benchmark harness, :mod:`rabinindex.bench`, is not imported here.
+The import loads only small standard-library modules such as ``re``,
+``enum`` and ``random``: the value classes derive from
+:class:`rabinindex.arena.Record`, not from a class decorator that would
+bring ``inspect`` and ``ast``, and no module needs ``typing`` at run time.
 """
 
 from .arena import Arena, Coloring, NodeId, ParityGame, Solution, cycle_color, index

@@ -14,9 +14,8 @@ mutating shared state, so arenas and games are immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 NodeId = int
 Coloring = tuple[int, ...]
@@ -32,8 +31,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Arena:
+class Record:
+    """Base of the package's value classes: ``==`` and ``repr`` over the
+    fields that a subclass names, in constructor order, in ``__match_args__``.
+
+    The standard library's record decorator would generate the same
+    methods, but importing it brings ``inspect``, ``ast`` and a dozen more
+    modules.  A subclass writes its own ``__init__``.  It is unhashable
+    unless it derives from :class:`FrozenRecord`.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` hashed by its field values, whose attributes cannot
+    be assigned or deleted; its ``__init__`` writes them to ``__dict__``."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Arena(FrozenRecord):
     """Directed graph with a total edge relation and per-node colors.
 
     ``successors[v]`` is the ordered successor sequence of node ``v``;
@@ -42,15 +79,14 @@ class Arena:
     Successor ids and colors must be ``int``s.
     """
 
-    successors: tuple[tuple[NodeId, ...], ...]
-    colors: Coloring
+    __match_args__ = ("successors", "colors")
 
-    def __post_init__(self) -> None:
-        n = len(self.successors)
+    def __init__(self, successors: tuple[tuple[NodeId, ...], ...], colors: Coloring) -> None:
+        n = len(successors)
         if n == 0:
             raise ValueError("arena must have at least one node")
-        check_coloring(self.colors, n)
-        for v, succ in enumerate(self.successors):
+        check_coloring(colors, n)
+        for v, succ in enumerate(successors):
             if not succ:
                 raise ValueError(f"node {v} has no successors (arena must be total)")
             for w in succ:
@@ -61,6 +97,7 @@ class Arena:
             if len(set(succ)) < len(succ):
                 w = next(w for i, w in enumerate(succ) if w in succ[:i])
                 raise ValueError(f"node {v} has duplicate successor {w}")
+        self.__dict__.update(successors=successors, colors=colors)
 
     @classmethod
     def from_lists(
@@ -100,7 +137,7 @@ class Arena:
     def _unchecked(
         cls, successors: tuple[tuple[NodeId, ...], ...], colors: Coloring, **indexes
     ) -> "Arena":
-        """An arena built without ``__post_init__``, for callers that have
+        """An arena built without the checks of ``__init__``, for callers that have
         already established every invariant it checks; ``indexes`` presets
         cached graph indexes."""
         arena = object.__new__(cls)
@@ -135,8 +172,7 @@ def check_coloring(colors: Sequence[int], n: int) -> None:
         raise ValueError(f"negative color {colors[v]} at node {v}")
 
 
-@dataclass(frozen=True)
-class ParityGame:
+class ParityGame(FrozenRecord):
     """Arena plus an ownership partition.
 
     ``owners[v]`` is 0 or 1.  ``names`` optionally records display names,
@@ -144,22 +180,23 @@ class ParityGame:
     table of only ``None`` is stored as ``None``, as it reads back from a file.
     """
 
-    arena: Arena
-    owners: tuple[int, ...]
-    names: tuple[str | None, ...] | None = None
+    __match_args__ = ("arena", "owners", "names")
 
-    def __post_init__(self) -> None:
-        n = self.arena.node_count
-        if len(self.owners) != n:
-            raise ValueError(f"owner vector has {len(self.owners)} entries for {n} nodes")
-        if not set(self.owners) <= {0, 1}:
-            v = next(v for v, o in enumerate(self.owners) if o not in (0, 1))
-            raise ValueError(f"owner of node {v} must be 0 or 1, got {self.owners[v]}")
-        if self.names is not None:
-            if len(self.names) != n:
+    def __init__(
+        self, arena: Arena, owners: tuple[int, ...], names: tuple[str | None, ...] | None = None
+    ) -> None:
+        n = arena.node_count
+        if len(owners) != n:
+            raise ValueError(f"owner vector has {len(owners)} entries for {n} nodes")
+        if not set(owners) <= {0, 1}:
+            v = next(v for v, o in enumerate(owners) if o not in (0, 1))
+            raise ValueError(f"owner of node {v} must be 0 or 1, got {owners[v]}")
+        if names is not None:
+            if len(names) != n:
                 raise ValueError("name table length does not match node count")
-            if all(name is None for name in self.names):
-                object.__setattr__(self, "names", None)  # no name is no table
+            if all(name is None for name in names):
+                names = None  # no name is no table
+        self.__dict__.update(arena=arena, owners=owners, names=names)
 
     @property
     def node_count(self) -> int:
@@ -176,18 +213,26 @@ class ParityGame:
         return game
 
 
-@dataclass
-class Solution:
+class Solution(Record):
     """Winner labeling plus positional strategies for both players.
 
     ``strategy0`` maps each node of ``W0`` owned by player 0 to the chosen
     successor; ``strategy1`` likewise for player 1 on ``W1``.  Nodes in the
-    opponent's region carry no strategy entry.
+    opponent's region carry no strategy entry.  A strategy left out, or
+    None, is a new empty dict.
     """
 
-    winner: tuple[int, ...]
-    strategy0: dict[NodeId, NodeId] = field(default_factory=dict)
-    strategy1: dict[NodeId, NodeId] = field(default_factory=dict)
+    __match_args__ = ("winner", "strategy0", "strategy1")
+
+    def __init__(
+        self,
+        winner: tuple[int, ...],
+        strategy0: dict[NodeId, NodeId] | None = None,
+        strategy1: dict[NodeId, NodeId] | None = None,
+    ) -> None:
+        self.winner = winner
+        self.strategy0 = {} if strategy0 is None else strategy0
+        self.strategy1 = {} if strategy1 is None else strategy1
 
 
 def cycle_color(arena: Arena, nodes: Sequence[NodeId]) -> int:

@@ -23,7 +23,7 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from math import fsum
 from typing import Any, Callable
 
@@ -125,7 +125,7 @@ def parse_bench_config(text: str) -> list[BatchSpec]:
 def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
     config = spec.random_config
     if config is not None:  # a random batch
-        return gen_random(replace(config, seed=config.seed + run))
+        return gen_random(RandomConfig.parse(config.label(), seed=config.seed + run))
     return gen_family(spec.name, spec.params)
 
 

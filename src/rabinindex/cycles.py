@@ -29,12 +29,11 @@ from __future__ import annotations
 import enum
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
 from itertools import chain, combinations, compress, count
 from operator import not_
-from typing import Callable, Iterator, Sequence
 
-from .arena import Arena, NodeId
+from .arena import Arena, NodeId, Record
 
 __all__ = [
     "CycleAnswer",
@@ -66,15 +65,17 @@ class CycleAnswer(enum.Enum):
         raise TypeError("CycleAnswer is tri-valued; compare against members")
 
 
-@dataclass
-class SearchBudget:
+class SearchBudget(Record):
     """Mutable allowance counted in expanded search nodes.  All exact
     queries of one :func:`~rabinindex.reduction.rabin` run share one; a
     query answered by a recorded cycle spends none of it.
     """
 
-    limit: int | None = DEFAULT_BUDGET
-    spent: int = 0
+    __match_args__ = ("limit", "spent")
+
+    def __init__(self, limit: int | None = DEFAULT_BUDGET, spent: int = 0) -> None:
+        self.limit = limit
+        self.spent = spent
 
     def spend(self, amount: int = 1) -> bool:
         """Consume budget; False once the limit would be exceeded."""

@@ -25,15 +25,13 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .arena import Arena, NodeId, ParityGame
+from .arena import Arena, FrozenRecord, NodeId, ParityGame
 
 _CONFIG_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*$")
 
 
-@dataclass(frozen=True)
-class RandomConfig:
+class RandomConfig(FrozenRecord):
     """Parameters of the random game model, written ``xx/yy/zz/cc``.
 
     ``xx`` nodes; every node gets a fair-coin owner, a color uniform in
@@ -41,28 +39,26 @@ class RandomConfig:
     itself (no self-loops, no dead ends).
     """
 
-    nodes: int
-    min_out: int
-    max_out: int
-    max_color: int
-    seed: int = 0
+    __match_args__ = ("nodes", "min_out", "max_out", "max_color", "seed")
 
-    def __post_init__(self) -> None:
-        if self.nodes < 2:
-            raise ValueError(f"need at least 2 nodes, got {self.nodes}")
-        if self.min_out < 1:
-            raise ValueError(f"minimal out-degree must be >= 1, got {self.min_out}")
-        if self.max_out < self.min_out:
+    def __init__(
+        self, nodes: int, min_out: int, max_out: int, max_color: int, seed: int = 0
+    ) -> None:
+        if nodes < 2:
+            raise ValueError(f"need at least 2 nodes, got {nodes}")
+        if min_out < 1:
+            raise ValueError(f"minimal out-degree must be >= 1, got {min_out}")
+        if max_out < min_out:
+            raise ValueError(f"out-degree bounds out of order: {min_out} > {max_out}")
+        if max_out > nodes - 1:
             raise ValueError(
-                f"out-degree bounds out of order: {self.min_out} > {self.max_out}"
+                f"max out-degree {max_out} impossible with {nodes} nodes and no self-loops"
             )
-        if self.max_out > self.nodes - 1:
-            raise ValueError(
-                f"max out-degree {self.max_out} impossible with {self.nodes} nodes "
-                "and no self-loops"
-            )
-        if self.max_color < 0:
-            raise ValueError(f"max color must be >= 0, got {self.max_color}")
+        if max_color < 0:
+            raise ValueError(f"max color must be >= 0, got {max_color}")
+        self.__dict__.update(
+            nodes=nodes, min_out=min_out, max_out=max_out, max_color=max_color, seed=seed
+        )
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "RandomConfig":

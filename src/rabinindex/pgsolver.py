@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from typing import Iterator
+from collections.abc import Iterator
 
 from .arena import Arena, ParityGame, Solution
 

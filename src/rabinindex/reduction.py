@@ -20,10 +20,9 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
-from .arena import Arena, Coloring, NodeId, ParityGame, check_coloring, index
+from .arena import Arena, Coloring, NodeId, ParityGame, Record, check_coloring, index
 from .cycles import (
     DEFAULT_BUDGET,
     CycleAnswer,
@@ -56,37 +55,61 @@ class OracleMode(enum.Enum):
     ABSTRACT = "alpha"
 
 
-@dataclass
-class OracleStats:
-    exact_queries: int = 0
-    # Always 0: alpha mode computes its form without per-node queries.  The
-    # benchmark's report (perfbench/worker.py) still reads the counter.
-    abstract_queries: int = 0
-    max_color_checks: int = 0
-    nodes_expanded: int = 0  # what the run's one search budget spent
+class OracleStats(Record):
+    """Counters of one run.  ``abstract_queries`` is always 0: alpha mode
+    computes its form without per-node queries, but the benchmark's report
+    (perfbench/worker.py) still reads it.  ``nodes_expanded`` is what the
+    run's one search budget spent."""
+
+    __match_args__ = ("exact_queries", "abstract_queries", "max_color_checks", "nodes_expanded")
+
+    def __init__(
+        self,
+        exact_queries: int = 0,
+        abstract_queries: int = 0,
+        max_color_checks: int = 0,
+        nodes_expanded: int = 0,
+    ) -> None:
+        self.exact_queries = exact_queries
+        self.abstract_queries = abstract_queries
+        self.max_color_checks = max_color_checks
+        self.nodes_expanded = nodes_expanded
 
 
-@dataclass
-class IterationTrace:
-    cycle_changes: tuple[Change, ...]
-    pop_changes: tuple[Change, ...]
+class IterationTrace(Record):
+    __match_args__ = ("cycle_changes", "pop_changes")
+
+    def __init__(self, cycle_changes: tuple[Change, ...], pop_changes: tuple[Change, ...]) -> None:
+        self.cycle_changes = cycle_changes
+        self.pop_changes = pop_changes
 
 
-@dataclass
-class ReductionReport:
+class ReductionReport(Record):
     """Per-run trace of :func:`rabin`.
 
     ``rank_trace`` holds the color sum before the loop and after each
     iteration; it strictly decreases except for the final confirming entry.
     Alpha mode has no iterations, and records the sum before and after.
+    A list or the stats left out, or None, start empty.
     """
 
-    mode: OracleMode
-    initial_index: int
-    final_index: int
-    rank_trace: list[int] = field(default_factory=list)
-    iterations: list[IterationTrace] = field(default_factory=list)
-    stats: OracleStats = field(default_factory=OracleStats)
+    __match_args__ = ("mode", "initial_index", "final_index", "rank_trace", "iterations", "stats")
+
+    def __init__(
+        self,
+        mode: OracleMode,
+        initial_index: int,
+        final_index: int,
+        rank_trace: list[int] | None = None,
+        iterations: list[IterationTrace] | None = None,
+        stats: OracleStats | None = None,
+    ) -> None:
+        self.mode = mode
+        self.initial_index = initial_index
+        self.final_index = final_index
+        self.rank_trace = [] if rank_trace is None else rank_trace
+        self.iterations = [] if iterations is None else iterations
+        self.stats = OracleStats() if stats is None else stats
 
     @property
     def iteration_count(self) -> int:

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import chain, compress, islice, repeat
 from operator import eq, mul
-from typing import Sequence
 
-from .arena import NodeId, ParityGame, Solution
+from .arena import FrozenRecord, NodeId, ParityGame, Solution
 from .cycles import closed_walk_minima
 from .cycles import tarjan_scc  # noqa: F401  only perfbench/tracing.py uses it: it rebinds it here
 
@@ -168,13 +167,13 @@ def zielonka_solve(game: ParityGame) -> Solution:
     return Solution(winner=tuple(won), strategy0=strategy0, strategy1=strategy1)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(FrozenRecord):
     """Outcome of checking a claimed solution; truthy iff the solution holds."""
 
-    ok: bool
-    reason: str = ""
-    witness: tuple = ()
+    __match_args__ = ("ok", "reason", "witness")
+
+    def __init__(self, ok: bool, reason: str = "", witness: tuple = ()) -> None:
+        self.__dict__.update(ok=ok, reason=reason, witness=witness)
 
     def __bool__(self) -> bool:
         return self.ok

@@ -8,8 +8,9 @@ import os
 import pkgutil
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
+
+import pytest
 
 import rabinindex
 from rabinindex.cli import main
@@ -53,20 +54,28 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert not hasattr(rabinindex.ReductionReport, "to_records")
     assert not hasattr(rabinindex.ReductionReport, "to_text")
     assert "orders" not in inspect.signature(rabinindex.rabin).parameters
-    stats = {f.name for f in fields(rabinindex.reduction.OracleStats)}
+    stats = set(inspect.signature(rabinindex.reduction.OracleStats).parameters)
     assert not stats & {"reach_steps", "scc_builds", "reused_queries", "nodes_reused"}
-    assert "reused" not in {f.name for f in fields(rabinindex.cycles.SearchBudget)}
+    assert "reused" not in inspect.signature(rabinindex.cycles.SearchBudget).parameters
     # One budget counts the whole exact run, so an abort has one count.
     assert "nodes_expanded" not in inspect.signature(rabinindex.ReductionAborted).parameters
 
 
-def _loaded_by_import(modules: tuple[str, ...]) -> list[str]:
-    """Which of ``modules`` a fresh interpreter holds after ``import rabinindex``."""
+def _loaded_by_import(modules: tuple[str, ...], target: str = "rabinindex") -> list[str]:
+    """Which of ``modules`` ``import target`` loads in a fresh interpreter.
+
+    ``-S`` skips ``site``, which may load some of them before the import.
+    """
     src = str(Path(rabinindex.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = f"import sys, rabinindex; print(*[m for m in {modules!r} if m in sys.modules])"
-    result = subprocess.run([sys.executable, "-c", run], env=env, capture_output=True, text=True)
+    run = (
+        f"import sys; before = set(sys.modules); import {target}; "
+        f"print(*[m for m in {modules!r} if m in set(sys.modules) - before])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", run], env=env, capture_output=True, text=True
+    )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
 
@@ -81,6 +90,15 @@ def test_import_loads_no_bench_harness():
     # The CSV harness stays in rabinindex.bench, which the package does not
     # import, so csv and logging load only with it.
     assert _loaded_by_import(("rabinindex.bench", "csv", "logging")) == []
+
+
+@pytest.mark.parametrize("target", ["rabinindex", "rabinindex.cli"])
+def test_import_loads_no_introspection_machinery(target):
+    # The value classes are plain classes, not dataclasses, whose import
+    # brings inspect, ast, dis and tokenize; collections.abc stands in for
+    # typing, which a bare interpreter would load for a few names.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    assert _loaded_by_import(heavy, target) == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
