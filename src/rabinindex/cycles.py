@@ -9,9 +9,9 @@ cycle drive the reductions in :mod:`rabinindex.reduction`:
   strongly connected ones: :func:`tarjan_scc` lists the cyclic components,
   those that hold a closed walk, and answers for all of them at once.
   :func:`nesting_tree` nests the cyclic components of the subgraphs above
-  each color rank, each inside the next larger one: it is the one
-  hierarchy behind :func:`closed_walk_minima` and the alpha form of
-  :mod:`rabinindex.reduction`.
+  each parity run, each inside the next larger one: it is the one
+  hierarchy behind the alpha form of :mod:`rabinindex.reduction` and the
+  parity check of :func:`~rabinindex.solver.verify_solution`.
 
 :func:`simple_cycle_through_with_color` and :func:`cycle_through_with_color`
 begin with the same polynomial step: a backward reach from the node over
@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from itertools import chain, combinations, compress, count
 from operator import not_
 
@@ -42,7 +42,6 @@ __all__ = [
     "NodeCapExceeded",
     "tarjan_scc",
     "nesting_tree",
-    "closed_walk_minima",
     "simple_cycle_through_with_color",
     "simple_cycle_with_max_color",
     "cycle_through_with_color",
@@ -155,23 +154,26 @@ def tarjan_scc(
     return cyclic
 
 
+def _run_starts(present: list[int]) -> list[int]:
+    """The first of each parity run among the ascending distinct colors."""
+    return [c for c, below in zip(present, [present[0] - 1, *present]) if (c - below) % 2]
+
+
 def nesting_tree(
-    links: Sequence[Sequence[NodeId]],
-    colors: Sequence[int],
-    rank_starts: Callable[[list[int]], list[int]],
+    links: Sequence[Sequence[NodeId]], colors: Sequence[int]
 ) -> tuple[list[int], list[int], list[int]]:
     """The nested cyclic components of a graph as a tree: each node's
     least enclosing component (-1 for a node on no closed walk), and each
     component's least color and next larger component (-1 at a root).
 
-    ``rank_starts`` maps a component's ascending distinct colors to the
-    least color of each of its ranks.  Below a component hang the cyclic
-    components among its nodes of rank 1 or more.  The first two levels
-    rank each component anew; below them, a component of several ranks
-    ranks its descendants as it ranks its own nodes, so the tree also
-    holds its components at each higher rank.  Either way gives the same
-    answers to :func:`closed_walk_minima`, which ranks each color on its
-    own, and to ``reduction._alpha_form``, which ranks each parity run.
+    A component's ranks are the parity runs of its ascending distinct
+    colors.  Below a component hang the cyclic components among its nodes
+    of rank 1 or more.  The first two levels rank each component anew;
+    below them, a component of several ranks ranks its descendants as it
+    ranks its own nodes, so the tree also holds its components at each
+    higher rank.  Either way, a closed walk whose least color is d lies in
+    a tree component whose least color is at most d and of d's parity:
+    the one of d's rank that holds it.
 
     One :func:`tarjan_scc` run over the whole graph and one masked to the
     nodes of rank 1 or more peel the first two levels.  The children that
@@ -197,7 +199,7 @@ def nesting_tree(
         deep: list[tuple[list[NodeId], list[int]]] = []  # of several ranks
         for comp in components:
             present = sorted({colors[u] for u in comp})
-            starts = rank_starts(present)
+            starts = _run_starts(present)
             t = len(low)
             low.append(present[0])
             up.append(leaf[comp[0]])
@@ -318,20 +320,6 @@ def nesting_tree(
         if above:
             tasks.append((above, mid, hi, True))
     return leaf, low, up
-
-
-def closed_walk_minima(
-    successors: Sequence[Sequence[NodeId]], colors: Sequence[int]
-) -> list[bool]:
-    """Mark every node ``u`` on a closed walk whose minimal color is
-    ``colors[u]``: those whose least enclosing component in the
-    :func:`nesting_tree` ranked by color has ``colors[u]`` as its least.
-    A closed walk with minimal color ``colors[u]`` lies in the component
-    of ``u`` among the nodes colored at least that, which the tree holds.
-    """
-    leaf, low, _ = nesting_tree(successors, colors, lambda present: present)
-    low.append(-1)  # at leaf -1, below every color
-    return [low[t] == c for t, c in zip(leaf, colors)]
 
 
 def _check_query(arena: Arena, coloring: Sequence[int], v: NodeId, gamma: int) -> None:

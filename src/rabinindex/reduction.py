@@ -21,6 +21,7 @@ import enum
 from bisect import bisect_left, insort
 from collections import Counter
 from collections.abc import Sequence
+from itertools import accumulate
 
 from .arena import Arena, Coloring, NodeId, ParityGame, Record, check_coloring, index
 from .cycles import (
@@ -28,6 +29,7 @@ from .cycles import (
     CycleAnswer,
     CycleRecord,
     SearchBudget,
+    _run_starts,
     nesting_tree,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
@@ -247,7 +249,7 @@ def _alpha_form(arena: Arena, colors: Sequence[int]) -> Coloring:
     solver build that index anyway, so timing this pass charges it no work
     another stage would otherwise do.
     """
-    leaf, low, up = nesting_tree(arena.predecessors, colors, _run_starts)
+    leaf, low, up = nesting_tree(arena.predecessors, colors)
     value = [-1] * len(low) + [0]  # value[-1] = 0 stands above the roots
     for t in range(len(low)):
         unset = []
@@ -318,23 +320,6 @@ def rabin(
     return tuple(colors), report
 
 
-def _parity_runs(present: Sequence[int], base: int) -> dict[int, int]:
-    """Map each of the ascending distinct colors ``present`` to ``base``
-    plus the number of parity switches below it among them."""
-    rank = {}
-    below = present[0]
-    for color in present:
-        base += (color - below) % 2
-        rank[color] = base
-        below = color
-    return rank
-
-
-def _run_starts(present: list[int]) -> list[int]:
-    """The first of each parity run among the ascending distinct colors."""
-    return [c for c, below in zip(present, [present[0] - 1, *present]) if (c - below) % 2]
-
-
 def static_compress(coloring: Sequence[int]) -> Coloring:
     """Close gaps in the color value set, preserving parities and order.
 
@@ -346,7 +331,12 @@ def static_compress(coloring: Sequence[int]) -> Coloring:
         raise ValueError("coloring is empty")
     check_coloring(coloring, len(coloring))
     present = sorted(set(coloring))
-    return tuple(map(_parity_runs(present, present[0] % 2).__getitem__, coloring))
+    # Each color sits as many above the least color's parity as the parity
+    # runs that start above the least color and at or below it.
+    starts = set(_run_starts(present))
+    above = accumulate(map(starts.__contains__, present[1:]), initial=present[0] % 2)
+    rank = dict(zip(present, above))
+    return tuple(map(rank.__getitem__, coloring))
 
 
 def abstract_membership(game: ParityGame | Arena, k: int) -> bool:

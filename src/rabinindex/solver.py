@@ -17,11 +17,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import eq, mul
 
 from .arena import FrozenRecord, NodeId, ParityGame, Solution
-from .cycles import closed_walk_minima
+from .cycles import nesting_tree
 from .cycles import tarjan_scc  # noqa: F401  only perfbench/tracing.py uses it: it rebinds it here
 
 
@@ -198,11 +198,13 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
     closure check records the strategy-restricted graph as it goes: the
     strategy move at a node its winner owns, every successor elsewhere, and
     no move in a region without a color of its winner's wrong parity.  No
-    move leaves its region, so one :func:`closed_walk_minima` over that
-    graph's nesting tree checks both: no wrong-parity node may lie on a
-    closed walk whose minimal color is its own.  Player 0's region is
-    reported before player 1's, with its smallest such color d and the
-    shortest cycle through its lowest d-colored culprit.
+    move leaves its region, so one :func:`~rabinindex.cycles.nesting_tree`
+    over that graph checks both: a region is lost iff one of its nodes has
+    a least enclosing component whose least color is of the wrong parity.
+    Player 0's region is reported before player 1's, with its smallest such
+    color d, the least wrong-parity minimum of a closed walk in it, and the
+    shortest cycle through its lowest d-colored node whose least enclosing
+    component has least color d.
     """
     arena = game.arena
     n = arena.node_count
@@ -266,13 +268,20 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
             moves[v] = out
 
     if walked:
-        marked = closed_walk_minima(moves, colors)
-        bad = [v for v in compress(range(n), marked) if colors[v] % 2 != winner[v]]
-        if bad:
-            s = min(winner[v] for v in bad)
-            culprit = min((v for v in bad if winner[v] == s), key=colors.__getitem__)
+        leaf, low, _ = nesting_tree(moves, colors)
+        # Each tree component lies in one region; -1 holds the nodes on no cycle.
+        region_of = dict(zip(leaf, winner))
+        region_of.pop(-1, None)
+        lost = [(s, low[t]) for t, s in region_of.items() if low[t] % 2 != s]
+        if lost:
+            s, d = min(lost)
+            culprit = next(
+                v
+                for v, t in enumerate(leaf)
+                if t >= 0 and winner[v] == s and colors[v] == d == low[t]
+            )
             cycle = tuple(_cycle_through(moves, colors, culprit))
-            return _failure(f"player {s} region admits a cycle of color {colors[culprit]}", cycle)
+            return _failure(f"player {s} region admits a cycle of color {d}", cycle)
     return VerificationResult(ok=True)
 
 

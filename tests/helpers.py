@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import sys
 from math import inf
 from typing import NamedTuple, Sequence
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from rabinindex.arena import Arena, ParityGame, Solution
 from rabinindex import cycles, reduction, solver
-from rabinindex.cycles import closed_walk_minima, tarjan_scc
+from rabinindex.cycles import tarjan_scc
 from rabinindex.reduction import OracleStats, _PassState
 
 
@@ -44,7 +45,7 @@ def max_color_on_closed_walk(arena: Arena, colors=None) -> bool:
     """
     c = arena.colors if colors is None else colors
     top = max(c)
-    marked = closed_walk_minima(arena.successors, c)
+    marked = closed_walk_minima_reference(arena.successors, c)
     return any(on_walk and color == top for on_walk, color in zip(marked, c))
 
 
@@ -53,6 +54,14 @@ def nested_path(n: int) -> Arena:
     shorter path, so its components nest one level per node."""
     succ = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
     return Arena.from_lists(succ, [2 * v for v in range(n)])
+
+
+def parity_path(n: int) -> Arena:
+    """Two-way path colored ``v`` at even ``v`` and ``v + 2`` at odd ``v``:
+    the parity of the colors above each threshold switches once per node,
+    so its components nest one parity run per two nodes."""
+    succ = [[w for w in (v - 1, v + 1) if 0 <= w < n] for v in range(n)]
+    return Arena.from_lists(succ, [v + 2 * (v % 2) for v in range(n)])
 
 
 def threshold_reach(links, colors, v: int, gamma: int) -> set[int]:
@@ -122,12 +131,13 @@ def alpha_form_reference(arena: Arena) -> tuple[int, ...]:
 def closed_walk_minima_reference(
     successors: Sequence[Sequence[int]], colors: Sequence[int]
 ) -> list[bool]:
-    """:func:`closed_walk_minima` by one :func:`tarjan_scc` run per level
-    of the nesting, the first over the whole graph and each later one
-    masked to the live nodes: each level marks every component's
-    least-colored nodes and leaves the rest live.  A closed walk through
-    any other node avoids the least color of its component, so it stays
-    inside what is left of that component."""
+    """Mark every node ``u`` on a closed walk whose minimal color is
+    ``colors[u]``, by one :func:`tarjan_scc` run per level of the nesting,
+    the first over the whole graph and each later one masked to the live
+    nodes: each level marks every component's least-colored nodes and
+    leaves the rest live.  A closed walk through any other node avoids the
+    least color of its component, so it stays inside what is left of that
+    component."""
     n = len(successors)
     marked = [False] * n
     live = None
@@ -144,6 +154,48 @@ def closed_walk_minima_reference(
                     live[u] = left = True
         if not left:
             return marked
+
+
+def walk_verdict_reference(game: ParityGame, solution: Solution):
+    """What :func:`solver.verify_solution` should find once the claimed
+    strategies are valid: "open" when a move of the strategy-restricted
+    graph leaves its region, else ``(player, color, culprit)`` for the
+    least player whose region holds a closed walk whose minimal color is
+    of the wrong parity, that least such color, and the least node marked
+    with it by :func:`closed_walk_minima_reference`; None when no region
+    holds one."""
+    winner = solution.winner
+    strategies = (solution.strategy0, solution.strategy1)
+    moves = [
+        (strategies[s][v],) if game.owners[v] == s else game.arena.successors[v]
+        for v, s in enumerate(winner)
+    ]
+    if any(winner[w] != winner[v] for v, out in enumerate(moves) for w in out):
+        return "open"
+    colors = game.arena.colors
+    marked = closed_walk_minima_reference(moves, colors)
+    return min(
+        (
+            (winner[v], colors[v], v)
+            for v in range(game.node_count)
+            if marked[v] and colors[v] % 2 != winner[v]
+        ),
+        default=None,
+    )
+
+
+def walk_verdict(game: ParityGame, solution: Solution):
+    """:func:`solver.verify_solution`'s verdict in the terms of
+    :func:`walk_verdict_reference`; its reason for any other rejection."""
+    result = solver.verify_solution(game, solution)
+    if result:
+        return None
+    if "leaves" in result.reason or "not closed" in result.reason:
+        return "open"
+    found = re.fullmatch(r"player (\d) region admits a cycle of color (\d+)", result.reason)
+    if found is None:
+        return result.reason
+    return int(found[1]), int(found[2]), result.witness[0]
 
 
 def blocks_arena(rng: random.Random) -> Arena:

@@ -17,15 +17,15 @@ from hypothesis import strategies as st
 import rabinindex
 from rabinindex import cycles, reduction, solver
 
-from rabinindex.arena import Arena, cycle_color
+from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.generators import gen_clique, gen_ladder
 from rabinindex.cycles import (
     CycleAnswer,
     NodeCapExceeded,
     SearchBudget,
-    closed_walk_minima,
     cycle_through_with_color,
     enumerate_simple_cycles,
+    nesting_tree,
     simple_cycle_through_with_color,
     simple_cycle_with_max_color,
     strongly_connected_subsets,
@@ -35,13 +35,15 @@ from rabinindex.cycles import (
 from helpers import (
     arenas,
     blocks_arena,
-    closed_walk_minima_reference,
     count_tarjan_calls,
     count_tarjan_work,
     max_color_on_closed_walk,
     nested_path,
+    parity_path,
     random_arena,
     threshold_reach,
+    walk_verdict,
+    walk_verdict_reference,
 )
 
 
@@ -233,32 +235,71 @@ def test_max_color_check_agreement(arena):
     assert simple_cycle_with_max_color(arena) == max_color_on_closed_walk(arena)
 
 
+def least_enclosing(links, colors) -> list[int | None]:
+    """Each node's least enclosing component's least color in the
+    :func:`nesting_tree`, None for a node on no closed walk."""
+    leaf, low, _ = nesting_tree(links, colors)
+    return [low[t] if t >= 0 else None for t in leaf]
+
+
+def whole_region_claims(arena: Arena):
+    """Each player's claim to the whole arena, as a game in which the
+    other player owns every node: the region's moves are then every edge,
+    so :func:`solver.verify_solution` walks the arena itself."""
+    n = arena.node_count
+    for s in (0, 1):
+        yield ParityGame(arena=arena, owners=(1 - s,) * n), Solution((s,) * n)
+
+
 @given(arenas(max_nodes=7, allow_self_loops=True), st.data())
 @settings(max_examples=100)
 def test_closed_walk_minima_matches_brute_force(arena, data):
+    # The tree's components are closed walks' node sets with their least
+    # colors, and each closed walk lies in one whose least color is at
+    # most the walk's and of its parity; so the least closed-walk minimum
+    # of a parity, and the nodes at which it is one, read off the tree.
     n = arena.node_count
     allowed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     c = arena.colors
-    expected = set()
-    for subset in strongly_connected_subsets(arena):
-        if all(allowed[u] for u in subset):
-            low = min(c[u] for u in subset)
-            expected |= {u for u in subset if c[u] == low}
+    walks = [s for s in strongly_connected_subsets(arena) if all(allowed[u] for u in s)]
     induced = [
         [w for w in succ if allowed[v] and allowed[w]] for v, succ in enumerate(arena.successors)
     ]
-    marked = closed_walk_minima(induced, c)
-    assert {u for u in range(n) if marked[u]} == expected
+    leaf, low, up = nesting_tree(induced, c)
+    members: list[set[int]] = [set() for _ in low]
+    for u, t in enumerate(leaf):
+        while t >= 0:
+            members[t].add(u)
+            t = up[t]
+    for t, nodes in enumerate(members):
+        assert frozenset(nodes) in walks
+        assert min(c[u] for u in nodes) == low[t]
+    assert {u for u in range(n) if leaf[u] >= 0} == set().union(*walks)
+    for walk in walks:
+        d = min(c[u] for u in walk)
+        assert any(
+            walk <= nodes and low[t] <= d and (d - low[t]) % 2 == 0
+            for t, nodes in enumerate(members)
+        )
+    for parity in (0, 1):
+        minima = [min(c[u] for u in walk) for walk in walks]
+        d = min((m for m in minima if m % 2 == parity), default=None)
+        assert d == min((x for x in low if x % 2 == parity), default=None)
+        at_d = {u for walk, m in zip(walks, minima) if m == d for u in walk if c[u] == d}
+        assert {u for u in range(n) if leaf[u] >= 0 and c[u] == d == low[leaf[u]]} == at_d
 
 
 def test_closed_walk_minima_peels_each_level_inside_the_last():
-    # Two sibling cycles, one peeled whole on a tie, and a node on no cycle:
-    # node 3 is left alone once its cycle's least color is peeled.
+    # Two sibling cycles, one of a single parity run whose higher color
+    # stays at its level, and a node on no cycle.
     successors = ((1,), (0,), (3,), (2,), (0,))
-    assert closed_walk_minima(successors, (1, 1, 0, 2, 5)) == [True, True, True, False, False]
-    # Each level of the nested path peels one end inside the last level.
+    assert least_enclosing(successors, (1, 1, 0, 2, 5)) == [1, 1, 0, 0, None]
+    # A path of one parity run is one component; colors 0, 3, 2, 5, 4 nest
+    # the 2-cycle of 5 and 4 inside the path, above its run of 0 and 2.
     arena = nested_path(4)
-    assert closed_walk_minima(arena.successors, arena.colors) == [True, True, True, False]
+    assert least_enclosing(arena.successors, arena.colors) == [0, 0, 0, 0]
+    arena = parity_path(5)
+    assert least_enclosing(arena.successors, arena.colors) == [0, 0, 0, 4, 4]
 
 
 def test_closed_walk_minima_decomposes_once_per_level(monkeypatch):
@@ -266,29 +307,29 @@ def test_closed_walk_minima_decomposes_once_per_level(monkeypatch):
     # decomposition per component would take 401.
     successors = [[v ^ 1] for v in range(400)]
     calls = count_tarjan_calls(monkeypatch)
-    assert closed_walk_minima(successors, [3 - v % 2 for v in range(400)]) == [False, True] * 200
+    assert least_enclosing(successors, [3 - v % 2 for v in range(400)]) == [2] * 400
     assert len(calls) <= 2
 
 
 def test_closed_walk_minima_deep_nesting_does_not_recurse():
+    # Each 2-cycle of an odd node and the next is one parity run above
+    # the last; the path's odd last node joins the 2-cycle before it.
     n = 1100
-    arena = nested_path(n)
+    arena = parity_path(n)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
-        marked = closed_walk_minima(arena.successors, arena.colors)
+        lows = least_enclosing(arena.successors, arena.colors)
     finally:
         sys.setrecursionlimit(old_limit)
-    assert marked == [True] * (n - 1) + [False]
+    assert lows == [0, 0, 0] + [v + v % 2 for v in range(3, n - 1)] + [n - 2]
 
 
 @given(arenas(max_nodes=8, max_color=9, max_degree=4, allow_self_loops=True))
 @settings(max_examples=200)
 def test_closed_walk_minima_equals_the_peel(arena):
-    for links in (arena.successors, arena.predecessors):
-        assert closed_walk_minima(links, arena.colors) == closed_walk_minima_reference(
-            links, arena.colors
-        )
+    for game, solution in whole_region_claims(arena):
+        assert walk_verdict(game, solution) == walk_verdict_reference(game, solution)
 
 
 def test_closed_walk_minima_equals_the_peel_on_deep_paths(monkeypatch):
@@ -298,23 +339,23 @@ def test_closed_walk_minima_equals_the_peel_on_deep_paths(monkeypatch):
     rng = random.Random(2018)
     for _ in range(40):
         arena = blocks_arena(rng)
-        for links in (arena.successors, arena.predecessors):
+        for game, solution in whole_region_claims(arena):
             del calls[:]
-            marked = closed_walk_minima(links, arena.colors)
+            assert walk_verdict(game, solution) == walk_verdict_reference(game, solution)
             assert len(calls) > 2
-            assert marked == closed_walk_minima_reference(links, arena.colors)
 
 
 def test_closed_walk_minima_hands_tarjan_m_log_k_edges(monkeypatch):
     # Two peel runs over all m edges, then each level of the divide and
-    # conquer over the k = 4 000 colors hands each edge on at most once.
-    # One run per level, as the peel does alone, hands about 2 000 m.
-    arena = nested_path(4000)
+    # conquer over the path's k parity runs hands each edge on at most
+    # once.  One run per level, as the peel does alone, hands about 1 000 m.
+    arena = parity_path(4000)
+    k = len(cycles._run_starts(sorted(set(arena.colors))))
     _, edges, _ = count_tarjan_work(monkeypatch)
-    marked = closed_walk_minima(arena.successors, arena.colors)
-    assert marked == [True] * 3999 + [False]
+    lows = least_enclosing(arena.successors, arena.colors)
+    assert lows[-2:] == [3998, 3998]
     m = sum(map(len, arena.successors))
-    assert sum(edges) <= m * ((4000 - 1).bit_length() + 3)
+    assert sum(edges) <= m * ((k - 1).bit_length() + 3)
 
 
 _TRIANGLE = Arena(((1,), (2,), (0,)), (1, 2, 3))

@@ -8,21 +8,24 @@ import re
 import sys
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabinindex import RandomConfig, gen_family, gen_random, rabin, solver, static_compress
+from rabinindex import RandomConfig, cycles, gen_family, gen_random, rabin, solver, static_compress
 from rabinindex.arena import Arena, ParityGame, Solution, cycle_color
 from rabinindex.oracles import brute_force_winners
 from rabinindex.solver import verify_solution, zielonka_solve
 
 from helpers import (
     attract,
-    closed_walk_minima_reference,
     count_tarjan_calls,
     count_tarjan_work,
     games,
     nested_path,
     package_lines,
+    parity_path,
     random_game,
+    walk_verdict,
+    walk_verdict_reference,
     zielonka_reference,
 )
 
@@ -358,13 +361,13 @@ def test_verify_walks_both_regions_at_once(monkeypatch):
     # has, and each holding one color of the other parity.
     game = ParityGame(Arena(((1,), (0,), (3,), (2,)), (1, 2, 2, 3)), (0, 0, 1, 1))
     calls = []
-    real = solver.closed_walk_minima
+    real = solver.nesting_tree
 
-    def counting(successors, colors):
-        calls.append(len(successors))
-        return real(successors, colors)
+    def counting(links, colors):
+        calls.append(len(links))
+        return real(links, colors)
 
-    monkeypatch.setattr(solver, "closed_walk_minima", counting)
+    monkeypatch.setattr(solver, "nesting_tree", counting)
     solution = Solution((1, 1, 0, 0))
     assert verify_solution(game, solution)
     assert calls == [4]
@@ -373,32 +376,32 @@ def test_verify_walks_both_regions_at_once(monkeypatch):
 def test_verify_decomposes_once_per_level_through_the_traced_name(monkeypatch):
     # perfbench's --trace 1 counts verify's SCC work by rebinding
     # cycles.tarjan_scc and summing each mask.  This benchmark game's
-    # strategy graph nests three levels deep: the peel runs over the whole
-    # graph and then masked to the 128 nodes above their components' least
-    # colors; the one component left with two colors goes to the divide
-    # and conquer, which decomposes its 2 higher nodes alone.
+    # strategy graph nests two parity runs deep: the peel runs over the
+    # whole graph and then masked to the 127 nodes at or above their
+    # components' second parity run; no component it finds holds two runs,
+    # so the divide and conquer has nothing to do.
     game = gen_random(RandomConfig.parse("400/3/5/400", seed=1006))
     solution = zielonka_solve(game)
     calls, _, masks = count_tarjan_work(monkeypatch)
     assert verify_solution(game, solution)
-    assert calls == [400, 400, 2]
-    assert masks[0] is None and masks[2] is None
-    assert (len(masks[1]), sum(masks[1])) == (400, 128)
+    assert calls == [400, 400]
+    assert masks[0] is None
+    assert (len(masks[1]), sum(masks[1])) == (400, 127)
 
 
 def test_verify_walks_equal_the_peel_on_benchmark_games(monkeypatch):
     # Every strategy graph verify walks for the benchmark's seed-1
-    # random-dense and random-sparse games, on the colorings it verifies.
+    # random-dense and random-sparse games, on the colorings it verifies
+    # and on each raised by one, which it rejects.
     walks = []
-    real = solver.closed_walk_minima
+    real = solver.nesting_tree
 
-    def refereed(successors, colors):
-        marked = real(successors, colors)
-        assert marked == closed_walk_minima_reference(successors, colors)
-        walks.append(len(successors))
-        return marked
+    def counting(links, colors):
+        walks.append(len(links))
+        return real(links, colors)
 
-    monkeypatch.setattr(solver, "closed_walk_minima", refereed)
+    monkeypatch.setattr(solver, "nesting_tree", counting)
+    rejected = 0
     for config, count, alpha in (("100/1/20/100", 24, True), ("400/3/5/400", 32, False)):
         for i in range(count):
             game = gen_random(RandomConfig.parse(config, seed=1000 + i))
@@ -406,8 +409,15 @@ def test_verify_walks_equal_the_peel_on_benchmark_games(monkeypatch):
             if alpha:
                 variants.append(game.with_colors(rabin(game.arena, mode="alpha")[0]))
             for variant in variants:
-                assert verify_solution(variant, zielonka_solve(variant))
-    assert len(walks) >= 100
+                solution = zielonka_solve(variant)
+                assert walk_verdict(variant, solution) is None
+                assert walk_verdict_reference(variant, solution) is None
+                raised = variant.with_colors([c + 1 for c in variant.arena.colors])
+                verdict = walk_verdict(raised, solution)
+                assert verdict == walk_verdict_reference(raised, solution)
+                rejected += verdict is not None
+    assert len(walks) >= 200
+    assert rejected >= 100
 
 
 def test_verify_walks_no_region_without_wrong_parity_colors(monkeypatch):
@@ -421,6 +431,55 @@ def test_verify_walks_no_region_without_wrong_parity_colors(monkeypatch):
     calls = count_tarjan_calls(monkeypatch)
     assert verify_solution(game, Solution((0,) * n + (1, 1)))
     assert len(calls) <= 3
+
+
+def test_verify_deep_parity_nesting_does_not_recurse(monkeypatch):
+    # Player 0 claims the whole path colored v and v + 2 (tests.helpers
+    # parity_path), whose closed walks all have even minima and whose
+    # components nest about one parity run per two nodes.  Its two peel
+    # runs cover all m edges; the divide and conquer over the k runs hands
+    # each edge on at most once per level.
+    n = 4000
+    arena = parity_path(n)
+    game = ParityGame(arena=arena, owners=(1,) * n)
+    k = len(cycles._run_starts(sorted(set(arena.colors))))
+    _, edges, _ = count_tarjan_work(monkeypatch)
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert verify_solution(game, Solution((0,) * n))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    m = sum(map(len, arena.successors))
+    assert len(edges) > 2
+    assert sum(edges) <= m * ((k - 1).bit_length() + 3)
+
+
+@st.composite
+def claims(draw: st.DrawFn) -> tuple[ParityGame, Solution]:
+    """A small game and a claimed solution whose strategy tables are
+    valid: a winner labeling, Zielonka's or any, and at each node its
+    winner owns one of its successors, inside the region where it can."""
+    game = draw(games(max_nodes=6, max_color=5, allow_self_loops=True))
+    n = game.node_count
+    if draw(st.booleans()):
+        winner = zielonka_solve(game).winner
+    else:
+        winner = tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    strategies: tuple[dict, dict] = ({}, {})
+    for v, s in enumerate(winner):
+        if game.owners[v] == s:
+            out = game.arena.successors[v]
+            inside = [w for w in out if winner[w] == s]
+            strategies[s][v] = draw(st.sampled_from(inside or out))
+    return game, Solution(winner, *strategies)
+
+
+@given(claims())
+@settings(max_examples=300)
+def test_verify_verdict_equals_the_reference_verdict(claim):
+    game, solution = claim
+    assert walk_verdict(game, solution) == walk_verdict_reference(game, solution)
 
 
 def test_zielonka_deep_game_keeps_recursion_limit():
