@@ -8,7 +8,8 @@ The CSV benchmark harness, :mod:`rabinindex.bench`, is not imported here.
 The import loads only small standard-library modules such as ``re``,
 ``enum`` and ``random``: the value classes derive from
 :class:`rabinindex.arena.Record`, not from a class decorator that would
-bring ``inspect`` and ``ast``, and no module needs ``typing`` at run time.
+bring ``inspect`` and ``ast``.  No module of the package, the harness
+included, imports ``dataclasses`` or ``typing``.
 """
 
 from .arena import Arena, Coloring, NodeId, ParityGame, Solution, cycle_color, index

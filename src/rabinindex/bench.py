@@ -15,6 +15,12 @@ statically compressed index mu(s(c)) and the abstract reduction's index
 ri_alpha, plus wall-clock means (ms) for static compression, the abstract
 reduction, and solving the original, statically compressed, and
 alpha-reduced games.
+
+A line's game is read by :func:`~rabinindex.generators.parse_game_spec`,
+the grammar of ``rabinindex gen``, and the specs and rows are the
+package's own :class:`~rabinindex.arena.Record` classes: like every
+module of the package, this one imports neither ``dataclasses`` nor
+``typing``.
 """
 
 from __future__ import annotations
@@ -23,48 +29,50 @@ import csv
 import io
 import logging
 import time
-from dataclasses import dataclass, fields
 from math import fsum
-from typing import Any, Callable
 
-from .arena import ParityGame, index
+from .arena import ParityGame, Record, index
 from .generators import RandomConfig, gen_family, gen_random, parse_game_spec
 from .reduction import OracleMode, rabin, static_compress
 from .solver import zielonka_solve
 
 log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class BatchSpec:
-    """One parsed configuration line."""
 
-    label: str
-    name: str = ""
-    params: tuple[int, ...] = ()
-    random_config: RandomConfig | None = None
-    runs: int | None = None  # None: use the harness-wide default
+class BatchSpec(Record):
+    """One parsed configuration line: its label, its game as
+    :func:`~rabinindex.generators.parse_game_spec` reads it, and its run
+    count, None for the harness-wide default."""
+
+    __match_args__ = ("label", "game", "runs")
+
+    def __init__(
+        self, label: str, game: RandomConfig | tuple[str, tuple[int, ...]], runs: int | None
+    ) -> None:
+        self.label = label
+        self.game = game
+        self.runs = runs
 
 
-@dataclass(frozen=True)
-class BenchRow:
-    """One CSV row; the fields, in order, are the columns."""
+class BenchRow(Record):
+    """One CSV row; ``__match_args__``, in order, are the columns, and
+    the constructor takes one value per column in that order."""
 
-    game: str
-    mu_c: float
-    mu_s_c: float
-    ri_alpha: float
-    static_ms: float
-    alpha_ms: float
-    solve_ms: float
-    solve_static_ms: float
-    solve_alpha_ms: float
-    runs: int
+    __match_args__ = (
+        "game", "mu_c", "mu_s_c", "ri_alpha", "static_ms", "alpha_ms",
+        "solve_ms", "solve_static_ms", "solve_alpha_ms", "runs",
+    )
+
+    def __init__(self, *cells: str | float) -> None:
+        if len(cells) != len(self.__match_args__):
+            raise TypeError(f"a row has {len(self.__match_args__)} cells, got {len(cells)}")
+        self.__dict__.update(zip(self.__match_args__, cells))
 
     def as_record(self) -> dict[str, str]:
         return {column: _cell(column, getattr(self, column)) for column in BENCH_COLUMNS}
 
 
-BENCH_COLUMNS = tuple(f.name for f in fields(BenchRow))
+BENCH_COLUMNS = BenchRow.__match_args__
 
 
 def _cell(column: str, value: str | float) -> str:
@@ -86,25 +94,23 @@ def _parse_int(key: str, value: str) -> int:
 
 def _parse_batch(line: str) -> BatchSpec:
     tokens = line.split()
-    runs: int | None = None
-    seed = 0
+    options: dict[str, int] = {}
     while tokens and "=" in tokens[-1]:
-        key, _, value = tokens[-1].partition("=")
-        if key == "runs":
-            runs = _parse_int(key, value)
-            if runs < 1:
-                raise ValueError("runs must be positive")
-        elif key == "seed":
-            seed = _parse_int(key, value)
-        else:
-            raise ValueError(f"unknown option {tokens[-1]!r}")
-        tokens.pop()
-    game = parse_game_spec(tokens, seed=seed)
+        token = tokens.pop()
+        key, _, value = token.partition("=")
+        if key not in ("runs", "seed"):
+            raise ValueError(f"unknown option {token!r}")
+        if key in options:
+            raise ValueError(f"repeated option {key!r}")
+        options[key] = _parse_int(key, value)
+        if key == "runs" and options[key] < 1:
+            raise ValueError("runs must be positive")
+    game = parse_game_spec(tokens, seed=options.get("seed", 0))
     if isinstance(game, RandomConfig):
-        return BatchSpec(label=game.label(), random_config=game, runs=runs)
-    name, params = game
-    label = f"{name}[{' '.join(tokens[1:])}]"
-    return BatchSpec(label=label, name=name, params=params, runs=runs)
+        label = game.label()
+    else:
+        label = f"{game[0]}[{' '.join(tokens[1:])}]"
+    return BatchSpec(label, game, options.get("runs"))
 
 
 def parse_bench_config(text: str) -> list[BatchSpec]:
@@ -123,13 +129,13 @@ def parse_bench_config(text: str) -> list[BatchSpec]:
 
 
 def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
-    config = spec.random_config
-    if config is not None:  # a random batch
-        return gen_random(RandomConfig.parse(config.label(), seed=config.seed + run))
-    return gen_family(spec.name, spec.params)
+    if isinstance(spec.game, RandomConfig):  # a fresh game per run
+        c = spec.game
+        return gen_random(RandomConfig(c.nodes, c.min_out, c.max_out, c.max_color, c.seed + run))
+    return gen_family(*spec.game)
 
 
-def _timed(samples: list[float], fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+def _timed(samples: list[float], fn, *args, **kwargs):
     """Call ``fn``, appending its wall-clock time in ms to ``samples``."""
     start = time.perf_counter()
     result = fn(*args, **kwargs)
@@ -158,8 +164,8 @@ def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
             ("solve_alpha_ms", reduced),
         ):
             _timed(samples[column], zielonka_solve, game.with_colors(variant))
-    means = {column: fsum(values) / len(values) for column, values in samples.items()}
-    return BenchRow(game=spec.label, runs=runs, **means)
+    means = [fsum(values) / len(values) for values in samples.values()]
+    return BenchRow(spec.label, *means, runs)
 
 
 def bench_run(config_text: str, default_runs: int = 1) -> list[BenchRow]:

@@ -153,9 +153,13 @@ def brute_force_rabin_index(
     Works by exhaustive search: for k = 0, 1, ... test whether some
     assignment with all colors <= k matches the parity of every cycle
     constraint.  With ``bounded_by_input`` the per-node candidate colors
-    are further capped at the input color, which is sound (the reduction
-    passes only ever lower colors and reach the optimum) and much faster;
-    disable it to run the unrestricted search as a cross-check.
+    are further capped at the input color c, which is much faster and
+    loses no minimum: if c' is equivalent to c, so is the pointwise
+    min(c, c'), since on every cycle of the family its minimum is one of
+    the two minima, which share a parity; and its index is at most that
+    of c'.  So some least-index coloring equivalent to c lies pointwise at
+    or below c, under either relation.  Disable the cap to run the
+    unrestricted search as a cross-check.
     """
     colors = arena.checked_colors(coloring)
     families = cycle_families(arena, relation, node_cap)

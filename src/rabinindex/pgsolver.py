@@ -11,22 +11,26 @@ ids preserved in the game's name table.  Solutions use the analogous
 ``paritysol`` listing with one ``<id> <winner> [<strategy successor>];``
 record per node.
 
-Parsing runs in two stages.  A whole-text pass matches every record line
-at once against a strict subset of the grammar (ASCII digits, no signs,
-owner and winner ``0`` or ``1``, no blank around a comma; the records
-``0..n-1`` in order, no repeated successor, every successor spelled as its
-id) and builds the result without a second round of checks.  Any input
-it does not take in full goes, unchanged, to the per-line parser, which is
-the one definition of the format: it accepts every spelling the grammar
-allows, renumbers sparse or unordered ids, and raises every error, with
-its line, and every :class:`DuplicateEdgeWarning`.
+Parsing runs in two stages over one scan of the text, which decodes it,
+drops blank lines and comments, checks the optional header, and raises
+the errors of encoding and header itself.  A whole-text pass matches
+every record line at once against a strict subset of the grammar (ASCII
+digits, no signs, owner and winner ``0`` or ``1``, no blank around a
+comma; the records ``0..n-1`` in order, no repeated successor, every
+successor spelled as its id) and builds the result without a second
+round of checks.  Any input it does not take in full goes, unchanged, to
+the per-line parser, which is the one definition of the record grammar:
+it accepts every spelling the grammar allows, renumbers sparse or
+unordered ids, and raises every record error, with its line, and every
+:class:`DuplicateEdgeWarning`.  Like every module of the package, this
+one imports neither ``dataclasses`` nor ``typing``.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from collections.abc import Iterator
+from itertools import compress
 
 from .arena import Arena, ParityGame, Solution
 
@@ -76,53 +80,27 @@ class DuplicateEdgeWarning(UserWarning):
     """A node listed the same successor twice; duplicates are dropped."""
 
 
-def _decode(text: str | bytes) -> str:
+def _scan(text: str | bytes, header: str, header_error: str) -> tuple[list[int], list[str]]:
+    """The 1-based numbers and the text of the record lines of ``text``:
+    its lines stripped, blank lines and ``--`` comments dropped, and an
+    optional leading ``<header> <maxId>;`` line checked and dropped.  Each
+    record keeps its closing ``;``.  Raises :class:`PGSolverError` for
+    input that is not UTF-8 and, with its line, for a malformed header."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise PGSolverError(f"input is not valid UTF-8: {exc}") from None
-    return text.removeprefix("\ufeff")  # a byte-order mark is not part of the first line
-
-
-def _is_valid_header(line: str, header: str) -> bool:
-    return re.fullmatch(header + r"\s+\d+\s*;", line) is not None
-
-
-def _records(text: str | bytes, header: str, header_error: str) -> Iterator[tuple[int, str]]:
-    """Yield ``(line number, record)`` for each record line, its closing ``;``
-    stripped, after skipping comments and blank lines and checking an optional
-    leading ``<header> <maxId>;`` line."""
-    header_done = False
-    for lineno, raw in enumerate(_decode(text).splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("--"):
-            continue
-        if not header_done:
-            header_done = True
-            if line.startswith(header):
-                if not _is_valid_header(line, header):
-                    raise PGSolverError(header_error, lineno)
-                continue
-        if not line.endswith(";"):
-            raise PGSolverError("record does not end with ';'", lineno)
-        yield lineno, line[:-1]
-
-
-def _record_lines(text: str | bytes, header: str) -> list[str] | None:
-    """The record lines of ``text``, stripped, for the whole-text pass: no
-    blank line, no comment and no valid header.  None for input that is not
-    UTF-8 or whose header is malformed."""
-    try:
-        text = _decode(text)
-    except PGSolverError:
-        return None
-    lines = [line for line in map(str.strip, text.splitlines()) if line and line[:2] != "--"]
+    # A byte-order mark is not part of the first line.
+    stripped = list(map(str.strip, text.removeprefix("\ufeff").splitlines()))
+    kept = [line and line[:2] != "--" for line in stripped]
+    numbers = list(compress(range(1, len(stripped) + 1), kept))
+    lines = list(compress(stripped, kept))
     if lines and lines[0].startswith(header):
-        if not _is_valid_header(lines[0], header):
-            return None
-        del lines[0]
-    return lines
+        if re.fullmatch(header + r"\s+\d+\s*;", lines[0]) is None:
+            raise PGSolverError(header_error, numbers[0])
+        del numbers[0], lines[0]
+    return numbers, lines
 
 
 def parse_pgsolver(text: str | bytes) -> ParityGame:
@@ -137,7 +115,7 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
 def _parse_pgsolver_whole(text: str | bytes) -> ParityGame | None:
     """The game of ``text`` from one pass over its records ``0..n-1``,
     listed in order, or None where the per-line parser must decide."""
-    lines = _record_lines(text, "parity")
+    lines = _scan(text, "parity", "malformed header")[1]
     if not lines:
         return None
     records = _GAME_LINE_RE.findall("\n".join(lines))
@@ -167,7 +145,10 @@ def _parse_pgsolver_by_line(text: str | bytes) -> ParityGame:
     # node id -> (priority, owner, successors, name, line)
     records: dict[int, tuple[int, int, list[int], str | None, int]] = {}
     referenced: set[int] = set()
-    for lineno, record in _records(text, "parity", "malformed header"):
+    for lineno, line in zip(*_scan(text, "parity", "malformed header")):
+        if not line.endswith(";"):
+            raise PGSolverError("record does not end with ';'", lineno)
+        record = line[:-1]
         match = _RECORD_RE.match(record)
         if match is None:
             raise PGSolverError(f"malformed record: {record!r}", lineno)
@@ -257,8 +238,8 @@ def _parse_solution_whole(text: str | bytes, game: ParityGame) -> Solution | Non
     """The solution of ``text`` from one pass over its records ``0..n-1``,
     listed in order, or None where the per-line parser must decide."""
     n = game.node_count
-    lines = _record_lines(text, "paritysol")
-    if lines is None or len(lines) != n:
+    lines = _scan(text, "paritysol", "malformed solution header")[1]
+    if len(lines) != n:
         return None
     records = _SOLUTION_LINE_RE.findall("\n".join(lines))
     if len(records) != n:
@@ -284,7 +265,10 @@ def _parse_solution_by_line(text: str | bytes, game: ParityGame) -> Solution:
     winner: dict[int, int] = {}
     strategy: dict[int, tuple[int, int]] = {}  # node -> (successor, line)
     n = game.node_count
-    for lineno, record in _records(text, "paritysol", "malformed solution header"):
+    for lineno, line in zip(*_scan(text, "paritysol", "malformed solution header")):
+        if not line.endswith(";"):
+            raise PGSolverError("record does not end with ';'", lineno)
+        record = line[:-1]
         try:
             values = list(map(int, record.split()))
         except ValueError:

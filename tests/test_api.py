@@ -94,12 +94,16 @@ def test_import_loads_no_bench_harness():
     assert _loaded_by_import(("rabinindex.bench", "csv", "logging")) == []
 
 
-@pytest.mark.parametrize("target", ["rabinindex", "rabinindex.cli"])
+@pytest.mark.parametrize("target", ["rabinindex", "rabinindex.cli", "rabinindex.bench"])
 def test_import_loads_no_introspection_machinery(target):
     # The value classes are plain classes, not dataclasses, whose import
     # brings inspect, ast, dis and tokenize; collections.abc stands in for
-    # typing, which a bare interpreter would load for a few names.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+    # typing, which a bare interpreter would load for a few names.  The
+    # harness's logging loads tokenize itself (through traceback and
+    # linecache), so for the harness tokenize is left out.
+    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
+    if target != "rabinindex.bench":
+        heavy += ("tokenize",)
     assert _loaded_by_import(heavy, target) == []
 
 

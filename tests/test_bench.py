@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import pytest
 
 from rabinindex.bench import (
@@ -30,10 +28,10 @@ random 40/1/8/40 runs=5 seed=9
 def test_parse_bench_config():
     specs = parse_bench_config(CONFIG)
     assert [s.label for s in specs] == ["clique[100]", "jurdzinski[5 10]", "40/1/8/40"]
-    assert specs[0] == BatchSpec(label="clique[100]", name="clique", params=(100,))
-    assert specs[1].runs == 3 and specs[1].random_config is None
-    assert specs[2].random_config == RandomConfig(40, 1, 8, 40, seed=9)
-    assert specs[2].runs == 5
+    # Each game is what the package's own grammar reads from the line.
+    assert specs[0] == BatchSpec("clique[100]", ("clique", (100,)), None)
+    assert specs[1] == BatchSpec("jurdzinski[5 10]", ("jurdzinski", (5, 10)), 3)
+    assert specs[2] == BatchSpec("40/1/8/40", RandomConfig(40, 1, 8, 40, seed=9), 5)
 
 
 def test_parse_bench_config_errors():
@@ -41,6 +39,10 @@ def test_parse_bench_config_errors():
         parse_bench_config("clique 10 mode=fast")
     with pytest.raises(ValueError, match="line 2: bad parameter"):
         parse_bench_config("clique 10\nladder five")
+    with pytest.raises(ValueError, match="line 2: repeated option 'runs'"):
+        parse_bench_config("clique 3\nclique 3 runs=2 runs=5")
+    with pytest.raises(ValueError, match="line 1: repeated option 'seed'"):
+        parse_bench_config("random 10/1/3/5 seed=1 runs=2 seed=1")
     with pytest.raises(ValueError, match="line 1: runs must be positive"):
         parse_bench_config("clique 10 runs=0")
     with pytest.raises(ValueError, match="line 1: no game named"):
@@ -112,7 +114,11 @@ def test_rows_to_csv():
 
 
 def test_bench_columns_follow_bench_row_fields():
-    assert BENCH_COLUMNS == tuple(f.name for f in fields(BenchRow))
+    assert BENCH_COLUMNS == BenchRow.__match_args__
+    row = BenchRow(*BENCH_COLUMNS)
+    assert [getattr(row, column) for column in BENCH_COLUMNS] == list(BENCH_COLUMNS)
+    with pytest.raises(TypeError, match="a row has 10 cells, got 9"):
+        BenchRow(*BENCH_COLUMNS[:-1])
 
 
 def test_random_batch_means_print_with_two_decimals():

@@ -296,6 +296,7 @@ def test_bench_bad_spec(tmp_path, capsys):
         ("clique ten\n", "error: parse: line 1: bad parameter"),
         ("foo 3\n", "error: parse: line 1: unknown family 'foo'"),
         ("jurdzinski 2\n", "error: parse: line 1: family 'jurdzinski' takes 2 parameter(s)"),
+        ("ladder 2\nclique 3 runs=2 runs=5\n", "error: parse: line 2: repeated option 'runs'"),
     ):
         spec.write_text(text)
         assert main(["bench", "--spec", str(spec)]) == 3

@@ -95,6 +95,28 @@ def test_brute_force_rabin_index_bounds(arena):
     assert k == brute_force_rabin_index(arena, bounded_by_input=False)
 
 
+@pytest.mark.parametrize("relation", ["simple", "alpha"])
+@given(arenas(max_nodes=5, max_color=5))
+@settings(max_examples=20, deadline=None)
+def test_pointwise_min_with_an_equivalent_coloring_is_equivalent(relation, arena):
+    # The lemma behind bounded_by_input: with c' equivalent to c, so is
+    # min(c, c'), and its index is at most that of c'.  Hence the least
+    # index of an equivalent coloring is reached at or below c.
+    colors = arena.colors
+    equivalent = [
+        other
+        for other in product(range(4), repeat=arena.node_count)
+        if colorings_equivalent(arena, colors, other, relation)
+    ]
+    for other in equivalent:
+        low = tuple(map(min, colors, other))
+        assert colorings_equivalent(arena, colors, low, relation)
+        assert index(low) <= index(other)
+    k = brute_force_rabin_index(arena, relation=relation, bounded_by_input=False)
+    if k <= 3:
+        assert min(map(index, equivalent)) == k
+
+
 def test_fixpoint_violations_on_reduced(fig1_arena):
     colors, _ = rabin(fig1_arena)
     assert fixpoint_violations(fig1_arena, colors, "simple") == []

@@ -408,6 +408,28 @@ def test_written_games_and_solutions_never_take_the_per_line_path(game, data):
             assert parse_solution(write_solution(solution), game) == solution
 
 
+@pytest.mark.parametrize(
+    "parse, text, message, line",
+    [
+        (
+            parse_pgsolver,
+            b"\xff",
+            "input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+            None,
+        ),
+        (parse_pgsolver, "-- c\n\nparity x;\n0 1 0 0;", "line 3: malformed header", 3),
+        (_fig1_solution, "paritysol x;\n0 1 4;", "line 1: malformed solution header", 1),
+    ],
+)
+def test_the_scan_reports_encoding_and_header_errors(parse, text, message, line):
+    # Both stages read one scan, so the whole-text pass raises these
+    # errors itself, in the per-line parser's words, without falling back.
+    with _NO_PER_LINE_PATH, pytest.raises(PGSolverError) as caught:
+        parse(text)
+    assert (str(caught.value), caught.value.line) == (message, line)
+
+
 def test_sparse_reordered_text_takes_the_per_line_path():
     # The whole-text pass takes only the records 0..n-1 in order; the
     # per-line parser renumbers anything else into the same game.
