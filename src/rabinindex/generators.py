@@ -28,7 +28,8 @@ from collections.abc import Sequence
 
 from .arena import Arena, FrozenRecord, NodeId, ParityGame
 
-_CONFIG_RE = re.compile(r"^\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*$")
+# Compiled on first use, through the cache of ``re``.
+_CONFIG = r"^\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*/\s*(\d+)\s*$"
 
 
 class RandomConfig(FrozenRecord):
@@ -62,7 +63,7 @@ class RandomConfig(FrozenRecord):
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "RandomConfig":
-        match = _CONFIG_RE.match(text)
+        match = re.match(_CONFIG, text)
         if match is None:
             raise ValueError(f"expected xx/yy/zz/cc, got {text!r}")
         xx, yy, zz, cc = (int(g) for g in match.groups())

@@ -13,24 +13,26 @@ record per node.
 
 Parsing runs in two stages over one scan of the text, which decodes it,
 drops blank lines and comments, checks the optional header, and raises
-the errors of encoding and header itself.  A whole-text pass matches
-every record line at once against a strict subset of the grammar (ASCII
-digits, no signs, owner and winner ``0`` or ``1``, no blank around a
-comma; the records ``0..n-1`` in order, no repeated successor, every
-successor spelled as its id) and builds the result without a second
-round of checks.  Any input it does not take in full goes, unchanged, to
+the errors of encoding and header itself.  A whole-text pass takes the
+writers' form: the records ``0..n-1`` in order, each id spelled as its
+number, one space between fields and none before ``;`` or around a
+comma, ASCII digits without sign, owner and winner ``0`` or ``1``, no
+repeated successor, and every successor or move spelled as a declared id.
+It matches every record line at once and builds the result without a
+second round of checks.  Everything else goes, with the same scan, to
 the per-line parser, which is the one definition of the record grammar:
 it accepts every spelling the grammar allows, renumbers sparse or
 unordered ids, and raises every record error, with its line, and every
-:class:`DuplicateEdgeWarning`.  Like every module of the package, this
-one imports neither ``dataclasses`` nor ``typing``.
+:class:`DuplicateEdgeWarning`; only it numbers the lines.  Like every
+module of the package, this one imports neither ``dataclasses`` nor
+``typing``, and it compiles its patterns on first use.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from itertools import compress
+from itertools import compress, count
 
 from .arena import Arena, ParityGame, Solution
 
@@ -46,25 +48,22 @@ __all__ = [
 # Anything larger is assumed to be a typo rather than a real priority.
 _MAX_PRIORITY = 2**62
 
-_RECORD_RE = re.compile(
+# The patterns are compiled on first use, through the cache of ``re``.
+_RECORD = (
     r"^(?P<id>\d+)\s+(?P<priority>-?\d+)\s+(?P<owner>-?\d+)\s+"
     r"(?P<succs>-?\d+(?:\s*,\s*-?\d+)*)"
     r'(?:\s+"(?P<name>[^"]*)")?\s*$'
 )
 
-# Whole-text records: strict subsets of the per-line grammar in which no
-# match crosses a line break ("[^\S\n]" is a blank other than "\n"), so a
-# text of k record lines that yields k matches matched in full.  A name is
-# captured with its quotes, so an empty name differs from none.
-_GAME_LINE_RE = re.compile(
-    r"^([0-9]+)[^\S\n]+([0-9]+)[^\S\n]+([01])[^\S\n]+"
-    r"([0-9]+(?:,[0-9]+)*)"
-    r'(?:[^\S\n]+("[^"\n]*"))?[^\S\n]*;$',
-    re.MULTILINE,
-)
-_SOLUTION_LINE_RE = re.compile(
-    r"^([0-9]+)[^\S\n]+([01])(?:[^\S\n]+([0-9]+))?[^\S\n]*;$", re.MULTILINE
-)
+# Whole-text records, one per line ("(?m)"), in the form the writers emit:
+# ASCII digits, one space between fields, none before ";" or around a
+# comma.  Any other spelling goes to the per-line parser.  No match crosses
+# a line break, so a text of k record lines that yields k matches matched
+# in full.  An empty piece of a successor list ("1,,2", ",1", "1,") is no
+# id, so its lookup fails and the text goes to the per-line parser too.  A
+# name is captured with its quotes, so an empty name differs from none.
+_GAME_LINE = r'(?m)^([0-9]+) ([0-9]+) ([01]) ([0-9,]+)(?: ("[^"\n]*"))?;$'
+_SOLUTION_LINE = r"(?m)^([0-9]+) ([01])(?: ([0-9]+))?;$"
 
 
 class PGSolverError(ValueError):
@@ -80,12 +79,13 @@ class DuplicateEdgeWarning(UserWarning):
     """A node listed the same successor twice; duplicates are dropped."""
 
 
-def _scan(text: str | bytes, header: str, header_error: str) -> tuple[list[int], list[str]]:
-    """The 1-based numbers and the text of the record lines of ``text``:
-    its lines stripped, blank lines and ``--`` comments dropped, and an
-    optional leading ``<header> <maxId>;`` line checked and dropped.  Each
-    record keeps its closing ``;``.  Raises :class:`PGSolverError` for
-    input that is not UTF-8 and, with its line, for a malformed header."""
+def _scan(text: str | bytes, header: str, header_error: str) -> tuple[list, list[str]]:
+    """Which lines of ``text`` hold records, and the text of those record
+    lines: its lines stripped, blank lines and ``--`` comments dropped, and
+    an optional leading ``<header> <maxId>;`` line checked and dropped.
+    Each record keeps its closing ``;``.  Raises :class:`PGSolverError`
+    for input that is not UTF-8 and, with its line, for a malformed header.
+    Only the per-line parsers number the record lines, from the mask."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -94,13 +94,14 @@ def _scan(text: str | bytes, header: str, header_error: str) -> tuple[list[int],
     # A byte-order mark is not part of the first line.
     stripped = list(map(str.strip, text.removeprefix("\ufeff").splitlines()))
     kept = [line and line[:2] != "--" for line in stripped]
-    numbers = list(compress(range(1, len(stripped) + 1), kept))
     lines = list(compress(stripped, kept))
     if lines and lines[0].startswith(header):
+        first = kept.index(True)
         if re.fullmatch(header + r"\s+\d+\s*;", lines[0]) is None:
-            raise PGSolverError(header_error, numbers[0])
-        del numbers[0], lines[0]
-    return numbers, lines
+            raise PGSolverError(header_error, first + 1)
+        kept[first] = False
+        del lines[0]
+    return kept, lines
 
 
 def parse_pgsolver(text: str | bytes) -> ParityGame:
@@ -109,47 +110,52 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
     Raises :class:`PGSolverError` for malformed input and warns with
     :class:`DuplicateEdgeWarning` for each successor a node lists twice.
     """
-    return _parse_pgsolver_whole(text) or _parse_pgsolver_by_line(text)
+    scan = _scan(text, "parity", "malformed header")
+    return _parse_pgsolver_whole(scan[1]) or _parse_pgsolver_by_line(text, scan)
 
 
-def _parse_pgsolver_whole(text: str | bytes) -> ParityGame | None:
-    """The game of ``text`` from one pass over its records ``0..n-1``,
-    listed in order, or None where the per-line parser must decide."""
-    lines = _scan(text, "parity", "malformed header")[1]
-    if not lines:
-        return None
-    records = _GAME_LINE_RE.findall("\n".join(lines))
-    if len(records) != len(lines):
+def _parse_pgsolver_whole(lines: list[str]) -> ParityGame | None:
+    """The game of the record lines ``lines`` from one pass over them, if
+    they are the records ``0..n-1`` in the writer's form and order, or
+    None where the per-line parser must decide."""
+    n = len(lines)
+    records = re.findall(_GAME_LINE, "\n".join(lines))
+    if not records or len(records) != n:
         return None
     ids, priorities, owners, succ_lists, quoted = zip(*records)
-    # Only the records 0..n-1, in order, each id spelled as its number.  A
-    # successor is looked up by its text among the ids: an undeclared one,
-    # or one spelled unlike its id ("07" for "7"), is missing.  Every
-    # mention of a node shares one int object, as in the per-line parser.
-    node = {str(v): v for v in range(len(ids))}
-    if ids != tuple(node):
+    # Each id spelled as its number.  A successor is looked up by its text
+    # among the ids: an undeclared one, or one spelled unlike its id ("07"
+    # for "7"), is missing.  Every mention of a node shares one int object,
+    # as in the per-line parser.
+    if ids != tuple(map(str, range(n))):
         return None
+    node = dict(zip(ids, range(n))).__getitem__
     try:
         colors = tuple(map(int, priorities))
-        successors = tuple(tuple(map(node.__getitem__, s.split(","))) for s in succ_lists)
+        successors = tuple([tuple(map(node, s.split(","))) for s in succ_lists])
     except (KeyError, ValueError):  # a missing successor, or too many digits for int()
         return None
-    if max(colors) >= _MAX_PRIORITY or any(len(set(s)) < len(s) for s in successors):
+    # A repeated successor leaves its node fewer distinct successors than listed.
+    listed = sum(map(len, successors))
+    if max(colors) >= _MAX_PRIORITY or sum(map(len, map(set, successors))) < listed:
         return None
-    names = tuple(q[1:-1] if q else None for q in quoted)
-    return ParityGame(Arena._unchecked(successors, colors), tuple(map(int, owners)), names)
+    names = tuple([q[1:-1] if q else None for q in quoted]) if any(quoted) else None
+    bit = {"0": 0, "1": 1}.__getitem__
+    return ParityGame(Arena._unchecked(successors, colors), tuple(map(bit, owners)), names)
 
 
-def _parse_pgsolver_by_line(text: str | bytes) -> ParityGame:
-    """``parse_pgsolver`` one record at a time: the format's definition."""
+def _parse_pgsolver_by_line(text: str | bytes, scan: tuple | None = None) -> ParityGame:
+    """``parse_pgsolver`` one record at a time: the format's definition.
+    ``scan`` is the scan of ``text``, where the caller has made it."""
     # node id -> (priority, owner, successors, name, line)
     records: dict[int, tuple[int, int, list[int], str | None, int]] = {}
     referenced: set[int] = set()
-    for lineno, line in zip(*_scan(text, "parity", "malformed header")):
+    kept, lines = scan or _scan(text, "parity", "malformed header")
+    for lineno, line in zip(compress(count(1), kept), lines):
         if not line.endswith(";"):
             raise PGSolverError("record does not end with ';'", lineno)
         record = line[:-1]
-        match = _RECORD_RE.match(record)
+        match = re.match(_RECORD, record)
         if match is None:
             raise PGSolverError(f"malformed record: {record!r}", lineno)
         try:
@@ -231,41 +237,47 @@ def write_pgsolver(game: ParityGame) -> str:
 
 def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
     """Parse a ``paritysol`` listing against the game it solves."""
-    return _parse_solution_whole(text, game) or _parse_solution_by_line(text, game)
+    scan = _scan(text, "paritysol", "malformed solution header")
+    return _parse_solution_whole(scan[1], game) or _parse_solution_by_line(text, game, scan)
 
 
-def _parse_solution_whole(text: str | bytes, game: ParityGame) -> Solution | None:
-    """The solution of ``text`` from one pass over its records ``0..n-1``,
-    listed in order, or None where the per-line parser must decide."""
+def _parse_solution_whole(lines: list[str], game: ParityGame) -> Solution | None:
+    """The solution of the record lines ``lines`` from one pass over them,
+    if they are the records ``0..n-1`` in the writer's form and order, or
+    None where the per-line parser must decide."""
     n = game.node_count
-    lines = _scan(text, "paritysol", "malformed solution header")[1]
     if len(lines) != n:
         return None
-    records = _SOLUTION_LINE_RE.findall("\n".join(lines))
+    records = re.findall(_SOLUTION_LINE, "\n".join(lines))
     if len(records) != n:
         return None
     ids, winners, moves = zip(*records)
+    if ids != tuple(map(str, range(n))):
+        return None
+    # A move is looked up by its text among the ids, like a game's
+    # successor: one out of range, or spelled unlike its id, is missing.
+    node = dict(zip(ids, range(n))).__getitem__
     strategies: tuple[dict[int, int], dict[int, int]] = ({}, {})
     try:
-        if list(map(int, ids)) != list(range(n)):
-            return None
         for v, move, owner in zip(range(n), moves, game.owners):
             if move:
-                w = int(move)
-                if w >= n:
-                    return None
-                strategies[owner][v] = w
-    except ValueError:  # more digits than int() accepts
+                strategies[owner][v] = node(move)
+    except KeyError:
         return None
-    return Solution(tuple(map(int, winners)), *strategies)
+    bit = {"0": 0, "1": 1}.__getitem__
+    return Solution(tuple(map(bit, winners)), *strategies)
 
 
-def _parse_solution_by_line(text: str | bytes, game: ParityGame) -> Solution:
-    """``parse_solution`` one record at a time: the format's definition."""
+def _parse_solution_by_line(
+    text: str | bytes, game: ParityGame, scan: tuple | None = None
+) -> Solution:
+    """``parse_solution`` one record at a time: the format's definition.
+    ``scan`` is the scan of ``text``, where the caller has made it."""
     winner: dict[int, int] = {}
     strategy: dict[int, tuple[int, int]] = {}  # node -> (successor, line)
     n = game.node_count
-    for lineno, line in zip(*_scan(text, "paritysol", "malformed solution header")):
+    kept, lines = scan or _scan(text, "paritysol", "malformed solution header")
+    for lineno, line in zip(compress(count(1), kept), lines):
         if not line.endswith(";"):
             raise PGSolverError("record does not end with ';'", lineno)
         record = line[:-1]
@@ -305,8 +317,10 @@ def write_solution(solution: Solution) -> str:
     n = len(solution.winner)
     merged = dict(solution.strategy1)
     merged.update(solution.strategy0)
+    move = merged.get
     lines = [f"paritysol {n - 1};"]
-    for v in range(n):
-        edge = f" {merged[v]}" if v in merged else ""
-        lines.append(f"{v} {solution.winner[v]}{edge};")
+    lines += [
+        f"{v} {win};" if (w := move(v)) is None else f"{v} {win} {w};"
+        for v, win in enumerate(solution.winner)
+    ]
     return "\n".join(lines) + "\n"

@@ -63,23 +63,26 @@ def test_all_names_resolve_and_removed_names_are_gone():
     assert "nodes_expanded" not in inspect.signature(rabinindex.ReductionAborted).parameters
 
 
-def _loaded_by_import(modules: tuple[str, ...], target: str = "rabinindex") -> list[str]:
-    """Which of ``modules`` ``import target`` loads in a fresh interpreter.
-
-    ``-S`` skips ``site``, which may load some of them before the import.
-    """
+def _printed_in_fresh_interpreter(run: str) -> list[str]:
+    """The words ``run`` prints in a fresh interpreter that imports the
+    package from this checkout.  ``-S`` skips ``site``, which may load
+    modules of its own."""
     src = str(Path(rabinindex.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = (
-        f"import sys; before = set(sys.modules); import {target}; "
-        f"print(*[m for m in {modules!r} if m in set(sys.modules) - before])"
-    )
     result = subprocess.run(
         [sys.executable, "-S", "-c", run], env=env, capture_output=True, text=True
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.split()
+
+
+def _loaded_by_import(modules: tuple[str, ...], target: str = "rabinindex") -> list[str]:
+    """Which of ``modules`` ``import target`` loads in a fresh interpreter."""
+    return _printed_in_fresh_interpreter(
+        f"import sys; before = set(sys.modules); import {target}; "
+        f"print(*[m for m in {modules!r} if m in set(sys.modules) - before])"
+    )
 
 
 def test_import_loads_no_numeric_tower():
@@ -105,6 +108,19 @@ def test_import_loads_no_introspection_machinery(target):
     if target != "rabinindex.bench":
         heavy += ("tokenize",)
     assert _loaded_by_import(heavy, target) == []
+
+
+@pytest.mark.parametrize("target", ["rabinindex", "rabinindex.cli", "rabinindex.bench"])
+def test_import_compiles_no_pattern(target):
+    # Every pattern of the package is compiled on first use, through the
+    # cache of re, so the import pays for none of them.
+    held = _printed_in_fresh_interpreter(
+        f"import re, sys, {target}; "
+        "print(*[f'{name}.{attr}' for name, module in list(sys.modules.items()) "
+        "if name.split('.')[0] == 'rabinindex' "
+        "for attr, value in vars(module).items() if isinstance(value, re.Pattern)])"
+    )
+    assert held == []
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):

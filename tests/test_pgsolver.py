@@ -285,6 +285,25 @@ _SOLUTION_PARSERS = (_fig1_solution, _fig1_solution_by_line)
         (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 4;\n4 -0;"),
         (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 \u0664;\n4 1;"),
         (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 4;"),
+        # Spellings the per-line parser reads and the whole-text pass
+        # hands on: blanks other than one space, and commas out of place.
+        (_GAME_PARSERS, "0  1 0 1;\n1 0 1 0;"),
+        (_GAME_PARSERS, "0 1\t0 1;\n1 0 1 0;"),
+        (_GAME_PARSERS, '0 1 0 1  "a";\n1 0 1 0;'),
+        (_GAME_PARSERS, "0 1 0 1 ;\n1 0 1 0;"),
+        (_GAME_PARSERS, '0 1 0 1 "a" ;\n1 0 1 0;'),
+        (_GAME_PARSERS, "0 1 0 1 ,0;\n1 0 1 0;"),
+        (_GAME_PARSERS, "0 1 0 1, 0;\n1 0 1 0;"),
+        (_GAME_PARSERS, "0 1 0 1,,0;\n1 0 1 0;"),
+        (_GAME_PARSERS, "0 1 0 ,1;\n1 0 1 0;"),
+        (_GAME_PARSERS, "0 1 0 1,;\n1 0 1 0;"),
+        (_GAME_PARSERS, "0 1 0 1;\n1 0 1 ,;"),
+        (_SOLUTION_PARSERS, "0  1 4;\n1 0 2;\n2 0;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1\t4;\n1 0 2;\n2 0;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 4 ;\n1 0 2;\n2 0 ;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 4,;\n1 0 2;\n2 0;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 ,4;\n1 0 2;\n2 0;\n3 1 4;\n4 1;"),
+        (_SOLUTION_PARSERS, "0 1 4;\n1 0 2;\n2 0;\n3 1 4 , 4;\n4 1;"),
     ],
 )
 def test_edge_inputs_parse_as_by_line(parsers, text):
@@ -441,3 +460,32 @@ def test_sparse_reordered_text_takes_the_per_line_path():
     assert game == pgsolver._parse_pgsolver_by_line(text)
     assert game.arena.successors == ((1, 2), (0,), (0,))
     assert game.names == ("10", "", "top")
+
+
+# CI's hand-written game: sparse out-of-order ids, a comment, a blank line,
+# a CRLF line, a name and a repeated successor.
+HAND_GM = '-- hand-written\nparity 30;\n\n30 2 1 10 "top";\r\n10 1 0 20,30,20;\n20 0 0 10;\n'
+
+
+@pytest.mark.parametrize(
+    "parsers, by_line_name, text",
+    [
+        (_GAME_PARSERS, "_parse_pgsolver_by_line", HAND_GM),
+        (
+            _SOLUTION_PARSERS,
+            "_parse_solution_by_line",
+            "paritysol 4;\n0\t1 4;\n1 0  2;\n2 0 ;\n3 1 4;\n4 1;\n",
+        ),
+    ],
+    ids=["game", "solution"],
+)
+def test_a_fallback_input_is_scanned_once(parsers, by_line_name, text):
+    # The per-line parser reads the scan the whole-text pass made.
+    parse, by_line = parsers
+    expected = _outcome(by_line, text)
+    scan = mock.Mock(wraps=pgsolver._scan)
+    taken = mock.Mock(wraps=getattr(pgsolver, by_line_name))
+    with mock.patch.multiple(pgsolver, _scan=scan, **{by_line_name: taken}):
+        assert _outcome(parse, text) == expected
+    taken.assert_called_once()
+    scan.assert_called_once()
