@@ -16,18 +16,18 @@ ri_alpha, plus wall-clock means (ms) for static compression, the abstract
 reduction, and solving the original, statically compressed, and
 alpha-reduced games.
 
-A line's game is read by :func:`~rabinindex.generators.parse_game_spec`,
-the grammar of ``rabinindex gen``, and the specs and rows are the
-package's own :class:`~rabinindex.arena.Record` classes: like every
-module of the package, this one imports neither ``dataclasses`` nor
-``typing``.
+A line's game is read by :func:`~rabinindex.generators.parse_game_spec`
+and checked by its builder as the line is read, both as for ``rabinindex
+gen``, so a bad line stops the read in the builder's words and no batch
+is dropped.  The specs and rows are the package's own
+:class:`~rabinindex.arena.Record` classes: like every module of the
+package, this one imports neither ``dataclasses`` nor ``typing``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import logging
 import time
 from math import fsum
 
@@ -35,8 +35,6 @@ from .arena import ParityGame, Record, index
 from .generators import RandomConfig, gen_family, gen_random, parse_game_spec
 from .reduction import OracleMode, rabin, static_compress
 from .solver import zielonka_solve
-
-log = logging.getLogger(__name__)
 
 
 class BatchSpec(Record):
@@ -85,6 +83,11 @@ def _cell(column: str, value: str | float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.2f}"
 
 
+def _check_runs(runs: int) -> None:
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+
+
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -103,19 +106,20 @@ def _parse_batch(line: str) -> BatchSpec:
         if key in options:
             raise ValueError(f"repeated option {key!r}")
         options[key] = _parse_int(key, value)
-        if key == "runs" and options[key] < 1:
-            raise ValueError("runs must be positive")
+        if key == "runs":
+            _check_runs(options[key])
     game = parse_game_spec(tokens, seed=options.get("seed", 0))
-    if isinstance(game, RandomConfig):
+    if isinstance(game, RandomConfig):  # checked whole by its constructor
         label = game.label()
     else:
+        gen_family(*game)  # the builder's own check, as for `gen`
         label = f"{game[0]}[{' '.join(tokens[1:])}]"
     return BatchSpec(label, game, options.get("runs"))
 
 
 def parse_bench_config(text: str) -> list[BatchSpec]:
     """Parse a configuration file into batch specs; rejects malformed lines,
-    naming the line."""
+    and family parameters the builder refuses, naming the line."""
     specs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -146,8 +150,7 @@ def _timed(samples: list[float], fn, *args, **kwargs):
 def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
     """Measure one batch: indices plus mean wall-clock times over its runs."""
     runs = spec.runs if spec.runs is not None else default_runs
-    if runs < 1:
-        raise ValueError(f"runs must be at least 1, got {runs}")
+    _check_runs(runs)
     # One sample list per column but the label and the run count.
     samples: dict[str, list[float]] = {column: [] for column in BENCH_COLUMNS[1:-1]}
     for run in range(runs):
@@ -169,16 +172,9 @@ def bench_batch(spec: BatchSpec, default_runs: int = 1) -> BenchRow:
 
 
 def bench_run(config_text: str, default_runs: int = 1) -> list[BenchRow]:
-    """Run every batch in the configuration; failures are logged, not fatal."""
-    if default_runs < 1:
-        raise ValueError(f"runs must be at least 1, got {default_runs}")
-    rows = []
-    for spec in parse_bench_config(config_text):
-        try:
-            rows.append(bench_batch(spec, default_runs))
-        except Exception as exc:
-            log.error("benchmark batch %s failed: %s", spec.label, exc)
-    return rows
+    """Run every batch in the configuration, one row each; it is read whole
+    first, so a line :func:`parse_bench_config` rejects runs no batch."""
+    return [bench_batch(spec, default_runs) for spec in parse_bench_config(config_text)]
 
 
 def rows_to_csv(rows: list[BenchRow]) -> str:

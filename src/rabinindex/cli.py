@@ -7,11 +7,12 @@ for small games (``equiv``, ``oracle``), the polynomial membership test
 --budget`` caps the nodes all queries of an exact run expand together.
 
 Exit codes: 0 success; 2 usage error, including an output path that
-cannot be written, a negative ``--budget`` or ``--cap``, and a ``-k`` or
-``--runs`` below 1; 3 unreadable or malformed input; 4 search budget
-exhausted; 5 node cap exceeded; 6 a requested check did not hold
-(verification, equivalence, membership).  Failures print one
-``error: <category>: <message>`` line on stderr.
+cannot be written, a ``gen`` priority of 2^62 or more, a negative
+``--budget`` or ``--cap``, and a ``-k`` or ``--runs`` below 1; 3
+unreadable or malformed input; 4 search budget exhausted; 5 node cap
+exceeded; 6 a requested check did not hold (verification, equivalence,
+membership).  Failures print one ``error: <category>: <message>`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -93,9 +94,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = parse_game_spec([args.kind, *args.params], seed=args.seed)
         game = gen_random(spec) if isinstance(spec, RandomConfig) else gen_family(*spec)
+        text = write_pgsolver(game)  # refuses a priority no record holds
     except ValueError as exc:
         raise CliError("usage", str(exc), EXIT_USAGE) from exc
-    _emit(write_pgsolver(game), args.output)
+    _emit(text, args.output)
     return EXIT_OK
 
 
@@ -200,7 +202,7 @@ def _cmd_member(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import bench_run, rows_to_csv  # the harness loads csv and logging
+    from .bench import bench_run, rows_to_csv  # the harness loads csv
     _check_at_least("--runs", args.runs, 1)
     text = _read_text(args.spec)
     try:

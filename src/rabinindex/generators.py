@@ -286,27 +286,25 @@ _FAMILIES = {  # name: (builder, number of integer parameters)
 FAMILY_NAMES = tuple(_FAMILIES)
 
 
-def check_family(name: str, params: Sequence[int]) -> None:
-    """Raise ValueError unless family ``name`` takes ``len(params)`` parameters."""
+def gen_family(name: str, params: tuple[int, ...]) -> ParityGame:
+    """Dispatch to a named family; ``params`` are its integer parameters.
+    Raises ValueError for an unknown name, a wrong parameter count, or
+    parameters the family's builder refuses."""
     if name not in _FAMILIES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-    arity = _FAMILIES[name][1]
+    build, arity = _FAMILIES[name]
     if len(params) != arity:
         raise ValueError(f"family {name!r} takes {arity} parameter(s), got {len(params)}")
-
-
-def gen_family(name: str, params: tuple[int, ...]) -> ParityGame:
-    """Dispatch to a named family; ``params`` are its integer parameters."""
-    check_family(name, params)
-    return _FAMILIES[name][0](*params)
+    return build(*params)
 
 
 def parse_game_spec(
     tokens: Sequence[str], seed: int = 0
 ) -> RandomConfig | tuple[str, tuple[int, ...]]:
     """Read a game named as ``kind params...``: ``random xx/yy/zz/cc`` gives
-    its :class:`RandomConfig` with ``seed``, a family its name and integer
-    parameters.  Raises ValueError naming the mistake."""
+    its :class:`RandomConfig` with ``seed``, checked whole, and a family
+    its name and integer parameters, which :func:`gen_family` checks as it
+    builds the game.  Raises ValueError naming the mistake."""
     if not tokens:
         raise ValueError("no game named")
     kind, *rest = tokens
@@ -318,7 +316,6 @@ def parse_game_spec(
         params = tuple(map(int, rest))
     except ValueError:
         raise ValueError(f"bad parameter in {' '.join(tokens)!r}") from None
-    check_family(kind, params)
     return kind, params
 
 

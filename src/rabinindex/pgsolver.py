@@ -23,9 +23,10 @@ second round of checks.  Everything else goes, with the same scan, to
 the per-line parser, which is the one definition of the record grammar:
 it accepts every spelling the grammar allows, renumbers sparse or
 unordered ids, and raises every record error, with its line, and every
-:class:`DuplicateEdgeWarning`; only it numbers the lines.  Like every
-module of the package, this one imports neither ``dataclasses`` nor
-``typing``, and it compiles its patterns on first use.
+:class:`DuplicateEdgeWarning`; only it numbers the lines.  Both formats
+share one number grammar, and each stage one routine for both formats.
+Like every module of the package, this one imports neither
+``dataclasses`` nor ``typing``, and it compiles its patterns on first use.
 """
 
 from __future__ import annotations
@@ -48,12 +49,16 @@ __all__ = [
 # Anything larger is assumed to be a typo rather than a real priority.
 _MAX_PRIORITY = 2**62
 
-# The patterns are compiled on first use, through the cache of ``re``.
+# The patterns are compiled on first use, through the cache of ``re``.  Both
+# formats share one number grammar: an id is digits, any other number may
+# carry a sign, which the checks accept only on zero.
+_NUMBER = r"-?\d+"
 _RECORD = (
-    r"^(?P<id>\d+)\s+(?P<priority>-?\d+)\s+(?P<owner>-?\d+)\s+"
-    r"(?P<succs>-?\d+(?:\s*,\s*-?\d+)*)"
+    rf"^(?P<id>\d+)\s+(?P<priority>{_NUMBER})\s+(?P<owner>{_NUMBER})\s+"
+    rf"(?P<succs>{_NUMBER}(?:\s*,\s*{_NUMBER})*)"
     r'(?:\s+"(?P<name>[^"]*)")?\s*$'
 )
+_SOLUTION_RECORD = rf"^(?P<id>\d+)\s+(?P<winner>{_NUMBER})(?:\s+(?P<move>{_NUMBER}))?\s*$"
 
 # Whole-text records, one per line ("(?m)"), in the form the writers emit:
 # ASCII digits, one space between fields, none before ";" or around a
@@ -85,7 +90,7 @@ def _scan(text: str | bytes, header: str, header_error: str) -> tuple[list, list
     an optional leading ``<header> <maxId>;`` line checked and dropped.
     Each record keeps its closing ``;``.  Raises :class:`PGSolverError`
     for input that is not UTF-8 and, with its line, for a malformed header.
-    Only the per-line parsers number the record lines, from the mask."""
+    Only :func:`_numbered_records` numbers the record lines, from the mask."""
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
@@ -104,6 +109,40 @@ def _scan(text: str | bytes, header: str, header_error: str) -> tuple[list, list
     return kept, lines
 
 
+def _whole_columns(lines: list[str], line_pattern: str, n: int, bits: int) -> tuple | None:
+    """The columns but the id of the record lines ``lines``, from one
+    ``findall`` of ``line_pattern``, column ``bits`` (owner or winner) as
+    ints, and a lookup from an id's text to its node; None unless they are
+    the ``n`` records ``0..n-1`` in the writers' form and order."""
+    if not n or len(lines) != n:
+        return None
+    records = re.findall(line_pattern, "\n".join(lines))
+    if len(records) != n:
+        return None
+    ids, *columns = zip(*records)
+    # Each id spelled as its number; a successor or move not spelled as a
+    # declared id ("07") is missing.  A node's mentions share one int object.
+    if ids != tuple(map(str, range(n))):
+        return None
+    columns[bits] = tuple(map({"0": 0, "1": 1}.__getitem__, columns[bits]))
+    return columns, dict(zip(ids, range(n))).__getitem__
+
+
+def _numbered_records(scan: tuple, pattern: str, malformed: str):
+    """Each record line of ``scan`` with its 1-based line number and the
+    match of ``pattern`` on it without its ``;``.  Raises
+    :class:`PGSolverError` with the line for a record without a closing
+    ``;``, and as ``<malformed>: <record>`` for one ``pattern`` misses."""
+    kept, lines = scan
+    for lineno, line in zip(compress(count(1), kept), lines):
+        if not line.endswith(";"):
+            raise PGSolverError("record does not end with ';'", lineno)
+        match = re.match(pattern, line[:-1])
+        if match is None:
+            raise PGSolverError(f"{malformed}: {line[:-1]!r}", lineno)
+        yield lineno, match
+
+
 def parse_pgsolver(text: str | bytes) -> ParityGame:
     """Parse a game description, renumbering sparse node ids densely.
 
@@ -115,21 +154,12 @@ def parse_pgsolver(text: str | bytes) -> ParityGame:
 
 
 def _parse_pgsolver_whole(lines: list[str]) -> ParityGame | None:
-    """The game of the record lines ``lines`` from one pass over them, if
-    they are the records ``0..n-1`` in the writer's form and order, or
-    None where the per-line parser must decide."""
-    n = len(lines)
-    records = re.findall(_GAME_LINE, "\n".join(lines))
-    if not records or len(records) != n:
+    """The game of the record lines ``lines`` from one pass over them, or
+    None where the per-line parser must decide (see :func:`_whole_columns`)."""
+    whole = _whole_columns(lines, _GAME_LINE, len(lines), bits=1)
+    if whole is None:
         return None
-    ids, priorities, owners, succ_lists, quoted = zip(*records)
-    # Each id spelled as its number.  A successor is looked up by its text
-    # among the ids: an undeclared one, or one spelled unlike its id ("07"
-    # for "7"), is missing.  Every mention of a node shares one int object,
-    # as in the per-line parser.
-    if ids != tuple(map(str, range(n))):
-        return None
-    node = dict(zip(ids, range(n))).__getitem__
+    (priorities, owners, succ_lists, quoted), node = whole
     try:
         colors = tuple(map(int, priorities))
         successors = tuple([tuple(map(node, s.split(","))) for s in succ_lists])
@@ -140,8 +170,7 @@ def _parse_pgsolver_whole(lines: list[str]) -> ParityGame | None:
     if max(colors) >= _MAX_PRIORITY or sum(map(len, map(set, successors))) < listed:
         return None
     names = tuple([q[1:-1] if q else None for q in quoted]) if any(quoted) else None
-    bit = {"0": 0, "1": 1}.__getitem__
-    return ParityGame(Arena._unchecked(successors, colors), tuple(map(bit, owners)), names)
+    return ParityGame(Arena._unchecked(successors, colors), owners, names)
 
 
 def _parse_pgsolver_by_line(text: str | bytes, scan: tuple | None = None) -> ParityGame:
@@ -150,18 +179,10 @@ def _parse_pgsolver_by_line(text: str | bytes, scan: tuple | None = None) -> Par
     # node id -> (priority, owner, successors, name, line)
     records: dict[int, tuple[int, int, list[int], str | None, int]] = {}
     referenced: set[int] = set()
-    kept, lines = scan or _scan(text, "parity", "malformed header")
-    for lineno, line in zip(compress(count(1), kept), lines):
-        if not line.endswith(";"):
-            raise PGSolverError("record does not end with ';'", lineno)
-        record = line[:-1]
-        match = re.match(_RECORD, record)
-        if match is None:
-            raise PGSolverError(f"malformed record: {record!r}", lineno)
+    scan = scan or _scan(text, "parity", "malformed header")
+    for lineno, match in _numbered_records(scan, _RECORD, "malformed record"):
         try:
-            node = int(match["id"])
-            priority = int(match["priority"])
-            owner = int(match["owner"])
+            node, priority, owner = map(int, match.group("id", "priority", "owner"))
             succs = list(map(int, match["succs"].split(",")))
         except ValueError:  # more digits than int() accepts
             raise PGSolverError("integer too long", lineno) from None
@@ -175,20 +196,17 @@ def _parse_pgsolver_by_line(text: str | bytes, scan: tuple | None = None) -> Par
             raise PGSolverError(f"node {node} declared twice", lineno)
         if min(succs) < 0:
             raise PGSolverError(f"negative successor id {min(succs)}", lineno)
-        unique = set(succs)
-        if len(unique) < len(succs):
-            seen: set[int] = set()
-            for w in succs:
-                if w in seen:
-                    warnings.warn(
-                        f"line {lineno}: node {node} lists successor {w} twice",
-                        DuplicateEdgeWarning,
-                        stacklevel=3,  # the caller of parse_pgsolver
-                    )
-                seen.add(w)
-            succs = list(dict.fromkeys(succs))
-        records[node] = (priority, owner, succs, match["name"], lineno)
-        referenced |= unique
+        seen: set[int] = set()
+        for w in succs:
+            if w in seen:
+                warnings.warn(
+                    f"line {lineno}: node {node} lists successor {w} twice",
+                    DuplicateEdgeWarning,
+                    stacklevel=3,  # the caller of parse_pgsolver
+                )
+            seen.add(w)
+        records[node] = (priority, owner, list(dict.fromkeys(succs)), match["name"], lineno)
+        referenced |= seen
 
     if not records:
         raise PGSolverError("no node records found")
@@ -196,31 +214,29 @@ def _parse_pgsolver_by_line(text: str | bytes, scan: tuple | None = None) -> Par
     if undeclared:
         w = min(undeclared)
         first = next(rec[4] for rec in records.values() if w in rec[2])
-        raise PGSolverError(
-            f"node {w} is referenced but never declared, so it has no "
-            "successors (totality violation)",
-            first,
-        )
+        message = f"node {w} is referenced but never declared, so it has no successors"
+        raise PGSolverError(message + " (totality violation)", first)
 
     original_ids = sorted(records)
-    renumbered = original_ids[-1] != len(original_ids) - 1
     dense = {orig: i for i, orig in enumerate(original_ids)}.__getitem__
-    successors, colors, owners, names = [], [], [], []
-    for orig in original_ids:
-        priority, owner, succs, name, _ = records[orig]
-        successors.append(tuple(map(dense, succs)))
-        colors.append(priority)
-        owners.append(owner)
-        names.append(str(orig) if name is None and renumbered else name)
-    return ParityGame(Arena(tuple(successors), tuple(colors)), tuple(owners), tuple(names))
+    colors, owners, succ_lists, names, _ = zip(*map(records.__getitem__, original_ids))
+    if original_ids[-1] != len(original_ids) - 1:  # renumbered: ids name the nameless
+        names = tuple([str(v) if name is None else name for v, name in zip(original_ids, names)])
+    successors = tuple([tuple(map(dense, succs)) for succs in succ_lists])
+    return ParityGame(Arena(successors, colors), owners, names)
 
 
 def write_pgsolver(game: ParityGame) -> str:
     """Serialize a game; ``parse_pgsolver`` inverts this exactly.
 
-    Raises :class:`ValueError` for a name that a record cannot hold: one
-    with a ``"`` or a line break.
+    Raises :class:`ValueError`, naming the node, for what a record cannot
+    hold: a priority of 2^62 or more, or a name with a ``"`` or a line
+    break.
     """
+    colors = game.arena.colors
+    top = max(colors)
+    if top >= _MAX_PRIORITY:
+        raise ValueError(f"node {colors.index(top)}: priority {top} is not below 2^62")
     lines = [f"parity {game.node_count - 1};"]
     for v in range(game.node_count):
         succs = ",".join(str(w) for w in game.arena.successors[v])
@@ -231,7 +247,7 @@ def write_pgsolver(game: ParityGame) -> str:
             if '"' in name or len((name + ".").splitlines()) > 1:
                 raise ValueError(f"node {v}: name {name!r} holds a '\"' or a line break")
             name = f' "{name}"'
-        lines.append(f"{v} {game.arena.colors[v]} {game.owners[v]} {succs}{name};")
+        lines.append(f"{v} {colors[v]} {game.owners[v]} {succs}{name};")
     return "\n".join(lines) + "\n"
 
 
@@ -243,29 +259,19 @@ def parse_solution(text: str | bytes, game: ParityGame) -> Solution:
 
 def _parse_solution_whole(lines: list[str], game: ParityGame) -> Solution | None:
     """The solution of the record lines ``lines`` from one pass over them,
-    if they are the records ``0..n-1`` in the writer's form and order, or
-    None where the per-line parser must decide."""
-    n = game.node_count
-    if len(lines) != n:
+    or None where the per-line parser must decide (see :func:`_whole_columns`)."""
+    whole = _whole_columns(lines, _SOLUTION_LINE, game.node_count, bits=0)
+    if whole is None:
         return None
-    records = re.findall(_SOLUTION_LINE, "\n".join(lines))
-    if len(records) != n:
-        return None
-    ids, winners, moves = zip(*records)
-    if ids != tuple(map(str, range(n))):
-        return None
-    # A move is looked up by its text among the ids, like a game's
-    # successor: one out of range, or spelled unlike its id, is missing.
-    node = dict(zip(ids, range(n))).__getitem__
+    (winners, moves), node = whole
     strategies: tuple[dict[int, int], dict[int, int]] = ({}, {})
     try:
-        for v, move, owner in zip(range(n), moves, game.owners):
+        for v, move, owner in zip(count(), moves, game.owners):
             if move:
                 strategies[owner][v] = node(move)
     except KeyError:
         return None
-    bit = {"0": 0, "1": 1}.__getitem__
-    return Solution(tuple(map(bit, winners)), *strategies)
+    return Solution(winners, *strategies)
 
 
 def _parse_solution_by_line(
@@ -276,27 +282,22 @@ def _parse_solution_by_line(
     winner: dict[int, int] = {}
     strategy: dict[int, tuple[int, int]] = {}  # node -> (successor, line)
     n = game.node_count
-    kept, lines = scan or _scan(text, "paritysol", "malformed solution header")
-    for lineno, line in zip(compress(count(1), kept), lines):
-        if not line.endswith(";"):
-            raise PGSolverError("record does not end with ';'", lineno)
-        record = line[:-1]
+    scan = scan or _scan(text, "paritysol", "malformed solution header")
+    for lineno, match in _numbered_records(scan, _SOLUTION_RECORD, "malformed solution record"):
         try:
-            values = list(map(int, record.split()))
-        except ValueError:
-            values = []
-        if len(values) not in (2, 3):
-            raise PGSolverError(f"malformed solution record: {record!r}", lineno)
-        v, win = values[0], values[1]
-        if not 0 <= v < n:
+            v, win = int(match["id"]), int(match["winner"])
+            move = None if match["move"] is None else int(match["move"])
+        except ValueError:  # more digits than int() accepts
+            raise PGSolverError(f"malformed solution record: {match.string!r}", lineno) from None
+        if v >= n:
             raise PGSolverError(f"node {v} out of range", lineno)
         if win not in (0, 1):
             raise PGSolverError(f"winner must be 0 or 1, got {win}", lineno)
         if v in winner:
             raise PGSolverError(f"node {v} listed twice", lineno)
         winner[v] = win
-        if len(values) == 3:
-            strategy[v] = (values[2], lineno)
+        if move is not None:
+            strategy[v] = (move, lineno)
 
     if not winner:
         raise PGSolverError("no solution records found")
@@ -304,13 +305,12 @@ def _parse_solution_by_line(
     if missing:
         raise PGSolverError(f"solution does not label node {missing[0]}")
 
-    strategy0: dict[int, int] = {}
-    strategy1: dict[int, int] = {}
+    strategies: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for v, (w, lineno) in strategy.items():
         if not 0 <= w < n:
             raise PGSolverError(f"strategy successor {w} of node {v} out of range", lineno)
-        (strategy0 if game.owners[v] == 0 else strategy1)[v] = w
-    return Solution(tuple(winner[v] for v in range(n)), strategy0, strategy1)
+        strategies[game.owners[v]][v] = w
+    return Solution(tuple(winner[v] for v in range(n)), *strategies)
 
 
 def write_solution(solution: Solution) -> str:

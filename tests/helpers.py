@@ -395,6 +395,29 @@ def random_game(rng: random.Random, **kwargs) -> ParityGame:
     return ParityGame(arena=arena, owners=owners)
 
 
+def redraw_check(arena: Arena, colorings: Sequence[Sequence[int]], k: int, rng: random.Random):
+    """Referee reduced colorings of ``arena`` by ownership redraws.
+
+    Draws ``k`` random ownerships.  For each, Zielonka's winners on every
+    coloring of ``colorings`` must equal its winners on the input coloring,
+    and :func:`solver.verify_solution` must accept each of those solutions,
+    strategies included, on the original game.  Equivalent colorings give
+    the same winning regions and strategies under every ownership, so this
+    is a necessary condition for equivalence, not a proof: it samples k
+    ownerships of the 2^n.  Raises AssertionError naming the first
+    coloring, draw and node that fail."""
+    n = arena.node_count
+    for draw in range(k):
+        game = ParityGame(arena, tuple(rng.randrange(2) for _ in range(n)))
+        expected = solver.zielonka_solve(game).winner
+        for i, colors in enumerate(colorings):
+            solution = solver.zielonka_solve(game.with_colors(colors))
+            differ = [v for v in range(n) if solution.winner[v] != expected[v]]
+            assert not differ, f"coloring {i}, draw {draw}: node {differ[0]} changes winner"
+            verdict = solver.verify_solution(game, solution)
+            assert verdict, f"coloring {i}, draw {draw}: {verdict.reason}"
+
+
 @st.composite
 def arenas(
     draw: st.DrawFn,

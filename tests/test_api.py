@@ -93,8 +93,8 @@ def test_import_loads_no_numeric_tower():
 
 def test_import_loads_no_bench_harness():
     # The CSV harness stays in rabinindex.bench, which the package does not
-    # import, so csv and logging load only with it.
-    assert _loaded_by_import(("rabinindex.bench", "csv", "logging")) == []
+    # import, so csv loads only with it.
+    assert _loaded_by_import(("rabinindex.bench", "csv")) == []
 
 
 @pytest.mark.parametrize("target", ["rabinindex", "rabinindex.cli", "rabinindex.bench"])
@@ -102,11 +102,12 @@ def test_import_loads_no_introspection_machinery(target):
     # The value classes are plain classes, not dataclasses, whose import
     # brings inspect, ast, dis and tokenize; collections.abc stands in for
     # typing, which a bare interpreter would load for a few names.  The
-    # harness's logging loads tokenize itself (through traceback and
-    # linecache), so for the harness tokenize is left out.
-    heavy = ("dataclasses", "inspect", "ast", "dis", "typing")
-    if target != "rabinindex.bench":
-        heavy += ("tokenize",)
+    # harness reports a bad spec by raising, not through logging, which
+    # would bring tokenize (through traceback and linecache).
+    heavy = (
+        "dataclasses", "inspect", "ast", "dis", "typing",
+        "tokenize", "traceback", "linecache", "logging",
+    )
     assert _loaded_by_import(heavy, target) == []
 
 

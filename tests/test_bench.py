@@ -43,8 +43,10 @@ def test_parse_bench_config_errors():
         parse_bench_config("clique 3\nclique 3 runs=2 runs=5")
     with pytest.raises(ValueError, match="line 1: repeated option 'seed'"):
         parse_bench_config("random 10/1/3/5 seed=1 runs=2 seed=1")
-    with pytest.raises(ValueError, match="line 1: runs must be positive"):
+    with pytest.raises(ValueError, match="^line 1: runs must be at least 1, got 0$"):
         parse_bench_config("clique 10 runs=0")
+    with pytest.raises(ValueError, match="^line 1: runs must be at least 1, got -3$"):
+        parse_bench_config("clique 10 seed=abc runs=-3")
     with pytest.raises(ValueError, match="line 1: no game named"):
         parse_bench_config("runs=4")
     with pytest.raises(ValueError, match="line 3: random takes one"):
@@ -61,6 +63,14 @@ def test_parse_bench_config_errors():
         ValueError, match=r"line 1: family 'jurdzinski' takes 2 parameter\(s\), got 1"
     ):
         parse_bench_config("jurdzinski 2")
+    # A family's builder checks its parameters as the line is read, in the
+    # words `rabinindex gen` prints.
+    with pytest.raises(ValueError, match="^line 2: clique needs at least 2 nodes, got 1$"):
+        parse_bench_config("ladder 3\nclique 1")
+    with pytest.raises(
+        ValueError, match=r"^line 1: jurdzinski needs positive layer counts, got 0, 5$"
+    ):
+        parse_bench_config("jurdzinski 0 5 runs=2")
 
 
 def test_parse_bench_config_empty():
@@ -84,21 +94,23 @@ def test_bench_batch_default_runs():
     assert bench_batch(spec, default_runs=4).runs == 4
 
 
-def test_bench_rejects_runs_below_one(caplog):
+def test_bench_rejects_runs_below_one():
     with pytest.raises(ValueError, match="runs must be at least 1, got 0"):
         bench_run("ladder 2\nladder 3", default_runs=0)
-    assert not caplog.records
     spec = parse_bench_config("ladder 2")[0]
     with pytest.raises(ValueError, match="runs must be at least 1, got -1"):
         bench_batch(spec, default_runs=-1)
 
 
-def test_bench_run_skips_failing_batches(caplog):
-    # A one-node clique cannot be built (no successors), so that batch is
-    # dropped while the others still report.
-    rows = bench_run("ladder 2\nclique 1\nladder 3")
-    assert [row.game for row in rows] == ["ladder[2]", "ladder[3]"]
-    assert any("clique[1]" in record.getMessage() for record in caplog.records)
+def test_bench_run_rejects_a_family_its_builder_refuses(monkeypatch):
+    # A one-node clique cannot be built (no successors).  The run stops
+    # when it reads that line, before any batch is timed, rather than
+    # drop the row.
+    batches = []
+    monkeypatch.setattr("rabinindex.bench.bench_batch", lambda *args: batches.append(args))
+    with pytest.raises(ValueError, match="^line 2: clique needs at least 2 nodes, got 1$"):
+        bench_run("ladder 2\nclique 1\nladder 3")
+    assert batches == []
 
 
 def test_rows_to_csv():

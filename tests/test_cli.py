@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import rabinindex
 from rabinindex import cli
 from rabinindex.cli import main
 from rabinindex.cycles import DEFAULT_BUDGET
@@ -303,26 +298,31 @@ def test_bench_bad_spec(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_bench_failing_batch_logs_one_line(tmp_path):
-    # A one-node clique has no moves, so its batch fails when built; the run
-    # goes on and says so in one line, without a traceback.
+def test_bench_rejects_a_family_its_builder_refuses(tmp_path, capsys):
+    # A one-node clique has no moves.  The spec is checked as gen checks
+    # its words, in the builder's own message, before any batch runs.
+    assert main(["gen", "clique", "1"]) == 2
+    assert capsys.readouterr().err == "error: usage: clique needs at least 2 nodes, got 1\n"
     spec = tmp_path / "bench.txt"
-    spec.write_text("clique 1\nladder 2\n")
-    src = str(Path(rabinindex.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    run = "import sys; from rabinindex.cli import main; sys.exit(main())"
-    result = subprocess.run(
-        [sys.executable, "-c", run, "bench", "--spec", str(spec)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert result.returncode == 0
-    assert "Traceback" not in result.stderr
-    assert result.stderr.startswith("benchmark batch clique[1] failed: ")
-    assert len(result.stderr.splitlines()) == 1
-    assert result.stdout.splitlines()[1].startswith("ladder[2],")
+    spec.write_text("ladder 2\nclique 1\n")
+    out = tmp_path / "out.csv"
+    assert main(["bench", "--spec", str(spec), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: parse: line 2: clique needs at least 2 nodes, got 1\n"
+    assert not out.exists()
+
+
+def test_gen_refuses_a_priority_no_record_holds(tmp_path, capsys):
+    # The random model draws colors up to cc; a file with a priority of
+    # 2^62 or more would not parse back, so gen writes none.
+    out = tmp_path / "huge.gm"
+    argv = ["gen", "random", "3/1/2/99999999999999999999", "-o", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: usage: node ") and err.endswith(" is not below 2^62\n")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+    assert main(["gen", "random", f"3/1/2/{2**62 - 1}", "--seed", "1"]) == 0
+    assert parse_pgsolver(capsys.readouterr().out).node_count == 3
 
 
 def test_parse_failures(tmp_path, capsys):

@@ -221,6 +221,29 @@ def test_oversized_integers_are_parse_errors():
         parse_solution(f"0 1 {TOO_LONG};", FIG1_GAME)
 
 
+@pytest.mark.parametrize("number", ["+1", "1_0", "1.0", "0x1"])
+def test_games_and_solutions_share_one_number_grammar(number):
+    # Spellings int() reads but the record grammar does not: in both
+    # formats they leave the record malformed, wherever they stand.
+    for text in (f"{number} 1 0 0;", f"0 {number} 0 0;", f"0 1 0 {number};"):
+        with pytest.raises(PGSolverError, match="^line 1: malformed record: "):
+            parse_pgsolver(text)
+    for text in (f"{number} 1;", f"0 {number};", f"0 1 {number};"):
+        with pytest.raises(PGSolverError, match="^line 1: malformed solution record: "):
+            parse_solution(text, FIG1_GAME)
+
+
+def test_write_rejects_a_priority_the_parser_refuses():
+    # 2^62 - 1 is the largest priority a record holds; the writer names the
+    # first node above it instead of writing a file parse_pgsolver rejects.
+    arena = Arena(((1,), (0,), (0,)), (1, 2**62, 2**62))
+    message = r"^node 1: priority 4611686018427387904 is not below 2\^62$"
+    with pytest.raises(ValueError, match=message):
+        write_pgsolver(ParityGame(arena, (0, 1, 0)))
+    game = ParityGame(Arena(((1,), (0,)), (1, 2**62 - 1)), (0, 1))
+    assert parse_pgsolver(write_pgsolver(game)) == game
+
+
 @given(st.binary(max_size=300) | st.text(max_size=300))
 def test_arbitrary_input_parses_or_is_rejected(data):
     _parse_or_reject(parse_pgsolver, data)
@@ -316,8 +339,11 @@ def test_edge_inputs_parse_as_by_line(parsers, text):
 _RECORD_CHARACTERS = st.text('0123456789 ,;-"\t\r\n\xa0\u0661', max_size=60)
 
 # Numbers the whole-text pass takes, and spellings only the per-line parser
-# decides: a sign, a leading zero, a non-ASCII digit, too many digits.
-_NUMBER = st.integers(0, 9).map(str) | st.sampled_from(["-0", "-1", "01", "\u0661", TOO_LONG])
+# decides: a sign, a leading zero, a non-ASCII digit, too many digits, and
+# the least priority out of range, which the writer refuses to write.
+_NUMBER = st.integers(0, 9).map(str) | st.sampled_from(
+    ["-0", "-1", "01", "\u0661", TOO_LONG, str(2**62)]
+)
 
 
 @st.composite
@@ -381,7 +407,7 @@ def fig1_solutions(draw: st.DrawFn) -> Solution:
         (_GAME_PARSERS, mutated(FIG1_TEXT)),
         (_GAME_PARSERS, mutated(FIG1_TEXT).map(str.encode)),
         (_GAME_PARSERS, _RECORD_CHARACTERS),
-        (_GAME_PARSERS, retouched(games(max_nodes=6, max_color=2**62).map(write_pgsolver))),
+        (_GAME_PARSERS, retouched(games(max_nodes=6, max_color=2**62 - 1).map(write_pgsolver))),
         (_GAME_PARSERS, rewritten()),
         (_SOLUTION_PARSERS, mutated(FIG1_SOLUTION)),
         (_SOLUTION_PARSERS, _RECORD_CHARACTERS),
