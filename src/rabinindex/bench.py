@@ -7,14 +7,14 @@ line names one batch::
     jurdzinski 5 10 runs=20
     random 100/1/20/100 runs=100 seed=7
 
-Family batches re-run the same game ``runs`` times (timings averaged,
-indices constant); random batches draw a fresh game per run from
-consecutive seeds, so index columns become means as well.  Every batch
-yields one CSV row with a fixed column set: the original index mu(c), the
-statically compressed index mu(s(c)) and the abstract reduction's index
-ri_alpha, plus wall-clock means (ms) for static compression, the abstract
-reduction, and solving the original, statically compressed, and
-alpha-reduced games.
+Family batches re-run the game built as the line is read ``runs`` times
+(timings averaged, indices constant); random batches draw a fresh game
+per run from consecutive seeds, so index columns become means as well.
+Every batch yields one CSV row with a fixed column set: the original
+index mu(c), the statically compressed index mu(s(c)) and the abstract
+reduction's index ri_alpha, plus wall-clock means (ms) for static
+compression, the abstract reduction, and solving the original,
+statically compressed, and alpha-reduced games.
 
 A line's game is read by :func:`~rabinindex.generators.parse_game_spec`
 and checked by its builder as the line is read, both as for ``rabinindex
@@ -38,15 +38,14 @@ from .solver import zielonka_solve
 
 
 class BatchSpec(Record):
-    """One parsed configuration line: its label, its game as
-    :func:`~rabinindex.generators.parse_game_spec` reads it, and its run
-    count, None for the harness-wide default."""
+    """One parsed configuration line: its label, its game (a random
+    batch's :class:`~rabinindex.generators.RandomConfig`, or the family
+    game its builder made), and its run count, None for the harness-wide
+    default."""
 
     __match_args__ = ("label", "game", "runs")
 
-    def __init__(
-        self, label: str, game: RandomConfig | tuple[str, tuple[int, ...]], runs: int | None
-    ) -> None:
+    def __init__(self, label: str, game: RandomConfig | ParityGame, runs: int | None) -> None:
         self.label = label
         self.game = game
         self.runs = runs
@@ -112,8 +111,8 @@ def _parse_batch(line: str) -> BatchSpec:
     if isinstance(game, RandomConfig):  # checked whole by its constructor
         label = game.label()
     else:
-        gen_family(*game)  # the builder's own check, as for `gen`
         label = f"{game[0]}[{' '.join(tokens[1:])}]"
+        game = gen_family(*game)  # the builder's own check, as for `gen`
     return BatchSpec(label, game, options.get("runs"))
 
 
@@ -136,7 +135,7 @@ def _game_for_run(spec: BatchSpec, run: int) -> ParityGame:
     if isinstance(spec.game, RandomConfig):  # a fresh game per run
         c = spec.game
         return gen_random(RandomConfig(c.nodes, c.min_out, c.max_out, c.max_color, c.seed + run))
-    return gen_family(*spec.game)
+    return spec.game
 
 
 def _timed(samples: list[float], fn, *args, **kwargs):

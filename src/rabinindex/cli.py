@@ -82,10 +82,9 @@ def _load_game(path: str) -> ParityGame:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text``, which ends in a newline, to ``out`` or stdout."""
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         _write_text(out, text)
 

@@ -58,22 +58,18 @@ class OracleMode(enum.Enum):
 
 
 class OracleStats(Record):
-    """Counters of one run.  ``abstract_queries`` is always 0: alpha mode
-    computes its form without per-node queries, but the benchmark's report
-    (perfbench/worker.py) still reads it.  ``nodes_expanded`` is what the
-    run's one search budget spent."""
+    """Counters of one run.  ``nodes_expanded`` is what the run's one
+    search budget spent.  ``abstract_queries`` is a class constant 0, and
+    no field: alpha mode computes its form without per-node queries, but
+    the benchmark's report (perfbench/worker.py) still reads it."""
 
-    __match_args__ = ("exact_queries", "abstract_queries", "max_color_checks", "nodes_expanded")
+    __match_args__ = ("exact_queries", "max_color_checks", "nodes_expanded")
+    abstract_queries = 0
 
     def __init__(
-        self,
-        exact_queries: int = 0,
-        abstract_queries: int = 0,
-        max_color_checks: int = 0,
-        nodes_expanded: int = 0,
+        self, exact_queries: int = 0, max_color_checks: int = 0, nodes_expanded: int = 0
     ) -> None:
         self.exact_queries = exact_queries
-        self.abstract_queries = abstract_queries
         self.max_color_checks = max_color_checks
         self.nodes_expanded = nodes_expanded
 
@@ -124,18 +120,26 @@ class ReductionAborted(RuntimeError):
     ``node`` and ``gamma`` name the query that ran out; ``spent`` and
     ``limit`` are the run's budget, which that query exhausted, and
     ``exact_queries`` counts the run's queries so far, that one included.
-    :func:`rabin` attaches its partial ``report`` for inspection.
+    ``coloring`` is the run's coloring when the query ran out, equivalent
+    to the input since each step before was sound, and ``report`` the
+    run's report up to then, its ``final_index`` that coloring's.
     """
 
     def __init__(
-        self, node: NodeId, gamma: int, spent: int, limit: int | None, exact_queries: int
+        self,
+        node: NodeId,
+        gamma: int,
+        limit: int | None,
+        report: ReductionReport,
+        coloring: Coloring,
     ):
         self.node = node
         self.gamma = gamma
-        self.spent = spent
+        self.spent = spent = report.stats.nodes_expanded
         self.limit = limit
-        self.exact_queries = exact_queries
-        self.report: ReductionReport | None = None
+        self.exact_queries = exact_queries = report.stats.exact_queries
+        self.report = report
+        self.coloring = coloring
         super().__init__(
             f"exact reduction aborted: budget exhausted at node {node}, color {gamma} "
             f"after {spent} expanded nodes (limit {limit}) over {exact_queries} exact queries"
@@ -143,7 +147,8 @@ class ReductionAborted(RuntimeError):
 
 
 class _PassState:
-    """Shared bookkeeping for one exact reduction run, and its anchor oracle.
+    """Shared bookkeeping for one exact reduction run, and its anchor oracle;
+    it counts the run's work in its ``report`` and raises the run's abort.
 
     Tracks how many nodes carry each color, and the sorted list of colors
     in use, so an anchor scans only the colors present.  Every query of
@@ -155,22 +160,20 @@ class _PassState:
     """
 
     def __init__(
-        self, arena: Arena, colors: list[int], budget_limit: int | None, stats: OracleStats
+        self, arena: Arena, colors: list[int], budget_limit: int | None, report: ReductionReport
     ):
         if budget_limit is not None and budget_limit < 0:
             raise ValueError(f"budget limit {budget_limit} is negative")
         self.arena = arena
         self.colors = colors
         self.budget = SearchBudget(budget_limit)
-        self.stats = stats
+        self.report = report
         self.color_count: Counter[int] = Counter(colors)
         self._present = sorted(self.color_count)
         self._cycles: CycleRecord = {}
 
     def set_color(self, v: NodeId, new: int) -> None:
         old = self.colors[v]
-        if new == old:
-            return
         self.color_count[old] -= 1
         if not self.color_count[old]:
             self._present.pop(bisect_left(self._present, old))
@@ -184,11 +187,13 @@ class _PassState:
         answer = simple_cycle_through_with_color(
             self.arena, self.colors, v, gamma, budget, memo=self._cycles
         )
-        stats = self.stats
+        report = self.report
+        stats = report.stats
         stats.exact_queries += 1
         stats.nodes_expanded = budget.spent
         if answer is CycleAnswer.EXHAUSTED:
-            raise ReductionAborted(v, gamma, budget.spent, budget.limit, stats.exact_queries)
+            report.final_index = index(self.colors)
+            raise ReductionAborted(v, gamma, budget.limit, report, tuple(self.colors))
         return answer is CycleAnswer.YES
 
     def anchor(self, v: NodeId) -> int:
@@ -222,7 +227,7 @@ class _PassState:
         first_old: dict[NodeId, int] = {}
         m = max(colors)
         while True:
-            self.stats.max_color_checks += 1
+            self.report.stats.max_color_checks += 1
             if simple_cycle_with_max_color(self.arena, colors):
                 break
             assert m > 0, "a total arena always has a cycle at the minimal color"
@@ -281,7 +286,8 @@ def rabin(
     run together (``None``: unlimited), and the report's
     ``stats.nodes_expanded`` is what they spent.  Raises
     :class:`ReductionAborted` when a query finds the budget exhausted; the
-    exception carries the partial report.  Within one run, a query whose
+    exception carries the partial report and the coloring the run had
+    reached, which is equivalent to the input.  Within one run, a query whose
     earlier search backtracked to find a simple cycle is answered YES by
     that cycle, without search or budget, while its least color is still
     the query's.  A negative ``budget_limit`` raises :class:`ValueError` in
@@ -300,22 +306,13 @@ def rabin(
         report.final_index = index(form)
         report.rank_trace.append(sum(form))
         return form, report
-    state = _PassState(arena, colors, budget_limit, report.stats)
-    rank = sum(colors)
+    state = _PassState(arena, colors, budget_limit, report)
+    trace = report.rank_trace
     while True:
-        try:
-            cycle_changes = state.run_cycle_pass()
-        except ReductionAborted as exc:
-            report.final_index = index(colors)
-            exc.report = report
-            raise
-        pop_changes = state.run_pop_pass()
-        report.iterations.append(IterationTrace(cycle_changes, pop_changes))
-        new_rank = sum(colors)
-        report.rank_trace.append(new_rank)
-        if new_rank == rank:
+        report.iterations.append(IterationTrace(state.run_cycle_pass(), state.run_pop_pass()))
+        trace.append(sum(colors))
+        if trace[-1] == trace[-2]:
             break
-        rank = new_rank
     report.final_index = index(colors)
     return tuple(colors), report
 

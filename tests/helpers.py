@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rabinindex.arena import Arena, ParityGame, Solution
 from rabinindex import cycles, reduction, solver
 from rabinindex.cycles import tarjan_scc
-from rabinindex.reduction import OracleStats, _PassState
+from rabinindex.reduction import OracleMode, ReductionReport, _PassState
 
 
 def random_arena(
@@ -263,7 +263,8 @@ def get_anchor(arena: Arena, coloring, v: int, budget_limit=None) -> int:
     the arena's own): the largest opposite-parity color below ``c(v)``
     realized as the color of a simple cycle through ``v``, or -1."""
     colors = list(arena.colors if coloring is None else coloring)
-    return _PassState(arena, colors, budget_limit, OracleStats()).anchor(v)
+    report = ReductionReport(OracleMode.EXACT, 0, 0)
+    return _PassState(arena, colors, budget_limit, report).anchor(v)
 
 
 class Attraction(NamedTuple):

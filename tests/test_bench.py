@@ -13,7 +13,8 @@ from rabinindex.bench import (
     parse_bench_config,
     rows_to_csv,
 )
-from rabinindex.generators import RandomConfig
+from rabinindex import bench
+from rabinindex.generators import RandomConfig, gen_clique, gen_jurdzinski
 
 
 CONFIG = """\
@@ -28,9 +29,10 @@ random 40/1/8/40 runs=5 seed=9
 def test_parse_bench_config():
     specs = parse_bench_config(CONFIG)
     assert [s.label for s in specs] == ["clique[100]", "jurdzinski[5 10]", "40/1/8/40"]
-    # Each game is what the package's own grammar reads from the line.
-    assert specs[0] == BatchSpec("clique[100]", ("clique", (100,)), None)
-    assert specs[1] == BatchSpec("jurdzinski[5 10]", ("jurdzinski", (5, 10)), 3)
+    # Each game is what the package's own grammar reads from the line; a
+    # family's is the game its builder made.
+    assert specs[0] == BatchSpec("clique[100]", gen_clique(100), None)
+    assert specs[1] == BatchSpec("jurdzinski[5 10]", gen_jurdzinski(5, 10), 3)
     assert specs[2] == BatchSpec("40/1/8/40", RandomConfig(40, 1, 8, 40, seed=9), 5)
 
 
@@ -87,6 +89,23 @@ def test_bench_batch_ladder():
     assert row.runs == 2
     for ms in (row.static_ms, row.alpha_ms, row.solve_ms, row.solve_static_ms, row.solve_alpha_ms):
         assert ms >= 0.0
+
+
+def test_a_family_batch_builds_its_game_once(monkeypatch):
+    # The game the read built serves every run.
+    builds = []
+
+    def gen_family(*args):
+        builds.append(args)
+        return real(*args)
+
+    real = bench.gen_family
+    monkeypatch.setattr(bench, "gen_family", gen_family)
+    (row,) = bench_run("tower_of_hanoi 5 runs=3")
+    assert builds == [("tower_of_hanoi", (5,))]
+    assert (row.game, row.mu_c, row.mu_s_c, row.ri_alpha, row.runs) == (
+        "tower_of_hanoi[5]", 2, 2, 1, 3
+    )
 
 
 def test_bench_batch_default_runs():

@@ -346,6 +346,14 @@ def test_non_utf8_input_is_a_parse_error(fig1_path, tmp_path, capsys):
     assert "error: parse:" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_solution_record_with_a_name_for_a_move(fig1_path, tmp_path, capsys):
+    bad = tmp_path / "bad.sol"
+    bad.write_text("paritysol 3;\n0 x;\n")
+    assert main(["verify", str(fig1_path), str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: parse:")
+
+
 def test_oversized_integer_is_a_parse_error(tmp_path, capsys):
     big = tmp_path / "big.gm"
     big.write_text("0 1 0 " + "9" * 5000 + ";\n")

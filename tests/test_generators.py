@@ -152,6 +152,20 @@ def test_gen_family_dispatch_errors():
         gen_family("clique", (3, 4))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (gen_ladder, "ladder needs a positive layer count, got 0"),
+        (gen_recursive_ladder, "recursive ladder needs a positive size, got 0"),
+        (gen_model_checker_ladder, "model checker ladder needs a positive size, got 0"),
+        (gen_tower_of_hanoi, "tower of hanoi needs at least one disc, got 0"),
+    ],
+)
+def test_builders_refuse_size_zero(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(0)
+
+
 def test_gadget_shape(triangle_gadget):
     # Base triangle 0 -> 1 -> 2 -> 0 with s = 0, t = 2, k = 2.
     # c(s) = 1, interior u = 3, c(t) = 2, spine p_0..p_2 = 2, 1, 0.

@@ -32,8 +32,8 @@ from rabinindex.oracles import (
 )
 from rabinindex.reduction import (
     OracleMode,
-    OracleStats,
     ReductionAborted,
+    ReductionReport,
     _PassState,
     _alpha_form,
     abstract_membership,
@@ -131,6 +131,9 @@ def test_rabin_budget_abort(fig1_arena):
     assert aborted.spent == stats.nodes_expanded
     assert aborted.exact_queries == stats.exact_queries >= 1
     assert not hasattr(aborted, "nodes_expanded")
+    # It carries the run's coloring so far, which the report indexes.
+    assert aborted.report.final_index == index(aborted.coloring)
+    assert colorings_equivalent(fig1_arena, fig1_arena.colors, aborted.coloring)
     assert str(aborted) == (
         f"exact reduction aborted: budget exhausted at node {aborted.node}, "
         f"color {aborted.gamma} after 3 expanded nodes (limit 2) "
@@ -197,7 +200,7 @@ def test_pass_state_anchors_survive_recoloring():
     for _ in range(60):
         arena = random_arena(rng, max_nodes=8, max_color=9, max_degree=3)
         colors = list(arena.colors)
-        state = _PassState(arena, colors, None, OracleStats())
+        state = _PassState(arena, colors, None, ReductionReport(EXACT, 0, 0))
         for _ in range(12):
             for v in rng.sample(range(arena.node_count), arena.node_count):
                 assert state.anchor(v) == _reference_anchor(arena, colors, v)
@@ -577,6 +580,11 @@ def test_entry_points_check_the_coloring(fig1_arena, entry, coloring, message):
 
 def test_static_compress_example():
     assert static_compress((0, 3, 4, 5, 6, 8)) == (0, 1, 2, 3, 4, 4)
+
+
+def test_static_compress_refuses_an_empty_coloring():
+    with pytest.raises(ValueError, match="^coloring is empty$"):
+        static_compress(())
 
 
 def test_static_compress_single_color():

@@ -233,6 +233,14 @@ def test_verify_rejects_missing_strategy_entry(fig1_game):
     assert result.witness == (1,)
 
 
+def test_verify_rejects_a_strategy_key_that_is_no_node(fig1_game):
+    good = zielonka_solve(fig1_game)
+    named = Solution(good.winner, {**good.strategy0, "x": 1}, good.strategy1)
+    result = verify_solution(fig1_game, named)
+    assert not result
+    assert result.reason == "strategy for player 0 names unknown node 'x'"
+
+
 def test_verify_rejects_strategy_outside_region(fig1_game):
     good = zielonka_solve(fig1_game)
     # v2 is player 1's node but sits in player 0's region.
