@@ -13,6 +13,14 @@ cycle drive the reductions in :mod:`rabinindex.reduction`:
   hierarchy behind the alpha form of :mod:`rabinindex.reduction` and the
   parity check of :func:`~rabinindex.solver.verify_solution`.
 
+Both run one iterative Tarjan loop, :func:`_tarjan_from`.  ``tarjan_scc``
+starts it from every node, on fresh marks, to list the components.  Each
+task of the tree's divide and conquer starts it from the tails of its
+edges, on a successor table and marks that the whole tree shares: the
+loop leaves each node it reached labelled by its component, and the task
+reads the labels, then hands the marks back unvisited by resetting just
+the nodes it touched.
+
 :func:`simple_cycle_through_with_color` and :func:`cycle_through_with_color`
 begin with the same polynomial step: a backward reach from the node over
 the colors the query admits, and a forward walk inside it to a node of the
@@ -29,8 +37,8 @@ from __future__ import annotations
 import enum
 import sys
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
-from itertools import chain, combinations, compress, count
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain, combinations, compress
 from operator import not_
 
 from .arena import Arena, NodeId, Record
@@ -95,48 +103,84 @@ def tarjan_scc(
     self-loop, each a node list, in the order the search completes them.
 
     A component completes after every component it reaches, so the list
-    runs from the sinks up.  Iterative Tarjan (SIAM J. Comput. 1(2), 1972)
-    with one number per node, as in Pearce's variant (IPL 116(1), 2016):
-    its position on the component stack while it is there, which orders
-    the nodes on the stack as their discovery does.  The node being
-    expanded, its low value and its successor iterator are locals; those
-    of its ancestors on the search path wait on a stack.
+    runs from the sinks up.  One listing run of :func:`_tarjan_from` from
+    every node, on fresh marks in which a node outside the mask is
+    already finished.
     """
     n = len(successors)
-    # A node outside the mask or already in a component has index n, above
-    # every position, so the search needs no other test to skip it.
-    index_of = [-1] * n if allowed is None else [-1 if a else n for a in allowed]
-    stack = [0] * n  # the component stack is stack[:top]
-    top = 0
+    marks = [-1] * n if allowed is None else [-1 if a else n for a in allowed]
     cyclic: list[list[NodeId]] = []
+    _tarjan_from(successors, marks, range(n), [0] * n, cyclic)
+    return cyclic
+
+
+def _tarjan_from(
+    successors: Sequence[Sequence[NodeId]],
+    marks: list[int],
+    starts: Iterable[NodeId],
+    stack: list[NodeId],
+    cyclic: list[list[NodeId]] | None = None,
+) -> None:
+    """Iterative Tarjan (SIAM J. Comput. 1(2), 1972) from each node of
+    ``starts`` still unvisited, over what it reaches; the one SCC loop of
+    the package.  Given a list ``cyclic``, it appends the cyclic
+    components to it, as :func:`tarjan_scc` lists them; given None, it
+    labels each component in ``marks`` instead.
+
+    ``marks`` holds one number per node, as in Pearce's variant (IPL
+    116(1), 2016): -1 for unvisited; a node's position on the component
+    stack while it is there, which orders the nodes on the stack as their
+    discovery does; and at least ``n = len(marks)`` once its component is
+    finished, above every position, so the search needs no other test to
+    skip a finished node.  A labelling run marks the nodes of the
+    component whose root is ``r`` with ``n + r``, so two reached nodes
+    share a component exactly when they share a mark.  A listing run
+    marks every single-node component ``n``: it reads no labels, and one
+    shared number spares the peel of a big graph, most of whose
+    components are single nodes, a new int object each.
+
+    The caller lends ``stack``, at least as long as the nodes the run can
+    reach, and owns the marks afterwards: :func:`nesting_tree`'s tasks
+    read the labels, then mark unvisited again just the nodes they
+    touched, so that one run costs what it reaches, not ``len(marks)``.
+    The node being expanded, its low value and its successor iterator are
+    locals; those of its ancestors on the search path wait on a stack.
+    """
+    n = len(marks)
+    top = 0  # the component stack is stack[:top]
     path: list[tuple[NodeId, int, Iterator[NodeId]]] = []
     save, restore = path.append, path.pop
-    for v in range(n):
-        if index_of[v] != -1:
+    for v in starts:
+        if marks[v] != -1:
             continue
-        low = index_of[v] = top
+        low = marks[v] = top
         stack[top] = v
         top += 1
         branch = iter(successors[v])
         while True:
             for w in branch:
-                i = index_of[w]
+                i = marks[w]
                 if i < 0:
                     break
                 if i < low:
                     low = i
             else:
-                if low == index_of[v]:
+                if low == marks[v]:
                     # v is a root: its component is v and the stack above it.
                     if top - low == 1:
-                        index_of[v] = n
-                        if v in successors[v]:
-                            cyclic.append([v])
+                        if cyclic is None:
+                            marks[v] = n + v
+                        else:
+                            marks[v] = n
+                            if v in successors[v]:
+                                cyclic.append([v])
                     else:
                         comp = stack[low:top]
+                        label = n + v
                         for w in comp:
-                            index_of[w] = n
-                        cyclic.append(comp)
+                            marks[w] = label
+                        if cyclic is not None:
+                            cyclic.append(comp)
                     top = low
                 if not path:
                     break
@@ -147,11 +191,10 @@ def tarjan_scc(
                 continue
             save((v, low, branch))
             v = w
-            low = index_of[v] = top
+            low = marks[v] = top
             stack[top] = v
             top += 1
             branch = iter(successors[v])
-    return cyclic
 
 
 def _run_starts(present: list[int]) -> list[int]:
@@ -187,6 +230,14 @@ def nesting_tree(
     component go up, the rest go down.  Tasks of one rank join their ends
     in a union-find, highest rank first, and open a tree node on each set
     they make.
+
+    A task's decomposition runs on the union-find roots, which are node
+    ids, with no renumbering: it puts its edges into a successor table
+    allocated once per call, runs :func:`_tarjan_from` from their tails on
+    marks allocated once per call, compares the component labels the run
+    leaves at each edge's ends, and then empties the table and marks its
+    ends unvisited again.  So a task costs O(its nodes and edges), and
+    builds no dict, local graph or component list.
     """
     n = len(links)
     leaf = [-1] * n
@@ -245,6 +296,11 @@ def nesting_tree(
     root = list(range(n))
     members = [[u] for u in range(n)]
     tree_of = [-1] * n
+    # Every task's SCC run borrows these, and hands them back empty and
+    # unvisited.
+    successors: list[list[NodeId]] = [[] for _ in range(n)]
+    marks = [-1] * n
+    stack = [0] * n
     # A task lists the numbers of its edges by ascending rank.  It also
     # says whether it was made after the last join: a later join can make
     # some of its edges parallel.
@@ -299,17 +355,15 @@ def nesting_tree(
             ranked = list(kept.values())
             tails = [a for a, _ in kept]
             heads = [b for _, b in kept]
-        local = dict(zip(dict.fromkeys(chain(tails, heads)), count()))
-        tails = [local[a] for a in tails]
-        heads = [local[b] for b in heads]
-        successors: list[list[int]] = [[] for _ in local]
         for a, b in zip(tails, heads):
             successors[a].append(b)
-        comp_of = list(range(-len(local), 0))  # one of its own off every cycle
-        for c, comp in enumerate(tarjan_scc(successors)):
-            for x in comp:
-                comp_of[x] = c
-        inside = [comp_of[a] == comp_of[b] for a, b in zip(tails, heads)]
+        _tarjan_from(successors, marks, tails, stack)
+        inside = [marks[a] == marks[b] for a, b in zip(tails, heads)]
+        for a in tails:
+            successors[a].clear()
+            marks[a] = -1
+        for b in heads:
+            marks[b] = -1
         # The upper half goes on last and so runs first: every rank above a
         # task is joined before the task runs.  Rank 0 is the child itself,
         # so edges left below rank 1 are dropped.

@@ -87,7 +87,10 @@ class ReductionReport(Record):
 
     ``rank_trace`` holds the color sum before the loop and after each
     iteration; it strictly decreases except for the final confirming entry.
-    Alpha mode has no iterations, and records the sum before and after.
+    An aborted run's last iteration is the cycle pass the abort
+    interrupted, with the changes it made so far and no pop changes, and
+    its last sum is that of the coloring the abort carries.  Alpha mode
+    has no iterations, and records the sum before and after.
     A list or the stats left out, or None, start empty.
     """
 
@@ -122,7 +125,9 @@ class ReductionAborted(RuntimeError):
     ``exact_queries`` counts the run's queries so far, that one included.
     ``coloring`` is the run's coloring when the query ran out, equivalent
     to the input since each step before was sound, and ``report`` the
-    run's report up to then, its ``final_index`` that coloring's.
+    run's report up to then, its ``final_index`` that coloring's: its
+    iterations, the interrupted one last, replayed from the input give
+    that coloring.
     """
 
     def __init__(
@@ -171,6 +176,7 @@ class _PassState:
         self.color_count: Counter[int] = Counter(colors)
         self._present = sorted(self.color_count)
         self._cycles: CycleRecord = {}
+        self._pass_changes: list[Change] = []  # of the cycle pass under way
 
     def set_color(self, v: NodeId, new: int) -> None:
         old = self.colors[v]
@@ -192,6 +198,10 @@ class _PassState:
         stats.exact_queries += 1
         stats.nodes_expanded = budget.spent
         if answer is CycleAnswer.EXHAUSTED:
+            # The interrupted pass ends the report, so that its changes
+            # replayed from the input give the coloring the abort carries.
+            report.iterations.append(IterationTrace(tuple(self._pass_changes), ()))
+            report.rank_trace.append(sum(self.colors))
             report.final_index = index(self.colors)
             raise ReductionAborted(v, gamma, budget.limit, report, tuple(self.colors))
         return answer is CycleAnswer.YES
@@ -213,7 +223,7 @@ class _PassState:
     def run_cycle_pass(self) -> tuple[Change, ...]:
         colors = self.colors
         order = sorted(range(self.arena.node_count), key=lambda v: (colors[v], v))
-        changes: list[Change] = []
+        changes = self._pass_changes = []
         for v in order:
             j = self.anchor(v)
             new = colors[v] % 2 if j == -1 else j + 1

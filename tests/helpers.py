@@ -12,7 +12,7 @@ from typing import NamedTuple, Sequence
 from hypothesis import strategies as st
 
 from rabinindex.arena import Arena, ParityGame, Solution
-from rabinindex import cycles, reduction, solver
+from rabinindex import cycles, solver
 from rabinindex.cycles import tarjan_scc
 from rabinindex.reduction import OracleMode, ReductionReport, _PassState
 
@@ -78,29 +78,49 @@ def threshold_reach(links, colors, v: int, gamma: int) -> set[int]:
 
 
 def count_tarjan_calls(monkeypatch) -> list[int]:
-    """Count the decompositions run through ``cycles.tarjan_scc`` or
-    ``reduction.tarjan_scc``: one entry, the node count, per call."""
+    """Count the runs of the package's one Tarjan loop,
+    ``cycles._tarjan_from``: one entry, the length of the successor table
+    it gets, per run.  :func:`tarjan_scc` runs it once per call, and each
+    task of ``nesting_tree``'s divide and conquer once, on a table as long
+    as the whole graph.  The reference builders here call it too."""
     return count_tarjan_work(monkeypatch)[0]
 
 
 def count_tarjan_work(monkeypatch) -> tuple[list[int], list[int], list]:
     """Like :func:`count_tarjan_calls`, and also the edges handed to each
-    call (the summed length of the successor lists it gets, mask or not)
-    and each call's mask, None for the whole graph."""
+    run (the summed length of its start nodes' successor lists: every
+    edge for :func:`tarjan_scc`, mask or not, and a task's own edges, the
+    only ones in its table) and each run's mask, the nodes it finds
+    unvisited, None when that is all of them."""
     calls: list[int] = []
     edges: list[int] = []
     masks: list = []
-    real = cycles.tarjan_scc
+    real = cycles._tarjan_from
 
-    def counting(successors, allowed=None):
+    def counting(successors, marks, starts, stack, cyclic=None):
         calls.append(len(successors))
-        edges.append(sum(map(len, successors)))
-        masks.append(allowed)
-        return real(successors, allowed)
+        edges.append(sum(len(successors[v]) for v in set(starts)))
+        masks.append(None if marks.count(-1) == len(marks) else [m == -1 for m in marks])
+        return real(successors, marks, starts, stack, cyclic)
 
-    for module in (cycles, reduction):
-        monkeypatch.setattr(module, "tarjan_scc", counting)
+    monkeypatch.setattr(cycles, "_tarjan_from", counting)
     return calls, edges, masks
+
+
+def replay(colors: Sequence[int], report: ReductionReport) -> tuple[int, ...]:
+    """The coloring an exact run's report leads to from ``colors``: every
+    change of its iterations applied in order, each from the color the
+    node has then; the report's rank trace must hold the color sum before
+    and after each iteration."""
+    c = list(colors)
+    sums = [sum(c)]
+    for iteration in report.iterations:
+        for v, old, new in iteration.cycle_changes + iteration.pop_changes:
+            assert c[v] == old, f"node {v} has color {c[v]}, not {old}"
+            c[v] = new
+        sums.append(sum(c))
+    assert sums == report.rank_trace
+    return tuple(c)
 
 
 def alpha_form_reference(arena: Arena) -> tuple[int, ...]:

@@ -107,6 +107,41 @@ def test_tarjan_matches_brute_force(data):
             assert comp[u] >= comp[w]  # completion order: sinks first
 
 
+@given(st.data())
+@settings(max_examples=150)
+def test_tarjan_from_start_nodes_decomposes_what_they_reach(data):
+    # The loop run from some start nodes, with fresh marks, lists the
+    # cyclic components of the subgraph they reach, as tarjan_scc does on
+    # that subgraph; run again without a list, it labels each node it
+    # reached by its component.
+    loops = data.draw(st.booleans())
+    arena = data.draw(arenas(max_nodes=9, max_degree=3, allow_self_loops=loops))
+    n = arena.node_count
+    starts = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    reached = set(starts)
+    frontier = list(starts)
+    while frontier:
+        for w in arena.successors[frontier.pop()]:
+            if w not in reached:
+                reached.add(w)
+                frontier.append(w)
+    marks = [-1] * n
+    cyclic: list[list[int]] = []
+    cycles._tarjan_from(arena.successors, marks, starts, [0] * n, cyclic)
+    expected = tarjan_scc(arena.successors, [v in reached for v in range(n)])
+    assert sorted(map(sorted, cyclic)) == sorted(map(sorted, expected))
+    assert {v for v in range(n) if marks[v] != -1} == reached
+    marks = [-1] * n
+    cycles._tarjan_from(arena.successors, marks, starts, [0] * n)
+    assert {v for v in range(n) if marks[v] != -1} == reached
+    assert all(marks[v] >= n for v in reached)
+    component = {u: frozenset(members) for members in expected for u in members}
+    for u in reached:
+        for w in reached:
+            same = u == w or (u in component and w in component[u])
+            assert (marks[u] == marks[w]) == same
+
+
 def test_simple_cycle_through_fig1(fig1_arena):
     # v4 sits on the 2-cycle with v3 (colors 2, 1).
     assert simple_cycle_through_with_color(fig1_arena, None, 4, 1) is CycleAnswer.YES
@@ -340,9 +375,40 @@ def test_closed_walk_minima_equals_the_peel_on_deep_paths(monkeypatch):
     for _ in range(40):
         arena = blocks_arena(rng)
         for game, solution in whole_region_claims(arena):
+            expected = walk_verdict_reference(game, solution)
             del calls[:]
-            assert walk_verdict(game, solution) == walk_verdict_reference(game, solution)
+            assert walk_verdict(game, solution) == expected
             assert len(calls) > 2
+
+
+def test_nesting_tree_tasks_hand_back_unvisited_marks(monkeypatch):
+    # Every task of the divide and conquer borrows the tree's one
+    # successor table and list of marks, and runs with all nodes unvisited
+    # and only its own edges, at its start nodes, in the table: each task
+    # before emptied and unmarked every node it touched, and so did the
+    # last one before the tree returned.
+    borrowed = []
+    real = cycles._tarjan_from
+
+    def spy(successors, marks, starts, stack, cyclic=None):
+        if cyclic is None:  # a task's run; tarjan_scc collects components
+            assert marks.count(-1) == len(marks)
+            own = sum(len(successors[v]) for v in set(starts))
+            assert own == sum(map(len, successors)) > 0
+            borrowed.append((successors, marks))
+        return real(successors, marks, starts, stack, cyclic)
+
+    monkeypatch.setattr(cycles, "_tarjan_from", spy)
+    rng = random.Random(33)
+    for _ in range(20):
+        arena = blocks_arena(rng)
+        del borrowed[:]
+        nesting_tree(arena.successors, arena.colors)
+        assert borrowed
+        successors, marks = borrowed[0]
+        assert all(table is successors and m is marks for table, m in borrowed)
+        assert marks.count(-1) == len(marks)
+        assert not any(successors)
 
 
 def test_closed_walk_minima_hands_tarjan_m_log_k_edges(monkeypatch):
@@ -355,6 +421,7 @@ def test_closed_walk_minima_hands_tarjan_m_log_k_edges(monkeypatch):
     lows = least_enclosing(arena.successors, arena.colors)
     assert lows[-2:] == [3998, 3998]
     m = sum(map(len, arena.successors))
+    assert len(edges) > 2
     assert sum(edges) <= m * ((k - 1).bit_length() + 3)
 
 

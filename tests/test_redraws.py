@@ -13,7 +13,7 @@ from rabinindex.generators import RandomConfig, gen_family, gen_random
 from rabinindex.oracles import colorings_equivalent
 from rabinindex.reduction import ReductionAborted, rabin, static_compress
 
-from helpers import arenas, random_arena, redraw_check
+from helpers import arenas, random_arena, redraw_check, replay
 
 
 def _reductions(arena, exact: bool):
@@ -81,6 +81,7 @@ def test_aborted_exact_runs_on_random_games_keep_their_winners(seed):
     arena = gen_random(RandomConfig.parse("100/1/20/100", seed=seed)).arena
     aborted = _abort(arena, 2 * 10**5)
     assert aborted.coloring != arena.colors
+    assert replay(arena.colors, aborted.report) == aborted.coloring
     redraw_check(arena, [aborted.coloring], 3, random.Random(seed))
 
 
@@ -90,13 +91,14 @@ def test_an_aborted_exact_run_on_jurdzinski_keeps_its_winners():
     arena = gen_family("jurdzinski", (5, 10)).arena
     aborted = _abort(arena, 10**4)
     assert aborted.coloring != arena.colors
+    assert replay(arena.colors, aborted.report) == aborted.coloring
     redraw_check(arena, [aborted.coloring], 4, random.Random("jurdzinski"))
 
 
 def test_every_abort_on_a_small_arena_leaves_an_equivalent_coloring():
     # Brute force over the simple cycles, at budgets that stop runs before,
     # during and after their first recolorings: 1 469 aborts, 887 of them
-    # after some node was recolored.
+    # after some node was recolored.  Each report replays to its coloring.
     rng = random.Random(32)
     aborts = changed = 0
     for _ in range(500):
@@ -108,6 +110,7 @@ def test_every_abort_on_a_small_arena_leaves_an_equivalent_coloring():
                 aborts += 1
                 changed += exc.coloring != arena.colors
                 assert exc.report.final_index == max(exc.coloring)
+                assert replay(arena.colors, exc.report) == exc.coloring
                 assert colorings_equivalent(arena, arena.colors, exc.coloring, "simple")
     assert aborts > changed > 500
 

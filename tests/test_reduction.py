@@ -55,6 +55,7 @@ from helpers import (
     nested_path,
     package_lines,
     random_arena,
+    replay,
 )
 
 
@@ -234,6 +235,7 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
         _PassState, "anchor", lambda self, v: _reference_anchor(self.arena, self.colors, v)
     )
     for arena, (colors, report) in zip(cases, results):
+        assert replay(arena.colors, report) == colors
         expected_colors, expected = rabin(arena, mode=mode)
         assert colors == expected_colors
         assert report.rank_trace == expected.rank_trace
@@ -287,6 +289,21 @@ def test_reused_searches_change_no_outcome(monkeypatch):
         assert report.stats.nodes_expanded <= expected.stats.nodes_expanded
         fell += report.stats.nodes_expanded < expected.stats.nodes_expanded
     assert finished > len(small) and fell > 0
+
+
+def test_an_aborted_run_reports_its_interrupted_pass():
+    # Random 100/1/20/100 seed 1 runs out in its first cycle pass, having
+    # recolored 30 nodes: that pass is the report's one iteration, and
+    # replayed from the input it gives the abort's coloring.
+    arena = gen_random(RandomConfig.parse("100/1/20/100", seed=1)).arena
+    with pytest.raises(ReductionAborted) as excinfo:
+        rabin(arena, budget_limit=2 * 10**5)
+    aborted = excinfo.value
+    (interrupted,) = aborted.report.iterations
+    assert len(interrupted.cycle_changes) == 30
+    assert interrupted.pop_changes == ()
+    assert aborted.report.rank_trace == [sum(arena.colors), sum(aborted.coloring)]
+    assert replay(arena.colors, aborted.report) == aborted.coloring
 
 
 def test_one_budget_caps_the_whole_run():
@@ -514,15 +531,18 @@ def test_exact_queries_of_a_run_borrow_one_marks_list(monkeypatch):
 
 
 def test_exact_query_time_follows_its_component():
-    # The wall-clock face of the line count above: the minimum of five
-    # alternating runs each.
+    # The wall-clock face of the line count above: the minimum of fifteen
+    # alternating runs each, the order flipped each round.  The rounds take
+    # about a second, so one slow stretch of a shared machine can fail the
+    # bound only if it slows every large run and no small one over that
+    # whole second.
     small, large = _disjoint_two_cycles(1000), _disjoint_two_cycles(4000)
     times = {small: [], large: []}
-    for _ in range(5):
-        for arena, spent in times.items():
+    for round_ in range(15):
+        for arena in (small, large) if round_ % 2 else (large, small):
             start = time.perf_counter()
             rabin(arena)
-            spent.append(time.perf_counter() - start)
+            times[arena].append(time.perf_counter() - start)
     assert min(times[large]) < 8 * min(times[small])
 
 
