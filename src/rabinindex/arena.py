@@ -76,7 +76,8 @@ class Arena(FrozenRecord):
     ``successors[v]`` is the ordered successor sequence of node ``v``;
     duplicates are rejected (parsers deduplicate before construction).
     ``colors[v]`` is the color of ``v`` and must be a natural number.
-    Successor ids and colors must be ``int``s.
+    Successor ids and colors must be ``int``s, and not ``bool``s, which the
+    PGSolver writer would spell ``True`` and ``False``.
     """
 
     __match_args__ = ("successors", "colors")
@@ -90,7 +91,7 @@ class Arena(FrozenRecord):
             if not succ:
                 raise ValueError(f"node {v} has no successors (arena must be total)")
             for w in succ:
-                if not isinstance(w, int):
+                if type(w) is not int:
                     raise ValueError(f"successor {w!r} of node {v} is not an integer")
                 if not 0 <= w < n:
                     raise ValueError(f"successor {w} of node {v} out of range")
@@ -161,11 +162,11 @@ _GRAPH_INDEXES = frozenset({"predecessors"})
 
 def check_coloring(colors: Sequence[int], n: int) -> None:
     """Raise ValueError unless ``colors`` has ``n`` entries, all of them
-    ``int``s and none negative."""
+    ``int``s (not ``bool``s) and none negative."""
     if len(colors) != n:
         raise ValueError(f"coloring has {len(colors)} entries for {n} nodes")
-    if not all(map(int.__instancecheck__, colors)):  # isinstance(c, int), at C speed
-        v = next(v for v, c in enumerate(colors) if not isinstance(c, int))
+    if not {*map(type, colors)} <= {int}:
+        v = next(v for v, c in enumerate(colors) if type(c) is not int)
         raise ValueError(f"color {colors[v]!r} at node {v} is not an integer")
     if min(colors) < 0:
         v = next(v for v, c in enumerate(colors) if c < 0)
@@ -175,9 +176,10 @@ def check_coloring(colors: Sequence[int], n: int) -> None:
 class ParityGame(FrozenRecord):
     """Arena plus an ownership partition.
 
-    ``owners[v]`` is 0 or 1.  ``names`` optionally records display names,
-    e.g. original identifiers when a sparse input file was renumbered; a
-    table of only ``None`` is stored as ``None``, as it reads back from a file.
+    ``owners[v]`` is the ``int`` 0 or 1.  ``names`` optionally records
+    display names, e.g. original identifiers when a sparse input file was
+    renumbered; a table of only ``None`` is stored as ``None``, as it reads
+    back from a file.
     """
 
     __match_args__ = ("arena", "owners", "names")
@@ -188,6 +190,9 @@ class ParityGame(FrozenRecord):
         n = arena.node_count
         if len(owners) != n:
             raise ValueError(f"owner vector has {len(owners)} entries for {n} nodes")
+        if not {*map(type, owners)} <= {int}:
+            v = next(v for v, o in enumerate(owners) if type(o) is not int)
+            raise ValueError(f"owner {owners[v]!r} of node {v} is not an integer")
         if not set(owners) <= {0, 1}:
             v = next(v for v, o in enumerate(owners) if o not in (0, 1))
             raise ValueError(f"owner of node {v} must be 0 or 1, got {owners[v]}")

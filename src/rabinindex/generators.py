@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 import re
 from collections.abc import Sequence
+from math import ceil, log
 
 from .arena import Arena, FrozenRecord, NodeId, ParityGame
 
@@ -74,18 +75,70 @@ class RandomConfig(FrozenRecord):
 
 
 def gen_random(config: RandomConfig) -> ParityGame:
-    """Random game per ``config``; deterministic for a fixed seed."""
-    rng = random.Random(config.seed)
+    """Random game per ``config``; deterministic for a fixed seed.
+
+    Node by node, it draws the owner (below 2), the color (below
+    ``max_color + 1``), the out-degree (``min_out`` plus a draw below
+    ``max_out - min_out + 1``) and then that many distinct successors
+    among the ``n - 1`` other nodes.  Each draw takes ``getrandbits`` of a
+    ``random.Random(seed)`` directly, as ``Random._randbelow`` does: it
+    asks for as many bits as the width has and redraws while the result
+    is not below it.  The successors follow ``Random.sample`` of
+    ``range(n - 1)``: a pool of the candidates with a swap per pick when
+    the population is no larger than ``sample``'s set-size threshold,
+    otherwise a redraw while a pick is out of range or repeats.  So every
+    seed gives the game that ``randrange``, ``randint`` and ``sample`` give,
+    called in that order, without their call layers; those calls are kept
+    as the referee, ``gen_random_reference`` in ``tests/helpers.py``.
+    """
+    getrandbits = random.Random(config.seed).getrandbits
     n = config.nodes
+    m = n - 1  # sample's population range(m); picks from v on shift up past v
+    bits = m.bit_length()
+    colors_width = config.max_color + 1
+    color_bits = colors_width.bit_length()
+    low = config.min_out
+    degrees = config.max_out - low + 1
+    degree_bits = degrees.bit_length()
+    # random.sample's choice: the pool when the population is no larger
+    # than an empty list plus a set sized for the pick count.
+    pooled = [
+        m <= 21 + (4 ** ceil(log(3 * d, 4)) if d > 5 else 0)
+        for d in range(low, low + degrees)
+    ]
     owners = []
     colors = []
     successors = []
     for v in range(n):
-        owners.append(rng.randrange(2))
-        colors.append(rng.randint(0, config.max_color))
-        degree = rng.randint(config.min_out, config.max_out)
-        picks = rng.sample(range(n - 1), degree)
-        successors.append(tuple(sorted(t if t < v else t + 1 for t in picks)))
+        owner = getrandbits(2)
+        while owner >= 2:
+            owner = getrandbits(2)
+        owners.append(owner)
+        color = getrandbits(color_bits)
+        while color >= colors_width:
+            color = getrandbits(color_bits)
+        colors.append(color)
+        d = getrandbits(degree_bits)
+        while d >= degrees:
+            d = getrandbits(degree_bits)
+        if pooled[d]:
+            pool = list(range(m))
+            picks = []
+            for width in range(m, m - low - d, -1):
+                k = width.bit_length()
+                j = getrandbits(k)
+                while j >= width:
+                    j = getrandbits(k)
+                picks.append(pool[j])
+                pool[j] = pool[width - 1]
+        else:
+            picks = set()
+            for _ in range(low + d):
+                j = getrandbits(bits)
+                while j >= m or j in picks:
+                    j = getrandbits(bits)
+                picks.add(j)
+        successors.append(tuple(sorted([t + (t >= v) for t in picks])))
     arena = Arena(successors=tuple(successors), colors=tuple(colors))
     return ParityGame(arena=arena, owners=tuple(owners))
 

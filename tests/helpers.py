@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rabinindex.arena import Arena, ParityGame, Solution
 from rabinindex import cycles, solver
 from rabinindex.cycles import tarjan_scc
+from rabinindex.generators import RandomConfig
 from rabinindex.reduction import OracleMode, ReductionReport, _PassState
 
 
@@ -408,6 +409,26 @@ def package_lines(fn) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+def gen_random_reference(config: RandomConfig) -> ParityGame:
+    """``generators.gen_random`` through the standard library's calls: per
+    node ``randrange(2)``, ``randint`` for the color and the out-degree, and
+    ``sample`` of the ``n - 1`` other nodes.  ``gen_random`` draws the same
+    numbers from ``getrandbits`` directly, so the two agree on every seed."""
+    rng = random.Random(config.seed)
+    n = config.nodes
+    owners = []
+    colors = []
+    successors = []
+    for v in range(n):
+        owners.append(rng.randrange(2))
+        colors.append(rng.randint(0, config.max_color))
+        degree = rng.randint(config.min_out, config.max_out)
+        picks = rng.sample(range(n - 1), degree)
+        successors.append(tuple(sorted(t if t < v else t + 1 for t in picks)))
+    arena = Arena(successors=tuple(successors), colors=tuple(colors))
+    return ParityGame(arena=arena, owners=tuple(owners))
 
 
 def random_game(rng: random.Random, **kwargs) -> ParityGame:

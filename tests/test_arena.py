@@ -48,11 +48,15 @@ def test_rejects_non_integer_color():
     arena = Arena(((1,), (0,)), (0, 1))
     with pytest.raises(ValueError, match="color '2' at node 1 is not an integer"):
         arena.with_colors((0, "2"))
+    with pytest.raises(ValueError, match="color True at node 1 is not an integer"):
+        arena.with_colors((0, True))
 
 
 def test_rejects_non_integer_successor():
     with pytest.raises(ValueError, match=r"successor 1\.0 of node 0 is not an integer"):
         Arena(((1.0,), (0,)), (0, 1))
+    with pytest.raises(ValueError, match="successor True of node 0 is not an integer"):
+        Arena(((True,), (0,)), (0, 1))
 
 
 def test_rejects_color_length_mismatch():
@@ -125,6 +129,21 @@ def test_game_owner_validation(fig1_arena):
         ParityGame(fig1_arena, (0, 1, 2, 0, 1))
     with pytest.raises(ValueError, match="entries"):
         ParityGame(fig1_arena, (0, 1))
+
+
+# Each of these once built, and its PGSolver text (``0.0``, ``True``) did
+# not parse back.
+@pytest.mark.parametrize(
+    "owners, colors, message",
+    [
+        ((0.0, 1.0), (0, 1), r"owner 0\.0 of node 0 is not an integer"),
+        ((0, True), (0, 1), "owner True of node 1 is not an integer"),
+        ((0, 1), (False, 1), "color False at node 0 is not an integer"),
+    ],
+)
+def test_game_refuses_what_the_writer_cannot_spell(owners, colors, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ParityGame(Arena(((1,), (0,)), colors), owners)
 
 
 def test_game_name_table_length(fig1_arena):

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+from math import ceil, log
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rabinindex.arena import Arena
+from rabinindex.bench import _game_for_run, parse_bench_config
 from rabinindex.generators import (
     FAMILY_NAMES,
     RandomConfig,
@@ -20,6 +26,8 @@ from rabinindex.generators import (
 )
 from rabinindex.oracles import colorings_equivalent
 from rabinindex.pgsolver import write_pgsolver
+
+from helpers import gen_random_reference
 
 
 def test_random_config_parse():
@@ -75,6 +83,76 @@ def test_gen_random_invariants():
 def test_gen_random_two_nodes_is_a_two_cycle():
     game = gen_random(RandomConfig(2, 1, 1, 0, seed=5))
     assert game.arena.successors == ((1,), (0,))
+
+
+def _sample_branches(config: RandomConfig) -> set[str]:
+    """The branches of ``random.sample`` that ``config``'s degrees can take."""
+    m = config.nodes - 1
+    return {
+        "pool" if m <= 21 + (4 ** ceil(log(3 * d, 4)) if d > 5 else 0) else "set"
+        for d in range(config.min_out, config.max_out + 1)
+    }
+
+
+# (config, the sample branches its out-degrees reach)
+_REFEREE_CONFIGS = [
+    (RandomConfig(10, 1, 3, 5, seed=7), {"pool"}),  # the golden file's game
+    (RandomConfig(400, 3, 5, 400, seed=1000), {"set"}),  # random-sparse
+    (RandomConfig(100, 1, 20, 100, seed=1000), {"set"}),  # random-dense
+    # 59 candidates: the set below degree 6, and above it the pool, whose
+    # threshold grows to 21 + 64.
+    (RandomConfig(60, 1, 21, 30, seed=11), {"pool", "set"}),
+    # 299 candidates: the set up to degree 85, the pool from 86 (21 + 1024).
+    (RandomConfig(300, 6, 90, 7, seed=12), {"pool", "set"}),
+    # Either side of the threshold: 21 candidates, then 22; 85, then 86.
+    (RandomConfig(22, 1, 5, 9, seed=19), {"pool"}),
+    (RandomConfig(23, 1, 5, 9, seed=19), {"set"}),
+    (RandomConfig(86, 6, 21, 9, seed=20), {"pool"}),
+    (RandomConfig(87, 6, 21, 9, seed=20), {"set"}),
+    (RandomConfig(20, 4, 4, 9, seed=13), {"pool"}),  # min_out == max_out
+    (RandomConfig(200, 5, 5, 9, seed=14), {"set"}),
+    (RandomConfig(40, 1, 6, 0, seed=15), {"pool", "set"}),  # one color
+    (RandomConfig(2, 1, 1, 0, seed=16), {"pool"}),  # n = 2
+    # Colors past what a PGSolver record holds.
+    (RandomConfig(50, 2, 8, 2**62, seed=17), {"pool", "set"}),
+    (RandomConfig(50, 2, 8, 2**70 - 1, seed=18), {"pool", "set"}),
+]
+
+
+@pytest.mark.parametrize("config, branches", _REFEREE_CONFIGS)
+def test_gen_random_matches_its_referee(config, branches):
+    assert _sample_branches(config) == branches
+    assert gen_random(config) == gen_random_reference(config)
+
+
+@given(st.data(), st.one_of(st.integers(0, 3), st.integers(0, 2**64)), st.integers(0, 2**32))
+def test_gen_random_matches_its_referee_on_drawn_configs(data, max_color, seed):
+    n = data.draw(st.integers(2, 120))
+    min_out = data.draw(st.integers(1, n - 1))
+    max_out = data.draw(st.integers(min_out, n - 1))
+    config = RandomConfig(n, min_out, max_out, max_color, seed=seed)
+    assert gen_random(config) == gen_random_reference(config)
+
+
+def test_bench_runs_match_the_referee_at_seed_plus_run():
+    (spec,) = parse_bench_config("random 100/1/20/100 runs=4 seed=7\n")
+    for run in range(4):
+        config = RandomConfig(100, 1, 20, 100, seed=7 + run)
+        assert _game_for_run(spec, run) == gen_random_reference(config)
+
+
+# The benchmark's random games take the set branch, which the golden file
+# does not reach; these digests were computed with the stdlib's calls.
+@pytest.mark.parametrize(
+    "label, digest",
+    [
+        ("400/3/5/400", "b79656fb73e5ebc3e14f5c836a823a349482e332fe76d343f65cfc542f442197"),
+        ("100/1/20/100", "8bbcbdd810afbf851acda967ed4e6815e5f5ac3d3d9c4e2db2395ba61e652954"),
+    ],
+)
+def test_set_branch_games_are_pinned(label, digest):
+    text = write_pgsolver(gen_random(RandomConfig.parse(label, seed=1000)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_family_node_counts():
