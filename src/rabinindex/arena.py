@@ -177,9 +177,9 @@ class ParityGame(FrozenRecord):
     """Arena plus an ownership partition.
 
     ``owners[v]`` is the ``int`` 0 or 1.  ``names`` optionally records
-    display names, e.g. original identifiers when a sparse input file was
-    renumbered; a table of only ``None`` is stored as ``None``, as it reads
-    back from a file.
+    display names, each a ``str`` or ``None``, e.g. original identifiers
+    when a sparse input file was renumbered; a table of only ``None`` is
+    stored as ``None``, as it reads back from a file.
     """
 
     __match_args__ = ("arena", "owners", "names")
@@ -199,6 +199,10 @@ class ParityGame(FrozenRecord):
         if names is not None:
             if len(names) != n:
                 raise ValueError("name table length does not match node count")
+            if not {*map(type, names)} <= {str, type(None)}:
+                for v, name in enumerate(names):
+                    if name is not None and not isinstance(name, str):
+                        raise ValueError(f"name {name!r} of node {v} is neither a str nor None")
             if all(name is None for name in names):
                 names = None  # no name is no table
         self.__dict__.update(arena=arena, owners=owners, names=names)

@@ -314,13 +314,29 @@ def _parse_solution_by_line(
 
 
 def write_solution(solution: Solution) -> str:
-    n = len(solution.winner)
+    """Serialize a solution; ``parse_solution`` inverts this exactly.
+
+    Raises :class:`ValueError`, naming the node, for what a record cannot
+    hold: a winner other than the ``int`` 0 or 1, or a move that is not
+    an ``int``.  :class:`Solution` itself accepts both, so that
+    ``verify_solution`` can judge such claims.
+    """
+    winner = solution.winner
+    n = len(winner)
     merged = dict(solution.strategy1)
     merged.update(solution.strategy0)
+    types = {*map(type, winner), *map(type, merged.values())}
+    if winner.count(0) + winner.count(1) != n or not types <= {int}:
+        for v, win in enumerate(winner):
+            if type(win) is not int or win not in (0, 1):
+                raise ValueError(f"node {v}: winner {win!r} is not 0 or 1")
+        for v, w in merged.items():
+            if type(w) is not int:
+                raise ValueError(f"node {v}: move {w!r} is not an integer")
     move = merged.get
     lines = [f"paritysol {n - 1};"]
     lines += [
         f"{v} {win};" if (w := move(v)) is None else f"{v} {win} {w};"
-        for v, win in enumerate(solution.winner)
+        for v, win in enumerate(winner)
     ]
     return "\n".join(lines) + "\n"

@@ -3,10 +3,12 @@
 The solver is Zielonka's classic recursion [Zie98] adapted to the
 min-parity winning condition used throughout this package: player 0 wins a
 play iff the minimal color occurring infinitely often is even.  The
-recursion therefore peels off the *minimal* color class instead of the
-maximal one, and runs as a loop over an explicit stack of subgames, so
-its depth is not bounded by Python's recursion limit.  Subgames are
-per-node marks, never listed or copied.
+recursion therefore peels off the *minimal* colors instead of the maximal
+ones: each subgame's head is its lowest parity run, the smallest of its
+colors that share the least one's parity, which within the subgame act as
+one color.  It runs as a loop over an explicit stack of subgames, so its
+depth is not bounded by Python's recursion limit.  Subgames are per-node
+marks, never listed or copied.
 
 W. Zielonka, "Infinite games on finitely coloured graphs with applications
 to automata on infinite trees", TCS 200(1-2), 1998.
@@ -14,7 +16,6 @@ to automata on infinite trees", TCS 200(1-2), 1998.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from collections.abc import Sequence
 from itertools import chain, islice, repeat
@@ -72,27 +73,31 @@ def _attract(
 def zielonka_solve(game: ParityGame) -> Solution:
     """Solve the game: winner label per node plus positional strategies.
 
-    Zielonka's recursion on the minimal color class, run as one loop over
-    an explicit stack of paused subgames.  With p the least color of the
-    current subgame and s = p mod 2, player s attracts to the p-colored
-    nodes (the head) and the rest is solved first.  If the opponent wins
-    none of it, s wins the whole subgame; otherwise the opponent's region
-    is grown by attraction into a trap, and the subgame shrinks to the
-    nodes outside it and starts over.  Every move goes into one table as
-    its region is settled: attractor witnesses, and the first in-subgame
-    successor of s's p-colored nodes.  A later write to a node comes from
-    a subgame that re-solves it, so the table ends up holding each
-    winner-owned node's move.
+    Zielonka's recursion on the minimal colors, run as one loop over an
+    explicit stack of paused subgames.  With p the least color of the
+    current subgame and s = p mod 2, the subgame's lowest parity run is
+    the set of its colors below its least color of the other parity.  In
+    the subgame those colors decide every play as p alone would (the
+    static compression of its coloring merges them), so player s attracts
+    to all nodes of the run (the head) and the rest is solved first.  If
+    the opponent wins none of it, s wins the whole subgame; otherwise the
+    opponent's region is grown by attraction into a trap, and the subgame
+    shrinks to the nodes outside it and starts over.  Every move goes into
+    one table as its region is settled: attractor witnesses, and the first
+    in-subgame successor of s's nodes in the run.  A later write to a node
+    comes from a subgame that re-solves it, so the table ends up holding
+    each winner-owned node's move.
 
     A level costs only its head's attractor work: no subgame is ever
     listed.  ``level`` marks the nodes of the innermost open subgame free
     (n), each head's nodes the depth of the subgame that took them, and
     trapped nodes -1.  One color order serves every subgame: a cursor into
-    it finds the least free color, and a subgame's rest starts where its
-    head's color ends.  A closing subgame hands its opener the regions
-    each player won, as the node lists its attractors made; the
-    opponent's are sorted into the trap's targets.  Closing or starting
-    over, a subgame frees only the nodes it marked.
+    it finds the least free color, the head's targets are the free nodes
+    from there up to the first free node of the other parity, and the
+    subgame's rest starts at that node.  A closing subgame hands its
+    opener the regions each player won, as the node lists its attractors
+    made; the opponent's are sorted into the trap's targets.  Closing or
+    starting over, a subgame frees only the nodes it marked.
     """
     arena = game.arena
     n = arena.node_count
@@ -119,10 +124,16 @@ def zielonka_solve(game: ParityGame) -> Solution:
             d = len(stack)
             while level[order[first]] != free:
                 first += 1
-            p = ordered[first]
-            end = bisect_right(ordered, p, first)
-            targets = [v for v in order[first:end] if level[v] == free]
-            s = p % 2
+            s = ordered[first] % 2
+            targets = []
+            end = first
+            while end < n:
+                v = order[end]
+                if level[v] == free:
+                    if ordered[end] % 2 != s:
+                        break
+                    targets.append(v)
+                end += 1
             head, head_witness = _attract(game, s, targets, level, d)
             stack.append((first, size, traps, s, len(targets), head, head_witness))
             first, size, traps = end, size - len(head), [[], []]

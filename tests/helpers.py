@@ -339,7 +339,8 @@ def _attract_reference(game, player, targets, nodes, level, d):
 def zielonka_reference(game: ParityGame) -> Solution:
     """The same loop as :func:`solver.zielonka_solve` over subgames kept as
     ascending node lists: every level lists its rest and re-marks its whole
-    subgame, so it costs time linear in the subgame.  A subgame opened at
+    subgame, so it costs time linear in the subgame.  Each head attracts to
+    the subgame's lowest parity run.  A subgame opened at
     depth d marks its head d, the rest d + 1 and a trapped node -1; ``won``
     holds each settled node's winner."""
     arena = game.arena
@@ -355,9 +356,11 @@ def zielonka_reference(game: ParityGame) -> Solution:
     while True:
         while nodes:
             d = len(stack)
-            p = min(colors[v] for v in nodes)
-            s = p % 2
-            targets = [v for v in nodes if colors[v] == p]
+            s = min(colors[v] for v in nodes) % 2
+            # The lowest parity run: every color below the least one of
+            # the other parity, its nodes in color order.
+            q = min((colors[v] for v in nodes if colors[v] % 2 != s), default=inf)
+            targets = sorted((v for v in nodes if colors[v] < q), key=colors.__getitem__)
             _, head_witness = _attract_reference(game, s, targets, nodes, level, d)
             stack.append((nodes, s, targets, head_witness))
             nodes = [v for v in nodes if level[v] != d]

@@ -151,6 +151,14 @@ def test_game_name_table_length(fig1_arena):
         ParityGame(fig1_arena, (0,) * 5, names=("a",))
 
 
+def test_game_refuses_a_name_that_is_not_a_string():
+    # write_pgsolver can write only a str name.
+    arena = Arena(((1,), (0,)), (0, 1))
+    with pytest.raises(ValueError, match="^name 5 of node 0 is neither a str nor None$"):
+        ParityGame(arena, (0, 1), names=(5, None))
+    assert ParityGame(arena, (0, 1), names=("a", None)).names == ("a", None)
+
+
 def test_cycle_color(fig1_arena):
     assert cycle_color(fig1_arena, [0, 1]) == 3
     assert cycle_color(fig1_arena, [0, 4, 3, 2, 1]) == 1

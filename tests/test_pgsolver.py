@@ -244,6 +244,23 @@ def test_write_rejects_a_priority_the_parser_refuses():
     assert parse_pgsolver(write_pgsolver(game)) == game
 
 
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        (Solution((True, 0.0), {0: 1}), "node 0: winner True is not 0 or 1"),
+        (Solution((0, 1.0)), r"node 1: winner 1\.0 is not 0 or 1"),
+        (Solution((0, 2)), "node 1: winner 2 is not 0 or 1"),
+        (Solution((0, 1), {0: 1.0}), r"node 0: move 1\.0 is not an integer"),
+        (Solution((0, 1), {0: 1}, {1: True}), "node 1: move True is not an integer"),
+    ],
+)
+def test_write_rejects_a_solution_the_parser_refuses(solution, message):
+    # No record holds these (``0 True 1;`` does not parse), but Solution
+    # takes them, for verify_solution to judge.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_solution(solution)
+
+
 @given(st.binary(max_size=300) | st.text(max_size=300))
 def test_arbitrary_input_parses_or_is_rejected(data):
     _parse_or_reject(parse_pgsolver, data)

@@ -132,12 +132,16 @@ def _pinned_random_games():
 
 
 # sha256 over (winner, strategy0, strategy1) of every game above, in order.
-PINNED_DIGEST = "782ee0d7220c82b200028c7850e91a1d385fa985646defa42cee7e18d2f78ad1"
+PINNED_DIGEST = "36fb5b954c292d4dd3a51c0fddc9b68213e339fa656163a383bb1f9a40857c20"
+# sha256 over the winners alone: the head rule may change the strategies
+# Zielonka picks, never the winners.
+WINNERS_DIGEST = "a7c890dc8a17e90f552329186e790926161540419a8bd4b5987165148de9838f"
 
 
 def test_zielonka_output_is_pinned():
     families = [gen_family(name, params) for name, params in PINNED_FAMILIES]
     digest = hashlib.sha256()
+    winners = hashlib.sha256()
     for game in families + list(_pinned_random_games()):
         solution = zielonka_solve(game)
         digest.update(
@@ -149,7 +153,38 @@ def test_zielonka_output_is_pinned():
                 )
             ).encode()
         )
+        winners.update(repr(solution.winner).encode())
+    assert winners.hexdigest() == WINNERS_DIGEST
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+def _attract_calls(monkeypatch, game):
+    calls = 0
+    attract_in_subgame = solver._attract
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return attract_in_subgame(*args)
+
+    monkeypatch.setattr(solver, "_attract", counted)
+    zielonka_solve(game)
+    monkeypatch.undo()
+    return calls
+
+
+def test_zielonka_opens_one_head_per_parity_run(monkeypatch):
+    # A cycle with a self-loop at every node, colored 0, 2, .., 18, all of
+    # it player 1's: no node's attractor takes its neighbour, but the
+    # colors form one parity run, so one head takes the whole game.
+    n = 10
+    successors = tuple((v, (v + 1) % n) for v in range(n))
+    game = ParityGame(Arena(successors, tuple(range(0, 2 * n, 2))), (1,) * n)
+    assert _attract_calls(monkeypatch, game) == 1
+    # Clique 100's first head, color 1, takes player 1's nodes, and the
+    # rest is colored 3, 5, .., 99: one run.
+    assert _attract_calls(monkeypatch, gen_family("clique", (100,))) == 2
+    assert _attract_calls(monkeypatch, gen_family("recursive_ladder", (30,))) == 91
 
 
 def test_zielonka_matches_the_list_based_reference():
@@ -338,7 +373,7 @@ def _tampered_solutions(rng: random.Random):
 
 
 # sha256 over (ok, reason, witness) of every verdict above, in order.
-VERDICT_DIGEST = "9f5ffc6f8fbb7ba42517222300d43a481ecdfd5065b08fc281f4786c3eb3c840"
+VERDICT_DIGEST = "e0fdb364fbd62c6d0250516a56f60cf18471aee314511ea0e687e034f767332b"
 
 
 def test_verify_verdicts_are_pinned():
