@@ -314,7 +314,9 @@ def _parse_solution_by_line(
 
 
 def write_solution(solution: Solution) -> str:
-    """Serialize a solution; ``parse_solution`` inverts this exactly.
+    """Serialize a solution.  ``parse_solution``, given the game, reads it
+    back unchanged when its moves are nodes of the game and each strategy
+    entry sits at a node of the table's player.
 
     Raises :class:`ValueError`, naming the node, for what a record cannot
     hold: a winner other than the ``int`` 0 or 1, or a move that is not

@@ -65,6 +65,19 @@ def parity_path(n: int) -> Arena:
     return Arena.from_lists(succ, [v + 2 * (v % 2) for v in range(n)])
 
 
+def pendant_path(m: int) -> Arena:
+    """Two-way path of m nodes 0, 2, 4, ..., each colored its id and with a
+    pendant next to it: node 2k + 1, colored 2k + 1, whose one successor is
+    2k.  The least colors 2k and 2k + 1 differ in parity, so Zielonka's
+    head takes node 2k alone, and attracts its pendant: the subgames nest
+    one level per path node."""
+    succ = []
+    for v in range(0, 2 * m, 2):
+        succ.append([w for w in (v - 2, v + 2) if 0 <= w < 2 * m] + [v + 1])
+        succ.append([v])
+    return Arena.from_lists(succ, list(range(2 * m)))
+
+
 def threshold_reach(links, colors, v: int, gamma: int) -> set[int]:
     """Nodes reached from ``v`` along ``links`` (successors, or predecessors
     for the nodes that reach ``v``) through nodes colored at least gamma."""

@@ -23,6 +23,7 @@ from helpers import (
     nested_path,
     package_lines,
     parity_path,
+    pendant_path,
     random_game,
     walk_verdict,
     walk_verdict_reference,
@@ -205,14 +206,17 @@ def test_zielonka_matches_the_list_based_reference():
         assert zielonka_solve(game) == zielonka_reference(game)
 
 
-def test_zielonka_level_costs_its_head():
-    # Player 1 owns every node of an all-even nested path: each level's
-    # head is one end of the path, so four times the nodes should run about
-    # four times the lines (20 458 and 81 958).  A level that passed over
-    # its whole subgame made it about fifteen times.
+def test_zielonka_level_costs_its_head(monkeypatch):
+    # Player 1 owns every node of a pendant path: each level's head is one
+    # end of the path and its pendant, and player 0 wins every subgame, so
+    # no trap is attracted.  The game opens one level per path node, and
+    # four times the nodes should run about four times the lines (31 753
+    # and 127 003).  A level that scanned the color order from its start
+    # made it about fourteen times.
     lines = []
-    for n in (250, 1000):
-        game = ParityGame(arena=nested_path(n), owners=(1,) * n)
+    for m in (250, 1000):
+        game = ParityGame(arena=pendant_path(m), owners=(1,) * (2 * m))
+        assert _attract_calls(monkeypatch, game) == m
         lines.append(package_lines(lambda game=game: zielonka_solve(game)))
     assert lines[1] <= 6 * lines[0]
 
@@ -525,15 +529,26 @@ def test_verify_verdict_equals_the_reference_verdict(claim):
     assert walk_verdict(game, solution) == walk_verdict_reference(game, solution)
 
 
-def test_zielonka_deep_game_keeps_recursion_limit():
-    # Player 1 owns every node of an all-even nested path: every level of
-    # the solver peels one end off, so the subgames nest 1 100 deep.
-    arena = nested_path(1100)
+def test_zielonka_deep_game_keeps_recursion_limit(monkeypatch):
+    # Player 1 owns every node of a pendant path: every level of the solver
+    # peels one end and its pendant off, so the subgames nest 1 100 deep.
+    arena = pendant_path(1100)
     game = ParityGame(arena=arena, owners=(1,) * arena.node_count)
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)
     try:
+        depth = 0
+        attract_in_subgame = solver._attract
+
+        def deepest(game, player, targets, level, d):
+            nonlocal depth
+            depth = max(depth, d)
+            return attract_in_subgame(game, player, targets, level, d)
+
+        monkeypatch.setattr(solver, "_attract", deepest)
         solution = zielonka_solve(game)
+        monkeypatch.undo()
+        assert depth == 1099
         assert solution.winner == (0,) * arena.node_count
         assert verify_solution(game, solution)
         assert sys.getrecursionlimit() == 1000
