@@ -1,9 +1,10 @@
 """Rabin index toolkit for parity games under the min-parity convention.
 
-Core pieces: arena and game types with PGSolver-format I/O, the iterated
-cycle/pop color reduction in exact and abstract variants, static color
-compression, a Zielonka solver with independent solution verification,
-brute-force oracles for small instances and benchmark game generators.
+Core pieces: arena and game types with PGSolver-format I/O, the color
+reduction in exact (a cycle pass, then the alpha form, iterated) and
+abstract variants, static color compression, a Zielonka solver with
+independent solution verification, brute-force oracles for small
+instances and benchmark game generators.
 The CSV benchmark harness, :mod:`rabinindex.bench`, is not imported here.
 The import loads only small standard-library modules such as ``re``,
 ``enum`` and ``random``: the value classes derive from

@@ -314,27 +314,33 @@ def _parse_solution_by_line(
 
 
 def write_solution(solution: Solution) -> str:
-    """Serialize a solution.  ``parse_solution``, given the game, reads it
-    back unchanged when its moves are nodes of the game and each strategy
-    entry sits at a node of the table's player.
+    """Serialize a solution.  ``parse_solution``, given the game of its
+    nodes, reads it back unchanged when each strategy entry sits at a node
+    of the table's player.
 
-    Raises :class:`ValueError`, naming the node, for what a record cannot
-    hold: a winner other than the ``int`` 0 or 1, or a move that is not
-    an ``int``.  :class:`Solution` itself accepts both, so that
-    ``verify_solution`` can judge such claims.
+    Raises :class:`ValueError`, naming the node, for what ``parse_solution``
+    refuses: a winner other than the ``int`` 0 or 1, or a strategy key or
+    move that is not an ``int`` node 0..n-1.  :class:`Solution` itself
+    accepts them all, so that ``verify_solution`` can judge such claims.
     """
     winner = solution.winner
     n = len(winner)
     merged = dict(solution.strategy1)
     merged.update(solution.strategy0)
-    types = {*map(type, winner), *map(type, merged.values())}
-    if winner.count(0) + winner.count(1) != n or not types <= {int}:
+    ends = [*merged, *merged.values()]
+    if (
+        winner.count(0) + winner.count(1) != n
+        or not {*map(type, winner), *map(type, ends)} <= {int}
+        or ends and not 0 <= min(ends) <= max(ends) < n
+    ):
         for v, win in enumerate(winner):
             if type(win) is not int or win not in (0, 1):
                 raise ValueError(f"node {v}: winner {win!r} is not 0 or 1")
         for v, w in merged.items():
-            if type(w) is not int:
-                raise ValueError(f"node {v}: move {w!r} is not an integer")
+            if type(v) is not int or not 0 <= v < n:
+                raise ValueError(f"node {v!r}: strategy key is not a node 0..{n - 1}")
+            if type(w) is not int or not 0 <= w < n:
+                raise ValueError(f"node {v}: move {w!r} is not a node 0..{n - 1}")
     move = merged.get
     lines = [f"paritysol {n - 1};"]
     lines += [

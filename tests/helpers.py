@@ -129,7 +129,7 @@ def replay(colors: Sequence[int], report: ReductionReport) -> tuple[int, ...]:
     c = list(colors)
     sums = [sum(c)]
     for iteration in report.iterations:
-        for v, old, new in iteration.cycle_changes + iteration.pop_changes:
+        for v, old, new in iteration.cycle_changes + iteration.form_changes:
             assert c[v] == old, f"node {v} has color {c[v]}, not {old}"
             c[v] = new
         sums.append(sum(c))

@@ -49,16 +49,16 @@ def test_a1_running_example_end_to_end(capsys):
         problems.append(f"parsed colors {arena.colors}")
 
     exact, report = rabin(arena)
-    if exact != (1, 2, 2, 1, 2):
+    if exact != (1, 2, 2, 1, 1):
         problems.append(f"exact reduction gave {exact}")
     if (report.initial_index, report.final_index) != (3, 2):
         problems.append(f"index went {report.initial_index} -> {report.final_index}")
     if report.iteration_count != 2:
         problems.append(f"{report.iteration_count} iterations")
     first = report.iterations[0]
-    if first.cycle_changes != ((0, 3, 1),) or first.pop_changes != ((1, 3, 2),):
+    if first.cycle_changes != ((0, 3, 1),) or first.form_changes != ((1, 3, 2), (4, 2, 1)):
         problems.append(f"unexpected first-iteration trace {first}")
-    if report.iterations[1].cycle_changes or report.iterations[1].pop_changes:
+    if report.iterations[1].cycle_changes or report.iterations[1].form_changes:
         problems.append("second iteration was not a pure confirmation pass")
 
     alpha, alpha_report = rabin(arena, mode=OracleMode.ABSTRACT)

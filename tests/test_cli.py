@@ -78,7 +78,7 @@ def test_index_writes_reduced_game(fig1_path, tmp_path, capsys):
     assert main(["index", str(fig1_path), "-o", str(out)]) == 0
     capsys.readouterr()
     reduced = parse_pgsolver(out.read_text())
-    assert reduced.arena.colors == (1, 2, 2, 1, 2)
+    assert reduced.arena.colors == (1, 2, 2, 1, 1)
     assert reduced.names == ("v0", "v1", "v2", "v3", "v4")
 
 

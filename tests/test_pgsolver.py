@@ -250,13 +250,19 @@ def test_write_rejects_a_priority_the_parser_refuses():
         (Solution((True, 0.0), {0: 1}), "node 0: winner True is not 0 or 1"),
         (Solution((0, 1.0)), r"node 1: winner 1\.0 is not 0 or 1"),
         (Solution((0, 2)), "node 1: winner 2 is not 0 or 1"),
-        (Solution((0, 1), {0: 1.0}), r"node 0: move 1\.0 is not an integer"),
-        (Solution((0, 1), {0: 1}, {1: True}), "node 1: move True is not an integer"),
+        (Solution((0, 1), {0: 1.0}), r"node 0: move 1\.0 is not a node 0\.\.1"),
+        (Solution((0, 1), {0: 1}, {1: True}), r"node 1: move True is not a node 0\.\.1"),
+        (Solution((0, 1), {0: -1}), r"node 0: move -1 is not a node 0\.\.1"),
+        (Solution((0, 1), {}, {1: 2}), r"node 1: move 2 is not a node 0\.\.1"),
+        (Solution((0, 1), {2: 0}), r"node 2: strategy key is not a node 0\.\.1"),
+        (Solution((0, 1), {0: 1}, {-1: 0}), r"node -1: strategy key is not a node 0\.\.1"),
+        (Solution((0, 1), {"a": 0}), r"node 'a': strategy key is not a node 0\.\.1"),
+        (Solution((0, 1), {True: 0}), r"node True: strategy key is not a node 0\.\.1"),
     ],
 )
 def test_write_rejects_a_solution_the_parser_refuses(solution, message):
-    # No record holds these (``0 True 1;`` does not parse), but Solution
-    # takes them, for verify_solution to judge.
+    # No record holds these (``0 True 1;`` does not parse, and ``0 0 -1;``
+    # names no node), but Solution takes them, for verify_solution to judge.
     with pytest.raises(ValueError, match=f"^{message}$"):
         write_solution(solution)
 
@@ -409,10 +415,11 @@ def rewritten(draw: st.DrawFn) -> str:
 
 @st.composite
 def fig1_solutions(draw: st.DrawFn) -> Solution:
-    """A labelling of FIG1_GAME with moves that may leave its nodes."""
+    """A labelling of FIG1_GAME with moves among its nodes, all that the
+    writer writes; :func:`retouched` puts numbers out of range in."""
     strategies = ({}, {})
     for v, owner in enumerate(FIG1_GAME.owners):
-        move = draw(st.none() | st.integers(0, 6))  # 5 and 6 are out of range
+        move = draw(st.none() | st.integers(0, 4))
         if move is not None:
             strategies[owner][v] = move
     return Solution(tuple(draw(st.lists(st.integers(0, 1), min_size=5, max_size=5))), *strategies)

@@ -36,13 +36,9 @@ CASES = {
         (5, 1, 2, 3, 7),
         (5, 1, 2, 3, 8),
     ),
-    OracleStats: (
-        ("exact_queries", "max_color_checks", "nodes_expanded"),
-        (1, 2, 3),
-        (1, 2, 4),
-    ),
+    OracleStats: (("exact_queries", "nodes_expanded"), (1, 3), (1, 4)),
     IterationTrace: (
-        ("cycle_changes", "pop_changes"), (((0, 3, 1),), ()), (((0, 3, 1),), ((1, 2, 0),))
+        ("cycle_changes", "form_changes"), (((0, 3, 1),), ()), (((0, 3, 1),), ((1, 2, 0),))
     ),
     ReductionReport: (
         ("mode", "initial_index", "final_index", "rank_trace", "iterations", "stats"),
@@ -106,8 +102,9 @@ def test_defaults():
     assert ParityGame(_ARENA, (0, 1)).names is None
     assert SearchBudget() == SearchBudget(DEFAULT_BUDGET, 0)
     assert RandomConfig(5, 1, 2, 3).seed == 0
-    assert OracleStats() == OracleStats(0, 0, 0)
-    assert OracleStats().abstract_queries == 0  # a constant the benchmark reads
+    assert OracleStats() == OracleStats(0, 0)
+    # Constants the benchmark reads.
+    assert OracleStats().abstract_queries == OracleStats().max_color_checks == 0
     assert VerificationResult(True) == VerificationResult(True, "", ())
     report = ReductionReport(OracleMode.ABSTRACT, 3, 2)
     assert report == ReductionReport(OracleMode.ABSTRACT, 3, 2, [], [], OracleStats())
@@ -140,16 +137,14 @@ def test_repr_text_is_unchanged():
     assert repr(RandomConfig(5, 1, 2, 3)) == (
         "RandomConfig(nodes=5, min_out=1, max_out=2, max_color=3, seed=0)"
     )
-    assert repr(OracleStats(1)) == (
-        "OracleStats(exact_queries=1, max_color_checks=0, nodes_expanded=0)"
-    )
+    assert repr(OracleStats(1)) == "OracleStats(exact_queries=1, nodes_expanded=0)"
     assert repr(IterationTrace(((0, 3, 1),), ())) == (
-        "IterationTrace(cycle_changes=((0, 3, 1),), pop_changes=())"
+        "IterationTrace(cycle_changes=((0, 3, 1),), form_changes=())"
     )
     assert repr(ReductionReport(OracleMode.ABSTRACT, 3, 2, [5, 4])) == (
         "ReductionReport(mode=<OracleMode.ABSTRACT: 'alpha'>, initial_index=3, final_index=2, "
         "rank_trace=[5, 4], iterations=[], stats=OracleStats(exact_queries=0, "
-        "max_color_checks=0, nodes_expanded=0))"
+        "nodes_expanded=0))"
     )
     assert repr(VerificationResult(False, "bad", (1,))) == (
         "VerificationResult(ok=False, reason='bad', witness=(1,))"

@@ -86,8 +86,8 @@ def test_aborted_exact_runs_on_random_games_keep_their_winners(seed):
 
 
 def test_an_aborted_exact_run_on_jurdzinski_keeps_its_winners():
-    # The run stops in its second cycle pass; its first pop pass lowered
-    # one node.
+    # The run stops in its second cycle pass.  Its first cycle pass lowered
+    # no node, and the alpha form after it lowered ten.
     arena = gen_family("jurdzinski", (5, 10)).arena
     aborted = _abort(arena, 10**4)
     assert aborted.coloring != arena.colors

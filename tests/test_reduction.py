@@ -61,16 +61,16 @@ from helpers import (
 
 def test_exact_reduction_fig1(fig1_arena):
     colors, report = rabin(fig1_arena)
-    assert colors == (1, 2, 2, 1, 2)
+    assert colors == (1, 2, 2, 1, 1)
     assert report.mode == EXACT
     assert report.initial_index == 3
     assert report.final_index == 2
     assert report.iteration_count == 2
     first, second = report.iterations
     assert first.cycle_changes == ((0, 3, 1),)
-    assert first.pop_changes == ((1, 3, 2),)
+    assert first.form_changes == ((1, 3, 2), (4, 2, 1))
     assert second.cycle_changes == ()
-    assert second.pop_changes == ()
+    assert second.form_changes == ()
 
 
 def test_abstract_reduction_fig1(fig1_arena):
@@ -88,7 +88,7 @@ def test_exact_reduction_chain(chain_arena):
     colors, report = rabin(chain_arena)
     assert colors == (0, 1, 2, 3, 3, 2, 1)
     assert report.iteration_count == 4
-    traces = [(it.cycle_changes, it.pop_changes) for it in report.iterations]
+    traces = [(it.cycle_changes, it.form_changes) for it in report.iterations]
     assert traces == [
         ((), ((6, 6, 5),)),
         (((6, 5, 1),), ((5, 5, 4),)),
@@ -211,17 +211,29 @@ def test_pass_state_anchors_survive_recoloring():
 
 
 def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
-    # Only the pop pass's max-color checks decompose through cycles; each
-    # exact query finds its nodes by a backward reach.
+    # Only the form passes decompose through cycles, one form in each
+    # iteration but a confirming last one, whose cycle pass kept the form
+    # before it; each exact query finds its nodes by a backward reach.
     calls = count_tarjan_calls(monkeypatch)
+    in_forms = []
+    real_form = reduction._alpha_form
+
+    def counted_form(arena, colors):
+        before = len(calls)
+        form = real_form(arena, colors)
+        in_forms.append(len(calls) - before)
+        return form
+
+    monkeypatch.setattr(reduction, "_alpha_form", counted_form)
     rng = random.Random(31)
     cases = [gen_family("clique", (30,)).arena]
     cases += [random_arena(rng, min_nodes=6, max_nodes=14, max_color=9) for _ in range(50)]
     queries = 0
     for arena in cases:
-        del calls[:]
+        del calls[:], in_forms[:]
         _, report = rabin(arena)
-        assert len(calls) == report.stats.max_color_checks
+        assert len(in_forms) == max(1, report.iteration_count - 1)
+        assert len(calls) == sum(in_forms) > 0
         queries += report.stats.exact_queries
     assert queries > 0
 
@@ -301,7 +313,7 @@ def test_an_aborted_run_reports_its_interrupted_pass():
     aborted = excinfo.value
     (interrupted,) = aborted.report.iterations
     assert len(interrupted.cycle_changes) == 30
-    assert interrupted.pop_changes == ()
+    assert interrupted.form_changes == ()
     assert aborted.report.rank_trace == [sum(arena.colors), sum(aborted.coloring)]
     assert replay(arena.colors, aborted.report) == aborted.coloring
 
@@ -338,21 +350,21 @@ def test_searches_that_never_backtrack_record_nothing():
 def test_exact_run_reports_its_reused_searches():
     # jurdzinski 4 6's last passes repeat queries of the passes before: the
     # cycles the first searches found answer them, and each still counts as
-    # an exact query.  Searching each afresh expands 1 280 204 nodes.
+    # an exact query.  Searching each afresh expands 1 010 051 nodes.
     colors, report = rabin(gen_family("jurdzinski", (4, 6)).arena)
-    assert colors == (1, 2) * 6 + (3, 4) * 6 + (5,) * 5 + (3, 5) * 3 + (3, 4) * 2 + (1, 2) * 5 + (1,)
-    assert report.iteration_count == 7
-    assert report.stats.exact_queries == 320
-    assert report.stats.nodes_expanded == 325_226
+    assert colors == (1, 2) * 6 + (3, 4) * 6 + (5,) * 4 + (4, 3) * 5 + (4,) + (1, 2) * 5 + (1,)
+    assert report.iteration_count == 6
+    assert report.stats.exact_queries == 272
+    assert report.stats.nodes_expanded == 288_972
 
 
 def test_jurdzinski_5_10_aborts_at_its_pinned_query():
     # The exact run's pushes are pinned: at a budget of 10^6 it runs out at
-    # node 101, gamma 4, in its 187th query, one push past the limit.
+    # node 83, gamma 4, in its 167th query, one push past the limit.
     with pytest.raises(ReductionAborted) as excinfo:
         rabin(gen_family("jurdzinski", (5, 10)).arena, budget_limit=10**6)
     aborted = excinfo.value
-    assert (aborted.node, aborted.gamma, aborted.exact_queries) == (101, 4, 187)
+    assert (aborted.node, aborted.gamma, aborted.exact_queries) == (83, 4, 167)
     assert (aborted.spent, aborted.limit) == (1_000_001, 10**6)
     assert aborted.report.stats.nodes_expanded == 1_000_001
 
@@ -665,8 +677,19 @@ def test_exact_output_is_equivalent_to_input(arena):
 @given(arenas(max_nodes=6, max_color=6))
 @settings(max_examples=60)
 def test_exact_output_satisfies_fixpoint(arena):
-    colors, _ = rabin(arena)
+    colors, report = rabin(arena)
     assert fixpoint_violations(arena, colors, relation="simple") == []
+    # Each iteration lowers its cycle pass's result to that result's alpha
+    # form, so it ends on a coloring that is its own form.
+    c = list(arena.colors)
+    for iteration in report.iterations:
+        for v, _, new in iteration.cycle_changes:
+            c[v] = new
+        for v, old, new in iteration.form_changes:
+            assert new < old == c[v]
+            c[v] = new
+        assert _alpha_form(arena, c) == tuple(c)
+    assert tuple(c) == colors
 
 
 @given(arenas(max_nodes=5, max_color=5))
