@@ -115,7 +115,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         reduced = static_compress(arena.colors)
         print(f"index: {before} -> {index(reduced)}")
     else:
-        mode = OracleMode.EXACT if args.mode == "exact" else OracleMode.ABSTRACT
+        mode = OracleMode(args.mode)
         budget = {} if args.budget is None else {"budget_limit": args.budget}
         try:
             reduced, report = rabin(arena, mode=mode, **budget)

@@ -222,7 +222,7 @@ class _PassState:
 
     def run_cycle_pass(self) -> tuple[Change, ...]:
         colors = self.colors
-        order = sorted(range(self.arena.node_count), key=lambda v: (colors[v], v))
+        order = sorted(range(self.arena.node_count), key=colors.__getitem__)
         changes = self._pass_changes = []
         for v in order:
             j = self.anchor(v)

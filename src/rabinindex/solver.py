@@ -8,7 +8,7 @@ ones: each subgame's head is its lowest parity run, the smallest of its
 colors that share the least one's parity, which within the subgame act as
 one color.  It runs as a loop over an explicit stack of subgames, so its
 depth is not bounded by Python's recursion limit.  Subgames are per-node
-marks, never listed or copied.
+marks, never listed or copied; moves are written as they are found.
 
 W. Zielonka, "Infinite games on finitely coloured graphs with applications
 to automata on infinite trees", TCS 200(1-2), 1998.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import eq, mul
 
 from .arena import FrozenRecord, NodeId, ParityGame, Solution
@@ -32,12 +32,13 @@ def _attract(
     targets: list[NodeId],
     level: list[int],
     d: int,
-) -> tuple[list[NodeId], dict[NodeId, NodeId]]:
+    move: dict[NodeId, NodeId],
+) -> list[NodeId]:
     """Attractor of ``targets`` for ``player`` inside the subgame opened at
     depth d.  ``level`` marks each of the subgame's nodes free (the node
     count, above every depth) or d, and every other node below d.  Marks
-    each attracted node d, targets first, and lists them in breadth-first
-    order; the list is the search's queue."""
+    each attracted node d, targets first, lists them in breadth-first order
+    (the search's queue), and writes to ``move`` each pulled player node's move."""
     successors = game.arena.successors
     predecessors = game.arena.predecessors
     owners = game.owners
@@ -45,7 +46,6 @@ def _attract(
     region = list(targets)
     for v in region:
         level[v] = d
-    witness: dict[NodeId, NodeId] = {}
     escapes: dict[NodeId, int] = {}
     for w in region:
         for u in predecessors[w]:
@@ -53,7 +53,7 @@ def _attract(
                 continue
             if owners[u] == player:
                 level[u] = d
-                witness[u] = w
+                move[u] = w
                 region.append(u)
             else:
                 left = escapes.get(u)
@@ -67,7 +67,7 @@ def _attract(
                 if left == 0:
                     level[u] = d
                     region.append(u)
-    return region, witness
+    return region
 
 
 def zielonka_solve(game: ParityGame) -> Solution:
@@ -82,11 +82,11 @@ def zielonka_solve(game: ParityGame) -> Solution:
     to all nodes of the run (the head) and the rest is solved first.  If
     the opponent wins none of it, s wins the whole subgame; otherwise the
     opponent's region is grown by attraction into a trap, and the subgame
-    shrinks to the nodes outside it and starts over.  Every move goes into
-    one table as its region is settled: attractor witnesses, and the first
-    in-subgame successor of s's nodes in the run.  A later write to a node
-    comes from a subgame that re-solves it, so the table ends up holding
-    each winner-owned node's move.
+    shrinks to the nodes outside it and starts over.  Moves are written as
+    found, by attractors and, right after a head is attracted, for the
+    targets s owns.  A node's last write comes from the round that settles
+    it: a write from a round that ends in a trap is either overwritten
+    later or sits on a node that its owner does not win.
 
     A level costs only its head's attractor work: no subgame is ever
     listed.  ``level`` marks the nodes of the innermost open subgame free
@@ -111,9 +111,8 @@ def zielonka_solve(game: ParityGame) -> Solution:
     ordered = [colors[v] for v in order]
     move: dict[NodeId, NodeId] = {}
     # A paused subgame: its cursor, node count and traps (each player's,
-    # as node lists), and its head's player, target count, nodes and
-    # attractor witnesses.
-    stack: list[tuple[int, int, list, int, int, list[NodeId], dict[NodeId, NodeId]]] = []
+    # as node lists), and its head's player and nodes.
+    stack: list[tuple[int, int, list, int, list[NodeId]]] = []
     # The subgame to open next, by its cursor, node count and traps (size 0
     # once one has closed instead), and the regions of the subgame that
     # closed last: the node lists each player won.
@@ -134,32 +133,32 @@ def zielonka_solve(game: ParityGame) -> Solution:
                         break
                     targets.append(v)
                 end += 1
-            head, head_witness = _attract(game, s, targets, level, d)
-            stack.append((first, size, traps, s, len(targets), head, head_witness))
+            head = _attract(game, s, targets, level, d, move)
+            for v in targets:
+                if owners[v] == s:
+                    for w in successors[v]:  # a plain loop: cheaper than next()
+                        if level[w] >= d:
+                            move[v] = w
+                            break
+            stack.append((first, size, traps, s, head))
             first, size, traps = end, size - len(head), [[], []]
-            regions = [[], []]
             continue
         if not stack:
             break
-        first, size, traps, s, t, head, head_witness = stack.pop()
+        first, size, traps, s, head = stack.pop()
         d = len(stack)
         opp = 1 - s
         for v in head:
             level[v] = free
         if regions[opp]:
             lost = sorted(chain.from_iterable(regions[opp]))
-            trap, trap_witness = _attract(game, opp, lost, level, d)
-            move.update(trap_witness)
+            trap = _attract(game, opp, lost, level, d, move)
             for v in trap:
                 level[v] = -1
             traps[opp].append(trap)
             size -= len(trap)
             regions = [[], []]
         else:
-            move.update(head_witness)
-            for v in islice(head, t):
-                if owners[v] == s:
-                    move[v] = next(w for w in successors[v] if level[w] == free)
             regions[s].append(head)
             size = 0
         if not size:  # closed: its traps go back to its opener too

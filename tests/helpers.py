@@ -310,7 +310,8 @@ def attract(game: ParityGame, player: int, target: set[int]) -> Attraction:
     """The solver's attractor of ``target`` for ``player`` over the whole
     game, and the successor each attracted player node was pulled through."""
     n = game.node_count
-    region, witness = solver._attract(game, player, sorted(target), [n] * n, 0)
+    witness: dict[int, int] = {}
+    region = solver._attract(game, player, sorted(target), [n] * n, 0, witness)
     return Attraction(frozenset(region), witness)
 
 

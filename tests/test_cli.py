@@ -333,6 +333,11 @@ def test_parse_failures(tmp_path, capsys):
     bad.write_text("0 1 0 1\n")  # missing semicolon
     assert main(["index", str(bad)]) == 3
     assert "error: parse:" in capsys.readouterr().err
+    bad.write_text("0 1 0 -1;\n")
+    assert main(["solve", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: parse:")
+    assert err.endswith("line 1: negative successor id -1\n")
 
 
 def test_non_utf8_input_is_a_parse_error(fig1_path, tmp_path, capsys):

@@ -112,6 +112,8 @@ def test_owner_and_priority_validation():
         parse_pgsolver("0 1 2 0;\n")
     with pytest.raises(PGSolverError, match="negative priority"):
         parse_pgsolver("0 -1 0 0;\n")
+    with pytest.raises(PGSolverError, match="^line 1: negative successor id -1$"):
+        parse_pgsolver("0 1 0 -1;")
 
 
 def test_empty_input_rejected():

@@ -210,8 +210,8 @@ def test_zielonka_level_costs_its_head(monkeypatch):
     # Player 1 owns every node of a pendant path: each level's head is one
     # end of the path and its pendant, and player 0 wins every subgame, so
     # no trap is attracted.  The game opens one level per path node, and
-    # four times the nodes should run about four times the lines (31 753
-    # and 127 003).  A level that scanned the color order from its start
+    # four times the nodes should run about four times the lines (31 003
+    # and 124 003).  A level that scanned the color order from its start
     # made it about fourteen times.
     lines = []
     for m in (250, 1000):
@@ -219,6 +219,14 @@ def test_zielonka_level_costs_its_head(monkeypatch):
         assert _attract_calls(monkeypatch, game) == m
         lines.append(package_lines(lambda game=game: zielonka_solve(game)))
     assert lines[1] <= 6 * lines[0]
+
+
+@given(games(max_nodes=8, max_color=8, allow_self_loops=True))
+@settings(max_examples=200, deadline=None)
+def test_zielonka_equals_the_reference(game):
+    # The reference settles each move only when its region is won, so a
+    # move written early and never overwritten would show here.
+    assert zielonka_solve(game) == zielonka_reference(game)
 
 
 @given(games(max_nodes=7, max_color=6))
@@ -540,10 +548,10 @@ def test_zielonka_deep_game_keeps_recursion_limit(monkeypatch):
         depth = 0
         attract_in_subgame = solver._attract
 
-        def deepest(game, player, targets, level, d):
+        def deepest(game, player, targets, level, d, move):
             nonlocal depth
             depth = max(depth, d)
-            return attract_in_subgame(game, player, targets, level, d)
+            return attract_in_subgame(game, player, targets, level, d, move)
 
         monkeypatch.setattr(solver, "_attract", deepest)
         solution = zielonka_solve(game)
