@@ -23,7 +23,7 @@ import warnings
 from pathlib import Path
 
 from .arena import ParityGame, index
-from .cycles import NodeCapExceeded
+from .cycles import DEFAULT_BUDGET, NodeCapExceeded
 from .generators import FAMILY_NAMES, RandomConfig, gen_family, gen_random, parse_game_spec
 from .oracles import brute_force_rabin_index, equivalence_witness
 from .pgsolver import (
@@ -115,10 +115,8 @@ def _cmd_index(args: argparse.Namespace) -> int:
         reduced = static_compress(arena.colors)
         print(f"index: {before} -> {index(reduced)}")
     else:
-        mode = OracleMode(args.mode)
-        budget = {} if args.budget is None else {"budget_limit": args.budget}
         try:
-            reduced, report = rabin(arena, mode=mode, **budget)
+            reduced, report = rabin(arena, mode=args.mode, budget_limit=args.budget)
         except ReductionAborted as exc:
             if args.fallback != "alpha":
                 raise
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="reduce the coloring of a game")
     p_index.add_argument("file")
     p_index.add_argument("--mode", choices=("static", "alpha", "exact"), default="exact")
-    p_index.add_argument("--budget", type=int, default=None)
+    p_index.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_index.add_argument("--fallback", choices=("alpha",), default=None)
     p_index.add_argument("-o", "--output", default=None)
     p_index.set_defaults(handler=_cmd_index)

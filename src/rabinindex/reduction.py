@@ -19,8 +19,7 @@ squeezes gaps out of the color value set without looking at edges, and
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
-from collections import Counter
+from bisect import bisect_left
 from collections.abc import Sequence
 from itertools import accumulate
 
@@ -154,9 +153,11 @@ class _PassState:
     it counts the run's work in its ``report`` and raises the run's abort.
 
     An iteration is :meth:`run_cycle_pass`, then :meth:`run_form_pass`,
-    which sets each node to its value in the alpha form.  Tracks how many
-    nodes carry each color, and the sorted list of colors in use, so an
-    anchor scans only the colors present.  Every query of the run spends
+    which sets each node to its value in the alpha form.  A cycle pass
+    visits the nodes by ascending color and recolors only the node it
+    visits, never upwards, so the colors below c(v) when it reaches v are
+    those of the nodes it has visited: it keeps them sorted, and an anchor
+    scans only them.  Every query of the run spends
     from one :class:`~rabinindex.cycles.SearchBudget`, so
     ``budget_limit`` caps the whole run.  Keeps the simple cycles the run's
     backtracking YES searches found, which answer a repeated query without
@@ -173,20 +174,8 @@ class _PassState:
         self.colors = colors
         self.budget = SearchBudget(budget_limit)
         self.report = report
-        self.color_count: Counter[int] = Counter(colors)
-        self._present = sorted(self.color_count)
         self._cycles: CycleRecord = {}
         self._pass_changes: list[Change] = []  # of the cycle pass under way
-
-    def set_color(self, v: NodeId, new: int) -> None:
-        old = self.colors[v]
-        self.color_count[old] -= 1
-        if not self.color_count[old]:
-            self._present.pop(bisect_left(self._present, old))
-        if not self.color_count[new]:
-            insort(self._present, new)
-        self.color_count[new] += 1
-        self.colors[v] = new
 
     def _simple_cycle(self, v: NodeId, gamma: int) -> bool:
         budget = self.budget
@@ -206,14 +195,15 @@ class _PassState:
             raise ReductionAborted(v, gamma, budget.limit, report, tuple(self.colors))
         return answer is CycleAnswer.YES
 
-    def anchor(self, v: NodeId) -> int:
+    def anchor(self, v: NodeId, present: list[int]) -> int:
         """Largest color gamma of opposite parity below c(v) such that some
         simple cycle through v has color exactly gamma; -1 if there is none.
 
-        A query answers NO without search, and spends no budget, where no
-        closed walk through v has color gamma."""
+        ``present`` is sorted and holds every color below c(v) that a node
+        carries; only those are tried.  A query answers NO without search,
+        and spends no budget, where no closed walk through v has color
+        gamma."""
         c_v = self.colors[v]
-        present = self._present
         for i in range(bisect_left(present, c_v) - 1, -1, -1):
             gamma = present[i]
             if (c_v - gamma) % 2 and self._simple_cycle(v, gamma):
@@ -224,12 +214,16 @@ class _PassState:
         colors = self.colors
         order = sorted(range(self.arena.node_count), key=colors.__getitem__)
         changes = self._pass_changes = []
+        present: list[int] = []  # the visited nodes' colors, sorted and distinct
         for v in order:
-            j = self.anchor(v)
+            j = self.anchor(v, present)
             new = colors[v] % 2 if j == -1 else j + 1
             if new != colors[v]:
                 changes.append((v, colors[v], new))
-                self.set_color(v, new)
+                colors[v] = new
+            i = bisect_left(present, new)
+            if present[i : i + 1] != [new]:
+                present.insert(i, new)
         return tuple(changes)
 
     def run_form_pass(self) -> tuple[Change, ...]:
@@ -237,8 +231,7 @@ class _PassState:
             return ()  # the coloring is still the last iteration's form
         form = _alpha_form(self.arena, self.colors)
         changes = tuple((v, c, f) for v, (c, f) in enumerate(zip(self.colors, form)) if c != f)
-        for v, _, new in changes:
-            self.set_color(v, new)
+        self.colors[:] = form
         return changes
 
 

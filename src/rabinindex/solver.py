@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain, repeat
+from itertools import chain
 from operator import eq, mul
 
 from .arena import FrozenRecord, NodeId, ParityGame, Solution
@@ -224,8 +224,9 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
 
     if len(winner) != n:
         return _failure(f"winner labeling has {len(winner)} entries for {n} nodes")
-    # 0.0 and 1.0 count as 0 and 1 but cannot index the strategies.
-    if winner.count(0) + winner.count(1) != n or not all(map(isinstance, winner, repeat(int))):
+    # 0.0, 1.0, False and True count as 0 and 1, but only ints are winners,
+    # as in Arena, ParityGame and write_solution.
+    if winner.count(0) + winner.count(1) != n or not {*map(type, winner)} <= {int}:
         return _failure("winner labeling contains values other than 0 and 1")
 
     successors = arena.successors
@@ -235,7 +236,7 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
     owned = (sum(map(eq, owners, winner)) - owned1, owned1)
     for s in (0, 1):
         for v, w in strategies[s].items():
-            if not (isinstance(v, int) and 0 <= v < n):
+            if not (type(v) is int and 0 <= v < n):
                 return _failure(f"strategy for player {s} names unknown node {v!r}")
             if owners[v] != s:
                 return _failure(
@@ -247,7 +248,7 @@ def verify_solution(game: ParityGame, solution: Solution) -> VerificationResult:
                     f"strategy for player {s} defined at node {v} outside the claimed region",
                     (v,),
                 )
-            if not (isinstance(w, int) and 0 <= w < n) or w not in successors[v]:
+            if not (type(w) is int and 0 <= w < n) or w not in successors[v]:
                 return _failure(f"strategy move {v} -> {w!r} is not an edge", (v, w))
         if len(strategies[s]) != owned[s]:
             for v in range(n):

@@ -298,7 +298,7 @@ def get_anchor(arena: Arena, coloring, v: int, budget_limit=None) -> int:
     realized as the color of a simple cycle through ``v``, or -1."""
     colors = list(arena.colors if coloring is None else coloring)
     report = ReductionReport(OracleMode.EXACT, 0, 0)
-    return _PassState(arena, colors, budget_limit, report).anchor(v)
+    return _PassState(arena, colors, budget_limit, report).anchor(v, sorted(set(colors)))
 
 
 class Attraction(NamedTuple):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import time
+from bisect import bisect_left
 from itertools import product
 from unittest.mock import patch
 
@@ -196,18 +197,52 @@ def _reference_anchor(arena, colors, v):
 
 def test_pass_state_anchors_survive_recoloring():
     # One state answers every anchor between random same-parity color
-    # decreases, so its colors present must follow each recoloring.
+    # decreases of its coloring, given the colors present after each.
     rng = random.Random(2024)
     for _ in range(60):
         arena = random_arena(rng, max_nodes=8, max_color=9, max_degree=3)
         colors = list(arena.colors)
         state = _PassState(arena, colors, None, ReductionReport(EXACT, 0, 0))
         for _ in range(12):
+            present = sorted(set(colors))
             for v in rng.sample(range(arena.node_count), arena.node_count):
-                assert state.anchor(v) == _reference_anchor(arena, colors, v)
+                assert state.anchor(v, present) == _reference_anchor(arena, colors, v)
             v = rng.randrange(arena.node_count)
             if colors[v] >= 2:
-                state.set_color(v, colors[v] - 2 * rng.randint(1, colors[v] // 2))
+                colors[v] -= 2 * rng.randint(1, colors[v] // 2)
+
+
+def _gappy_huge_arena(rng: random.Random) -> Arena:
+    """A random arena colored from a palette of gappy small colors and
+    colors up to 2**61."""
+    arena = random_arena(rng, min_nodes=4, max_nodes=12, max_degree=3)
+    palette = rng.sample(range(40), 3) + [rng.randrange(2**61) for _ in range(3)]
+    return arena.with_colors(rng.choice(palette) for _ in range(arena.node_count))
+
+
+def test_cycle_pass_hands_each_anchor_the_colors_below_its_node(monkeypatch):
+    # A cycle pass visits by ascending color and lowers only the node it
+    # visits, so the colors of the nodes it has visited are all the colors
+    # below c(v) that any node carries when it reaches v.
+    real_anchor = _PassState.anchor
+    anchored = []
+
+    def checked_anchor(self, v, present):
+        colors = self.colors
+        below = present[: bisect_left(present, colors[v])]
+        assert below == sorted({c for c in colors if c < colors[v]})
+        anchored.append(v)
+        return real_anchor(self, v, present)
+
+    monkeypatch.setattr(_PassState, "anchor", checked_anchor)
+    rng = random.Random(38)
+    cases = [_gappy_huge_arena(rng) for _ in range(60)]
+    cases += [gen_family("jurdzinski", (4, 6)).arena, gen_family("recursive_ladder", (30,)).arena]
+    for arena in cases:
+        del anchored[:]
+        _, report = rabin(arena)
+        assert len(anchored) == arena.node_count * report.iteration_count
+    assert max(c for arena in cases for c in arena.colors) > 2**40
 
 
 def test_exact_queries_run_no_decomposition_of_their_own(monkeypatch):
@@ -244,7 +279,9 @@ def test_rabin_matches_reference_anchor(mode, monkeypatch):
     cases = [random_arena(rng, max_nodes=9, max_color=9) for _ in range(300)]
     results = [rabin(arena, mode=mode) for arena in cases]
     monkeypatch.setattr(
-        _PassState, "anchor", lambda self, v: _reference_anchor(self.arena, self.colors, v)
+        _PassState,
+        "anchor",
+        lambda self, v, present: _reference_anchor(self.arena, self.colors, v),
     )
     for arena, (colors, report) in zip(cases, results):
         assert replay(arena.colors, report) == colors

@@ -7,6 +7,7 @@ import random
 import re
 import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -260,6 +261,25 @@ def test_verify_rejects_float_winner_entries():
         result = verify_solution(game, Solution((float(owner),), *strategies))
         assert not result
         assert result.reason == "winner labeling contains values other than 0 and 1"
+
+
+@pytest.mark.parametrize(
+    "winner, strategy0, reason",
+    [
+        ((False, False), {False: True}, "winner labeling contains values other than 0 and 1"),
+        ((0, 0), {False: 1}, "strategy for player 0 names unknown node False"),
+        ((0, 0), {0: True}, "strategy move 0 -> True is not an edge"),
+    ],
+    ids=["winner", "key", "move"],
+)
+def test_verify_rejects_bool_claims(winner, strategy0, reason):
+    # False and True equal 0 and 1, but only ints are nodes and winners, as
+    # write_solution has them.  Player 0 wins the 2-cycle by 0 -> 1.
+    game = ParityGame(Arena(((1,), (0,)), (0, 0)), (0, 1))
+    assert verify_solution(game, Solution((0, 0), {0: 1}))
+    result = verify_solution(game, Solution(winner, strategy0))
+    assert not result
+    assert result.reason == reason
 
 
 def test_verify_rejects_swapped_winners(fig1_game):
