@@ -18,12 +18,16 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Sequence
-from itertools import chain
+from itertools import chain, islice
 from operator import eq, mul
 
 from .arena import FrozenRecord, NodeId, ParityGame, Solution
 from .cycles import nesting_tree
 from .cycles import tarjan_scc  # noqa: F401  only perfbench/tracing.py uses it: it rebinds it here
+
+# The mark of a trap's targets while it is attracted: below every depth
+# and apart from -1, the mark of the nodes already trapped.
+LOST = -2
 
 
 def _attract(
@@ -33,21 +37,59 @@ def _attract(
     level: list[int],
     d: int,
     move: dict[NodeId, NodeId],
+    sources: list[NodeId] | None = None,
 ) -> list[NodeId]:
     """Attractor of ``targets`` for ``player`` inside the subgame opened at
     depth d.  ``level`` marks each of the subgame's nodes free (the node
     count, above every depth) or d, and every other node below d.  Marks
-    each attracted node d, targets first, lists them in breadth-first order
-    (the search's queue), and writes to ``move`` each pulled player node's move."""
+    each attracted node d and writes to ``move`` each pulled player node's
+    move.  In both modes it returns the targets, then the nodes it
+    attracted in breadth-first order (the search's queue).
+
+    Without ``sources`` the targets are marked d and the search starts
+    from them.  With ``sources`` it is Zielonka's trap: the targets are the
+    region W that the opponent of the head's player s won in the subgame's
+    rest G', and ``sources`` is the head.  G' is the complement of s's
+    attractor, so none of s's nodes in G' has an edge into the head, and
+    the region s won in G' is a trap for ``player`` there: the attractor
+    of W leaves W only through the head.  So W is marked ``LOST``, its
+    predecessors are never read, and the search starts from the sources
+    with an edge into a node marked ``LOST`` (not -1: an earlier trap is
+    not W).  ``LOST`` is below every depth, so no escape count includes an
+    edge into W, which no scan would count down."""
     successors = game.arena.successors
     predecessors = game.arena.predecessors
     owners = game.owners
     free = len(level)
     region = list(targets)
-    for v in region:
-        level[v] = d
     escapes: dict[NodeId, int] = {}
-    for w in region:
+    if sources is None:
+        start = 0
+        for v in region:
+            level[v] = d
+    else:
+        start = len(region)
+        for v in region:
+            level[v] = LOST
+        for u in sources:
+            for w in successors[u]:
+                if level[w] == LOST:
+                    break
+            else:
+                continue
+            if owners[u] == player:
+                move[u] = w
+            else:
+                left = 0
+                for x in successors[u]:
+                    if level[x] >= d:
+                        left += 1
+                if left:
+                    escapes[u] = left
+                    continue
+            level[u] = d
+            region.append(u)
+    for w in islice(region, start, None):
         for u in predecessors[w]:
             if level[u] != free:
                 continue
@@ -82,7 +124,10 @@ def zielonka_solve(game: ParityGame) -> Solution:
     to all nodes of the run (the head) and the rest is solved first.  If
     the opponent wins none of it, s wins the whole subgame; otherwise the
     opponent's region is grown by attraction into a trap, and the subgame
-    shrinks to the nodes outside it and starts over.  Moves are written as
+    shrinks to the nodes outside it and starts over.  That region can be
+    left only through the head, so the trap's attractor starts from the
+    head's nodes with an edge into it and never reads its predecessors
+    (see :func:`_attract`).  Moves are written as
     found, by attractors and, right after a head is attracted, for the
     targets s owns.  A node's last write comes from the round that settles
     it: a write from a round that ends in a trap is either overwritten
@@ -96,7 +141,8 @@ def zielonka_solve(game: ParityGame) -> Solution:
     from there up to the first free node of the other parity, and the
     subgame's rest starts at that node.  A closing subgame hands its
     opener the regions each player won, as the node lists its attractors
-    made; the opponent's are sorted into the trap's targets.  Closing or
+    made; the opponent's are the trap's targets, marked ``LOST`` while it
+    is attracted and -1 with the rest of the trap after.  Closing or
     starting over, a subgame frees only the nodes it marked.
     """
     arena = game.arena
@@ -151,8 +197,8 @@ def zielonka_solve(game: ParityGame) -> Solution:
         for v in head:
             level[v] = free
         if regions[opp]:
-            lost = sorted(chain.from_iterable(regions[opp]))
-            trap = _attract(game, opp, lost, level, d, move)
+            lost = list(chain.from_iterable(regions[opp]))
+            trap = _attract(game, opp, lost, level, d, move, sources=head)
             for v in trap:
                 level[v] = -1
             traps[opp].append(trap)

@@ -315,10 +315,13 @@ def attract(game: ParityGame, player: int, target: set[int]) -> Attraction:
     return Attraction(frozenset(region), witness)
 
 
-def _attract_reference(game, player, targets, nodes, level, d):
+def _attract_reference(game, player, targets, nodes, level, d, sources=None):
     """The attractor of :func:`zielonka_reference`: marks all of ``nodes``
     d + 1 (every other node is below d), then each attracted node d, and
-    lists those in breadth-first order, targets first."""
+    lists those in breadth-first order, targets first.  With ``sources``,
+    as in :func:`solver._attract`, it marks the targets -2 instead, starts
+    from the sources with an edge into one, and never reads a target's
+    predecessors."""
     successors = game.arena.successors
     predecessors = game.arena.predecessors
     owners = game.owners
@@ -326,18 +329,36 @@ def _attract_reference(game, player, targets, nodes, level, d):
     for v in nodes:
         level[v] = outside
     region = list(targets)
-    for v in region:
-        level[v] = d
     witness = {}
     escapes = {}
-    for w in region:
+    if sources is None:
+        queue = region
+        for v in region:
+            level[v] = d
+    else:
+        queue = []
+        for v in region:
+            level[v] = -2
+        for u in sources:
+            into = [w for w in successors[u] if level[w] == -2]
+            if not into:
+                continue
+            if owners[u] == player:
+                witness[u] = into[0]
+            else:
+                escapes[u] = sum(1 for x in successors[u] if level[x] >= d)
+                if escapes[u]:
+                    continue
+            level[u] = d
+            queue.append(u)
+    for w in queue:
         for u in predecessors[w]:
             if level[u] != outside:
                 continue
             if owners[u] == player:
                 level[u] = d
                 witness[u] = w
-                region.append(u)
+                queue.append(u)
             else:
                 left = escapes.get(u)
                 if left is None:
@@ -346,17 +367,18 @@ def _attract_reference(game, player, targets, nodes, level, d):
                 escapes[u] = left
                 if left == 0:
                     level[u] = d
-                    region.append(u)
-    return region, witness
+                    queue.append(u)
+    return (region if sources is None else region + queue), witness
 
 
 def zielonka_reference(game: ParityGame) -> Solution:
     """The same loop as :func:`solver.zielonka_solve` over subgames kept as
     ascending node lists: every level lists its rest and re-marks its whole
     subgame, so it costs time linear in the subgame.  Each head attracts to
-    the subgame's lowest parity run.  A subgame opened at
-    depth d marks its head d, the rest d + 1 and a trapped node -1; ``won``
-    holds each settled node's winner."""
+    the subgame's lowest parity run, and each trap starts from the head's
+    nodes with an edge into the region the opponent won.  A subgame opened
+    at depth d marks its head d, the rest d + 1 and a trapped node -1;
+    ``won`` holds each settled node's winner."""
     arena = game.arena
     n = arena.node_count
     successors = arena.successors
@@ -375,17 +397,17 @@ def zielonka_reference(game: ParityGame) -> Solution:
             # the other parity, its nodes in color order.
             q = min((colors[v] for v in nodes if colors[v] % 2 != s), default=inf)
             targets = sorted((v for v in nodes if colors[v] < q), key=colors.__getitem__)
-            _, head_witness = _attract_reference(game, s, targets, nodes, level, d)
-            stack.append((nodes, s, targets, head_witness))
+            head, head_witness = _attract_reference(game, s, targets, nodes, level, d)
+            stack.append((nodes, s, targets, head, head_witness))
             nodes = [v for v in nodes if level[v] != d]
         if not stack:
             break
-        nodes, s, targets, head_witness = stack.pop()
+        nodes, s, targets, head, head_witness = stack.pop()
         d = len(stack)
         opp = 1 - s
         lost = [v for v in nodes if level[v] != d and won[v] == opp]
         if lost:
-            trap, trap_witness = _attract_reference(game, opp, lost, nodes, level, d)
+            trap, trap_witness = _attract_reference(game, opp, lost, nodes, level, d, head)
             move.update(trap_witness)
             for v in trap:
                 won[v] = opp

@@ -164,10 +164,10 @@ def _attract_calls(monkeypatch, game):
     calls = 0
     attract_in_subgame = solver._attract
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return attract_in_subgame(*args)
+        return attract_in_subgame(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_attract", counted)
     zielonka_solve(game)
@@ -211,8 +211,8 @@ def test_zielonka_level_costs_its_head(monkeypatch):
     # Player 1 owns every node of a pendant path: each level's head is one
     # end of the path and its pendant, and player 0 wins every subgame, so
     # no trap is attracted.  The game opens one level per path node, and
-    # four times the nodes should run about four times the lines (31 003
-    # and 124 003).  A level that scanned the color order from its start
+    # four times the nodes should run about four times the lines (31 503
+    # and 126 003).  A level that scanned the color order from its start
     # made it about fourteen times.
     lines = []
     for m in (250, 1000):
@@ -220,6 +220,100 @@ def test_zielonka_level_costs_its_head(monkeypatch):
         assert _attract_calls(monkeypatch, game) == m
         lines.append(package_lines(lambda game=game: zielonka_solve(game)))
     assert lines[1] <= 6 * lines[0]
+
+
+def _attractor_fixpoint(game, player, targets, subgame):
+    """The attractor of ``targets`` for ``player`` inside ``subgame``, grown
+    as a set until nothing more is pulled."""
+    successors = game.arena.successors
+    owners = game.owners
+    region = set(targets)
+    while True:
+        pulled = {
+            u
+            for u in subgame - region
+            if (any if owners[u] == player else all)(
+                w in region for w in successors[u] if w in subgame
+            )
+        }
+        if not pulled:
+            return region
+        region |= pulled
+
+
+def test_zielonka_trap_is_the_attractor_of_the_lost_region(monkeypatch):
+    # A trap starts from its head's nodes with an edge into the region the
+    # opponent won and never reads that region's predecessors; it must
+    # still return the opponent's whole attractor of the region inside the
+    # subgame (the nodes free when the trap is called).
+    attract_in_subgame = solver._attract
+    seeded = 0
+
+    def checked(game, player, targets, level, d, move, sources=None):
+        nonlocal seeded
+        if sources is None:
+            return attract_in_subgame(game, player, targets, level, d, move)
+        seeded += 1
+        subgame = {v for v, mark in enumerate(level) if mark == len(level)}
+        assert subgame >= set(targets)
+        trap = attract_in_subgame(game, player, targets, level, d, move, sources)
+        assert set(trap) == _attractor_fixpoint(game, player, targets, subgame)
+        return trap
+
+    monkeypatch.setattr(solver, "_attract", checked)
+    rng = random.Random(3907)
+    for _ in range(3000):
+        game = random_game(
+            rng,
+            min_nodes=1,
+            max_nodes=30,
+            max_color=rng.randint(1, 30),
+            max_degree=rng.randint(1, 4),
+            allow_self_loops=True,
+        )
+        zielonka_solve(game)
+    for name, params in (("jurdzinski", (4, 6)), ("recursive_ladder", (30,)), ("clique", (100,))):
+        zielonka_solve(gen_family(name, params))
+    assert seeded > 3000
+
+
+def test_zielonka_trap_reads_no_predecessor_of_its_targets(monkeypatch):
+    # A path of 21 player-1 nodes colored 0..20, each with an edge to the
+    # next and into a ring of m player-1 nodes colored 21.  Player 1 wins
+    # every node, so each even level's head (player 0's, its one path node)
+    # loses the rest of its subgame, ring included, and player 1's trap
+    # takes it back.  A trap that scanned its targets' predecessors would
+    # walk the ring at each of those 11 levels: the solve runs 34 304 and
+    # 125 504 package lines for m = 200 and 800 that way, against 22 193
+    # and 80 393 from the head.
+    k, m = 21, 200
+    successors = [(v + 1, k) if v + 1 < k else (k,) for v in range(k)]
+    successors += [(k + (j + 1) % m,) for j in range(m)]
+    game = ParityGame(Arena(tuple(successors), tuple(range(k)) + (k,) * m), (1,) * (k + m))
+    reads = set()
+
+    class Counted(tuple):
+        def __getitem__(self, v):
+            reads.add(v)
+            return tuple.__getitem__(self, v)
+
+    game.arena.__dict__["predecessors"] = Counted(game.arena.predecessors)
+    attract_in_subgame = solver._attract
+    traps = 0
+
+    def checked(game, player, targets, level, d, move, sources=None):
+        nonlocal traps
+        reads.clear()
+        region = attract_in_subgame(game, player, targets, level, d, move, sources)
+        if player == 1 and d % 2 == 0:  # even levels' heads are player 0's
+            traps += 1
+            assert not reads & set(targets)
+        return region
+
+    monkeypatch.setattr(solver, "_attract", checked)
+    solution = zielonka_solve(game)
+    assert traps == k // 2 + 1
+    assert solution.winner == (1,) * (k + m)
 
 
 @given(games(max_nodes=8, max_color=8, allow_self_loops=True))
@@ -568,10 +662,10 @@ def test_zielonka_deep_game_keeps_recursion_limit(monkeypatch):
         depth = 0
         attract_in_subgame = solver._attract
 
-        def deepest(game, player, targets, level, d, move):
+        def deepest(game, player, targets, level, d, move, sources=None):
             nonlocal depth
             depth = max(depth, d)
-            return attract_in_subgame(game, player, targets, level, d, move)
+            return attract_in_subgame(game, player, targets, level, d, move, sources)
 
         monkeypatch.setattr(solver, "_attract", deepest)
         solution = zielonka_solve(game)
