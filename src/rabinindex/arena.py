@@ -135,29 +135,20 @@ class Arena(FrozenRecord):
         return colors
 
     @classmethod
-    def _unchecked(
-        cls, successors: tuple[tuple[NodeId, ...], ...], colors: Coloring, **indexes
-    ) -> "Arena":
+    def _unchecked(cls, successors: tuple[tuple[NodeId, ...], ...], colors: Coloring) -> "Arena":
         """An arena built without the checks of ``__init__``, for callers that have
-        already established every invariant it checks; ``indexes`` presets
-        cached graph indexes."""
+        already established every invariant it checks."""
         arena = object.__new__(cls)
-        arena.__dict__.update(indexes, successors=successors, colors=colors)
+        arena.__dict__.update(successors=successors, colors=colors)
         return arena
 
     def with_colors(self, colors: Iterable[int]) -> "Arena":
         """Same graph, different coloring; only the coloring is checked.  The
         new arena shares ``successors`` and, once computed, ``predecessors``."""
-        return Arena._unchecked(
-            self.successors,
-            self.checked_colors(colors),
-            **{k: v for k, v in self.__dict__.items() if k in _GRAPH_INDEXES},
-        )
-
-
-# Cached properties of an Arena that depend on the graph alone; with_colors
-# hands these on and lets any other cached property be recomputed.
-_GRAPH_INDEXES = frozenset({"predecessors"})
+        arena = Arena._unchecked(self.successors, self.checked_colors(colors))
+        if "predecessors" in self.__dict__:
+            arena.__dict__["predecessors"] = self.predecessors
+        return arena
 
 
 def check_coloring(colors: Sequence[int], n: int) -> None:

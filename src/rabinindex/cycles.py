@@ -73,9 +73,11 @@ class CycleAnswer(enum.Enum):
 
 
 class SearchBudget(Record):
-    """Mutable allowance counted in expanded search nodes.  All exact
-    queries of one :func:`~rabinindex.reduction.rabin` run share one; a
-    query answered by a recorded cycle spends none of it.
+    """Mutable allowance counted in expanded search nodes, and the marks
+    its queries borrow, one per node and all True between queries.  All
+    exact queries of one :func:`~rabinindex.reduction.rabin` run share
+    one; a query answered by a recorded cycle spends none of it and
+    touches no mark.  ``marks`` is not a field of ``==`` or ``repr``.
     """
 
     __match_args__ = ("limit", "spent")
@@ -83,6 +85,7 @@ class SearchBudget(Record):
     def __init__(self, limit: int | None = DEFAULT_BUDGET, spent: int = 0) -> None:
         self.limit = limit
         self.spent = spent
+        self.marks: list[bool] = []
 
     def spend(self, amount: int = 1) -> bool:
         """Consume budget; False once the limit would be exceeded."""
@@ -390,25 +393,18 @@ def _check_query(arena: Arena, coloring: Sequence[int], v: NodeId, gamma: int) -
         )
 
 
-# One all-True list of marks kept by its length: a query takes it out,
-# unmarks the nodes its backward reach finds and marks them again when done,
-# so it costs what the reach costs instead of a fresh n-long list.
-_spare_marks: dict[int, list[bool]] = {}
-
-
 def _outside_walk_reach(
-    arena: Arena, c: Sequence[int], v: NodeId, gamma: int
-) -> tuple[list[bool], list[NodeId]] | None:
-    """Mark the nodes that do not reach ``v`` in the color->=gamma
-    subgraph, if a closed walk through ``v`` has minimal color ``gamma``;
-    else None.  Returns the marks and the unmarked nodes, which a caller
-    hands back to :func:`_release_marks` for the next query to reuse.
+    arena: Arena, c: Sequence[int], v: NodeId, gamma: int, outside: list[bool]
+) -> list[NodeId] | None:
+    """Unmark in ``outside``, all True on entry, the nodes that reach
+    ``v`` in the color->=gamma subgraph, and return them if a closed walk
+    through ``v`` has minimal color ``gamma``; else mark them again and
+    return None.  A caller given the reach marks it again when done.
 
     One backward reach from ``v``, then a forward walk from ``v`` inside
     it that stops at the first gamma-colored node: such a node reaches
     ``v`` and is reached from it, so it closes the walk.
     """
-    outside = _spare_marks.pop(len(c), None) or [True] * len(c)
     outside[v] = False
     reach = [v]
     predecessors = arena.predecessors
@@ -424,18 +420,12 @@ def _outside_walk_reach(
         for w in successors[stack.pop()]:
             if not outside[w] and w not in seen:
                 if c[w] == gamma:
-                    return outside, reach
+                    return reach
                 seen.add(w)
                 stack.append(w)
-    _release_marks(outside, reach)
+    for u in reach:
+        outside[u] = True
     return None
-
-
-def _release_marks(marks: list[bool], unmarked: list[NodeId]) -> None:
-    for u in unmarked:
-        marks[u] = True
-    _spare_marks.clear()
-    _spare_marks[len(marks)] = marks
 
 
 # Simple cycles found by YES searches that backtracked, by query (v, gamma):
@@ -467,9 +457,11 @@ def simple_cycle_through_with_color(
     its component costs; a negative color at a node other than ``v``
     counts as below every threshold.
 
-    ``budget`` may arrive partly spent.  ``memo`` records the cycle a YES
-    search found after backtracking, as one :func:`~rabinindex.reduction.rabin`
-    run keeps them.  The arena's edges do not change, so a recorded cycle
+    ``budget`` may arrive partly spent.  The reach and the search borrow
+    its marks, sized to the coloring, and the query marks the reach again
+    however it ends.  ``memo`` records the cycle a YES search found after
+    backtracking, as one :func:`~rabinindex.reduction.rabin` run keeps
+    them.  The arena's edges do not change, so a recorded cycle
     for ``(v, gamma)`` is still a simple cycle through ``v``: when its least
     color under ``coloring`` is ``gamma``, it answers YES before the reach,
     spending no budget.  Colors only fall within a run, so a search that
@@ -480,24 +472,28 @@ def simple_cycle_through_with_color(
     _check_query(arena, c, v, gamma)
     if memo and (cycle := memo.get((v, gamma))) and min(c[u] for u in cycle) == gamma:
         return CycleAnswer.YES
-    found = _outside_walk_reach(arena, c, v, gamma)
-    if found is None:
-        return CycleAnswer.NO
-    # A node is blocked while it is outside the reach or on the path.
-    blocked, reach = found
-    if c[v] == gamma:
-        # v itself realizes the target color: the shortest closed walk
-        # through v inside its component is a simple cycle of color gamma.
-        _release_marks(blocked, reach)
-        return CycleAnswer.YES
     if budget is None:
         budget = SearchBudget()
-    # The search counts its pushes locally and charges them on return;
-    # it gives up at the push where SearchBudget.spend would first refuse.
-    allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
-    answer, expanded, path = _search(arena.successors, c, blocked, v, gamma, allowance)
-    budget.spent += expanded
-    _release_marks(blocked, reach)
+    # A node is blocked while it is outside the reach or on the path.
+    blocked = budget.marks
+    if len(blocked) != len(c):
+        blocked = budget.marks = [True] * len(c)
+    reach = _outside_walk_reach(arena, c, v, gamma, blocked)
+    if reach is None:
+        return CycleAnswer.NO
+    try:
+        if c[v] == gamma:
+            # v itself realizes the target color: the shortest closed walk
+            # through v inside its component is a simple cycle of color gamma.
+            return CycleAnswer.YES
+        # The search counts its pushes locally and charges them on return;
+        # it gives up at the push where SearchBudget.spend would first refuse.
+        allowance = sys.maxsize if budget.limit is None else budget.limit - budget.spent
+        answer, expanded, path = _search(arena.successors, c, blocked, v, gamma, allowance)
+        budget.spent += expanded
+    finally:
+        for u in reach:
+            blocked[u] = True
     # Without backtracking the search pushed each node of its cycle but v once.
     if memo is not None and answer is CycleAnswer.YES and expanded >= len(path):
         memo[v, gamma] = tuple(path)
@@ -605,11 +601,7 @@ def cycle_through_with_color(
     """
     c = arena.checked_colors(coloring)
     _check_query(arena, c, v, gamma)
-    found = _outside_walk_reach(arena, c, v, gamma)
-    if found is None:
-        return False
-    _release_marks(*found)
-    return True
+    return _outside_walk_reach(arena, c, v, gamma, [True] * len(c)) is not None
 
 
 def enumerate_simple_cycles(

@@ -210,7 +210,6 @@ def gen_jurdzinski(j: int, l: int) -> ParityGame:
     succ[tail1].update((tail2, y(j - 1, 0)))
     succ[y(j - 1, 0)].add(tail1)
     succ[tail2].add(tail1)
-    succ[tail1].discard(tail1)
 
     successors = tuple(tuple(sorted(s)) for s in succ)
     owners = tuple(1 - colors[v] % 2 for v in range(n))

@@ -157,9 +157,10 @@ class _PassState:
     visits the nodes by ascending color and recolors only the node it
     visits, never upwards, so the colors below c(v) when it reaches v are
     those of the nodes it has visited: it keeps them sorted, and an anchor
-    scans only them.  Every query of the run spends
-    from one :class:`~rabinindex.cycles.SearchBudget`, so
-    ``budget_limit`` caps the whole run.  Keeps the simple cycles the run's
+    scans only them.  Every query of the run spends from one
+    :class:`~rabinindex.cycles.SearchBudget`, so ``budget_limit`` caps
+    the whole run, and borrows that budget's one list of marks, which
+    lives as long as the run.  Keeps the simple cycles the run's
     backtracking YES searches found, which answer a repeated query without
     search while their least color is still its gamma (see
     :func:`~rabinindex.cycles.simple_cycle_through_with_color`).

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import importlib
 import inspect
 import os
@@ -134,3 +135,38 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert main(["gen", "random", "100/1/20/100", "--seed", "7", "-o", "rand.gm"]) == 0
     exec(compile(code, "README.md", "exec"), {})
     assert "final index 37" in capsys.readouterr().out
+
+
+def _module_state() -> dict[tuple[str, str], tuple]:
+    """Each package module's non-dunder globals: the identity of every
+    value, and for a dict, list or set also a deep copy and the identities
+    of its items, so that a container refilled with equal but new objects
+    still reads as changed."""
+    state = {}
+    for module in MODULES:
+        for name, value in vars(module).items():
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            entry: tuple = (id(value),)
+            if isinstance(value, (dict, list, set)):
+                items = value.values() if isinstance(value, dict) else value
+                entry += (copy.deepcopy(value), [id(item) for item in items])
+            state[module.__name__, name] = entry
+    return state
+
+
+def test_runs_leave_every_module_global_as_it_was():
+    # What a run needs lives as long as the run: no module keeps a table,
+    # a cache or a list of marks across calls.
+    before = _module_state()
+    rabinindex.rabin(rabinindex.gen_jurdzinski(4, 6).arena)
+    with pytest.raises(rabinindex.ReductionAborted):
+        rabinindex.rabin(rabinindex.gen_jurdzinski(5, 10).arena, budget_limit=10_000)
+    game = rabinindex.gen_random(rabinindex.RandomConfig(200, 1, 4, 200, seed=3))
+    rabinindex.rabin(game.arena, mode=rabinindex.OracleMode.ABSTRACT)
+    rabinindex.abstract_membership(game, 3)
+    solution = rabinindex.zielonka_solve(game)
+    assert rabinindex.verify_solution(game, solution).ok
+    assert rabinindex.parse_pgsolver(rabinindex.write_pgsolver(game)) == game
+    assert rabinindex.parse_solution(rabinindex.write_solution(solution), game) == solution
+    assert _module_state() == before

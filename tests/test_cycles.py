@@ -458,12 +458,22 @@ def test_exact_query_reads_a_negative_color_as_below_every_threshold():
     assert answer is CycleAnswer.NO
 
 
-def test_closed_walk_query_hands_back_its_marks_after_yes():
-    # The next query of the same size reuses the all-True marks instead of
-    # allocating an n-long list.
-    cycles._spare_marks.clear()
-    assert cycle_through_with_color(_TRIANGLE, None, 0, 1)
-    assert cycles._spare_marks[3] == [True] * 3
+def test_a_query_that_raises_leaves_the_budgets_marks_all_true(fig1_arena, monkeypatch):
+    # The search gets the marks with the backward reach unmarked and v
+    # marked; however it leaves them, the query marks the reach again.
+    budget = SearchBudget(None)
+    unmarked = []
+
+    def failing_search(successors, c, blocked, v, gamma, allowance):
+        unmarked.extend(u for u, mark in enumerate(blocked) if not mark)
+        blocked[v] = True
+        raise RuntimeError("search failed")
+
+    monkeypatch.setattr(cycles, "_search", failing_search)
+    with pytest.raises(RuntimeError, match="search failed"):
+        simple_cycle_through_with_color(fig1_arena, None, 0, 2, budget)
+    assert 0 in unmarked
+    assert budget.marks == [True] * fig1_arena.node_count
 
 
 def test_import_loads_only_the_standard_library():
@@ -642,13 +652,12 @@ def test_a_repeated_query_takes_the_recorded_search():
                 recorded += 1
                 for limit, already_spent in ((None, 0), (0, 0), (2, 3)):
                     budget = SearchBudget(limit, already_spent)
-                    cycles._spare_marks.clear()
                     answer = simple_cycle_through_with_color(
                         arena, None, v, gamma, budget, memo=memo
                     )
                     assert answer is CycleAnswer.YES
                     assert budget.spent == already_spent
-                    assert not cycles._spare_marks
+                    assert budget.marks == []
     assert recorded > 0
 
 

@@ -563,15 +563,14 @@ def test_exact_query_work_follows_its_component():
 
 
 def test_exact_queries_of_a_run_borrow_one_marks_list(monkeypatch):
-    # Past the first query none allocates an n-long list of its own.
+    # The run's budget lends every query the same list: past the first
+    # query none allocates an n-long list of its own.
     borrowed = []
     real = cycles._outside_walk_reach
 
-    def spy(*args):
-        found = real(*args)
-        if found is not None:
-            borrowed.append(found[0])
-        return found
+    def spy(arena, c, v, gamma, marks):
+        borrowed.append(marks)
+        return real(arena, c, v, gamma, marks)
 
     monkeypatch.setattr(cycles, "_outside_walk_reach", spy)
     _, report = rabin(_disjoint_two_cycles(500))
@@ -595,18 +594,28 @@ def test_exact_query_time_follows_its_component():
     assert min(times[large]) < 8 * min(times[small])
 
 
-def test_exact_queries_hand_back_all_true_marks():
+def test_exact_queries_hand_back_all_true_marks(monkeypatch):
     # A query unmarks only its backward reach and marks it again before it
-    # answers YES, NO or EXHAUSTED, so the marks kept for the next query of
-    # the same size block every node.
+    # answers YES, NO or EXHAUSTED, so the run's marks block every node
+    # when each query starts, and after the last one.
+    lent = []
+    real = cycles._outside_walk_reach
+
+    def spy(arena, c, v, gamma, marks):
+        assert all(marks)
+        lent.append(marks)
+        return real(arena, c, v, gamma, marks)
+
+    monkeypatch.setattr(cycles, "_outside_walk_reach", spy)
     rng = random.Random(17)
     for _ in range(200):
         arena = random_arena(rng, max_nodes=9, max_color=9, allow_self_loops=True)
+        lent.clear()
         try:
             rabin(arena, budget_limit=rng.choice([0, 2, None]))
         except ReductionAborted:
             pass
-        assert all(all(marks) for marks in cycles._spare_marks.values())
+        assert all(map(all, lent))
 
 
 # Every entry point that takes a caller's coloring for an arena, each given
